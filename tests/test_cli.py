@@ -203,6 +203,61 @@ def test_verify_rejects_unknown_tolerance_key(capsys):
     assert "bogus" in err
 
 
+REPORT_KEYS = ["name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "pass", "asserted"]
+TAU_CURVE = ("--tau", "0.5+1.25i", "--curve", "1,1")
+
+# Key order is what keeps the output bytes stable: pin it for every subcommand.
+KEY_ORDER = [
+    (("ext", *TAU_CURVE), ["tau", "curve", "ext", "cylinder_modulus"]),
+    (("levi", *TAU_CURVE), ["tau", "curve", "levi"]),
+    (("vary1", *TAU_CURVE, "--mu-fn", "coscos"), ["tau", "curve", "mu", "first_variation"]),
+    (("vary2", *TAU_CURVE, "--mu", "0.3-0.2i"), ["tau", "curve", "mu", "second_variation"]),
+    (
+        ("pair-sum", *TAU_CURVE, "--mu", "0.3-0.2i"),
+        ["tau", "curve", "mu", "pair_sum", "positive"],
+    ),
+    (
+        ("solve-field", *TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "16"),
+        ["tau", "curve", "n", "affine_b", "affine_c", "periodic_sup", "gradient_sup",
+         "residual", "source_sup"],
+    ),
+    (("eq11", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "16"), REPORT_KEYS + ["ratio"]),
+    (("eq15", *TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "16"), REPORT_KEYS + ["ratio"]),
+    (("eq15", *TAU_CURVE, "--mu", "0.3-0.2i"), REPORT_KEYS),
+    (
+        ("distance", "--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5"),
+        ["tau", "tau2", "max_pq", "kerckhoff", "maximizer", "hyperbolic", "half_hyperbolic"],
+    ),
+    (("bound", *TAU_CURVE, "--mu", "0.6+0.8i"), REPORT_KEYS + ["ratio", "ext"]),
+]
+
+
+@pytest.mark.parametrize("argv,keys", KEY_ORDER, ids=[
+    "ext", "levi", "vary1", "vary2", "pair-sum", "solve-field", "eq11", "eq15-grid",
+    "eq15-constant", "distance", "bound",
+])
+def test_payload_key_order(capsys, argv, keys):
+    assert list(run_json(capsys, *argv)) == keys
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0, err
+    assert out.splitlines()[0] == ",".join(keys)
+
+
+def test_sweep_key_order(capsys):
+    argv = ("sweep", "--curve", "1,1", "--re", "0:0.5:0.5", "--im", "1:1:1")
+    rows = run_json(capsys, *argv, "--format", "json")
+    assert [list(row) for row in rows] == [["re", "im", "ext", "levi"]] * 2
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[0] == "re,im,ext,levi"
+
+
+def test_verify_key_order(capsys):
+    data = run_json(capsys, "verify", "--format", "json")
+    assert list(data) == ["seed", "elapsed_seconds", "all_passed", "reports"]
+    assert all(list(report) == REPORT_KEYS for report in data["reports"])
+
+
 def test_argument_errors_exit_2(capsys):
     cases = [
         ("ext", "--tau", "0-1i", "--curve", "1,0"),

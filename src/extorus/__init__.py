@@ -17,22 +17,18 @@ from .moduli import (
     levi_form,
     parse_complex,
     parse_curve,
-    weighted_extremal_length,
 )
 from .harmonic import (
     HarmonicMapTorus,
-    HopfDifferential,
     build_harmonic_map,
     energy,
     hopf,
-    jacobian_defect,
 )
 from .beltrami import (
     BeltramiField,
     FIELD_CATALOG,
     catalog_field,
     constant,
-    field_from_spec,
     from_function,
     modulus_path_constant,
     pair_hopf,

@@ -28,15 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .harmonic import HopfDifferential
-from .moduli import Modulus, format_complex, parse_complex
+from .moduli import Modulus
 
 __all__ = [
     "BeltramiField",
     "constant",
     "from_function",
     "catalog_field",
-    "field_from_spec",
     "FIELD_CATALOG",
     "lattice_grid",
     "dz_multiplier",
@@ -131,10 +129,6 @@ class BeltramiField:
     def is_constant(self) -> bool:
         return self.value is not None
 
-    @property
-    def is_harmonic(self) -> bool:
-        return self.is_constant
-
     def mean(self) -> complex:
         if self.is_constant:
             return self.value
@@ -181,24 +175,6 @@ class BeltramiField:
         out[np.ix_(idx, idx)] = spec
         return np.fft.ifft2(out) * n**2
 
-    def to_json(self) -> dict:
-        data = {"tau": format_complex(self.tau.value), "N": self.n}
-        if self.is_constant:
-            data["constant"] = format_complex(self.value)
-        else:
-            flat = self.samples.ravel()
-            data["samples"] = [[v.real, v.imag] for v in flat]
-        return data
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BeltramiField":
-        tau = Modulus.from_complex(parse_complex(data["tau"]))
-        n = int(data["N"])
-        if "constant" in data:
-            return cls(tau, 1, value=parse_complex(data["constant"]))
-        flat = np.array([complex(re, im) for re, im in data["samples"]])
-        return cls(tau, n, samples=flat.reshape(n, n))
-
 
 def constant(tau: Modulus, m: complex) -> BeltramiField:
     return BeltramiField(tau, 1, value=complex(m))
@@ -240,16 +216,6 @@ def catalog_field(tau: Modulus, name: str, n: int) -> BeltramiField:
     return from_function(tau, n, f)
 
 
-def field_from_spec(tau: Modulus, spec: dict) -> BeltramiField:
-    """Build a field from the scenario form {"constant": "a+bi"} or
-    {"function": name, "N": n}."""
-    if "constant" in spec:
-        return constant(tau, parse_complex(spec["constant"]))
-    if "function" in spec:
-        return catalog_field(tau, spec["function"], int(spec.get("N", 64)))
-    raise ValueError("field spec needs a 'constant' or 'function' key")
-
-
 def modulus_path_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     """Modulus of the image of ``Z + tau Z`` under ``z -> z + t m zbar``.
 
@@ -278,9 +244,10 @@ def teich_geodesic_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     return modulus_path_constant(tau, m, math.tanh(t))
 
 
-def pair_hopf(field: BeltramiField, phi: HopfDifferential, tau: Modulus) -> complex:
+def pair_hopf(field: BeltramiField, phi: complex, tau: Modulus) -> complex:
     """Pairing ``<mu, phi>`` with the measure normalized to mass ``4 Im tau``.
 
+    ``phi`` is the ``dz^2`` coefficient that ``harmonic.hopf`` returns.
     Constant fields pair through their value; grid fields through their
     grid mean, which is the exact pairing for the constant part and the
     trapezoid-exact one for band-limited remainders (they integrate to
@@ -288,4 +255,4 @@ def pair_hopf(field: BeltramiField, phi: HopfDifferential, tau: Modulus) -> comp
     """
     if field.tau != tau:
         raise ValueError("field and differential live on different tori")
-    return 4.0 * tau.im * field.mean() * phi.coeff
+    return 4.0 * tau.im * field.mean() * phi

@@ -15,12 +15,14 @@ import io
 import json
 import math
 import sys
+from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
+from typing import Callable
 
-from .beltrami import BeltramiField, catalog_field, constant, FIELD_CATALOG
+from .beltrami import BeltramiField, _require_grid_size, catalog_field, constant, FIELD_CATALOG
 from .moduli import (
-    CurveClass,
     Modulus,
+    _require_max_index,
     cylinder_modulus,
     extremal_length,
     format_complex,
@@ -32,9 +34,11 @@ from .moduli import (
     parse_curve,
 )
 from .variation import (
+    _require_step,
     first_variation,
     identity_eq11_check,
     identity_eq15_evaluate,
+    json_float,
     pair_sum_levi,
     second_variation_constant,
     solve_variation_field,
@@ -44,6 +48,12 @@ from .verify import ToleranceProfile, format_table, run_suite
 
 import numpy as np
 
+#: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
+#: square of either; at these limits a run takes about 3 s and 0.3-0.7 GB
+#: on a 2-core x86-64 host.
+MAX_GRID = 2048
+MAX_PQ = 2000
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:
@@ -51,25 +61,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-def _tau(text: str) -> Modulus:
-    try:
-        return Modulus.from_complex(parse_complex(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _arg_type(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """Turn the ``ValueError`` of ``parse`` into an argument error (exit 2)."""
+
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _curve(text: str) -> CurveClass:
-    try:
-        return parse_curve(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _number(kind: type, require: Callable, limit: int | None = None) -> Callable[[str], object]:
+    """A number that passes the library's own ``require`` check and is at most ``limit``."""
+
+    def parse(text: str):
+        value = kind(text)
+        require(value)
+        if limit is not None and value > limit:
+            raise ValueError(f"must be at most {limit}, got {value}")
+        return value
+
+    return _arg_type(parse)
 
 
-def _complex(text: str) -> complex:
-    try:
-        return parse_complex(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_tau = _arg_type(lambda text: Modulus.from_complex(parse_complex(text)))
+_curve = _arg_type(parse_curve)
+_complex = _arg_type(parse_complex)
+_grid = _number(int, _require_grid_size, MAX_GRID)
+_max_pq = _number(int, _require_max_index, MAX_PQ)
+_step = _number(float, _require_step)
 
 
 def _range(text: str) -> tuple[float, float, float]:
@@ -106,7 +128,16 @@ def _range_values(spec: tuple[float, float, float]) -> list[float]:
     return [lo + i * step for i in range(count)]
 
 
-def _add_field_flags(sub: argparse.ArgumentParser) -> None:
+def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
+    return lambda sub: sub.add_argument(*names, **kwargs)
+
+
+def _tol(keys: str) -> Callable[[argparse.ArgumentParser], None]:
+    return _arg("--tol", type=_tolerance, action="append", default=[],
+                help=f"tolerance override, key=value (key: {keys})")
+
+
+def _field_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", type=_complex, help="constant deformation field, a+bi form")
     group.add_argument(
@@ -116,10 +147,16 @@ def _add_field_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--grid",
-        type=int,
+        type=_grid,
         default=64,
-        help="samples per side for grid fields, power of two (default 64)",
+        help=f"samples per side for grid fields, power of two in [4, {MAX_GRID}] (default 64)",
     )
+
+
+_CURVE = _arg("--curve", type=_curve, required=True, help="curve class, p,q integers")
+_POINT = (_arg("--tau", type=_tau, required=True, help="modulus, a+bi with b > 0"), _CURVE)
+_FIELD = (*_POINT, _field_flags)
+_MU = _arg("--mu", type=_complex, required=True, help="constant field, a+bi form")
 
 
 def _field_from_args(args: argparse.Namespace) -> BeltramiField:
@@ -128,84 +165,19 @@ def _field_from_args(args: argparse.Namespace) -> BeltramiField:
     return catalog_field(args.tau, args.mu_fn, args.grid)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="extorus", description=__doc__)
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = subs.add_parser(name, help=help_text)
-        sub.add_argument("--out", help="write the result to this path instead of stdout")
-        sub.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default=None,
-            help="output format (default json; sweep defaults to csv)",
-        )
-        return sub
-
-    def add_tau_curve(name: str, help_text: str) -> argparse.ArgumentParser:
-        sub = add(name, help_text)
-        sub.add_argument("--tau", type=_tau, required=True, help="modulus, a+bi with b > 0")
-        sub.add_argument("--curve", type=_curve, required=True, help="curve class, p,q integers")
-        return sub
-
-    add_tau_curve("ext", "extremal length and annulus modulus of a curve class")
-    add_tau_curve("levi", "mixed second derivative of extremal length at tau")
-
-    sub = add_tau_curve("vary1", "first variation of extremal length along a field")
-    _add_field_flags(sub)
-
-    sub = add_tau_curve("vary2", "second variation along a constant field")
-    sub.add_argument("--mu", type=_complex, required=True, help="constant field, a+bi form")
-
-    sub = add_tau_curve("pair-sum", "second variations along mu and i*mu, summed")
-    sub.add_argument("--mu", type=_complex, required=True, help="constant field, a+bi form")
-
-    sub = add_tau_curve("solve-field", "derivative of the harmonic map along a field")
-    _add_field_flags(sub)
-
-    sub = add_tau_curve("eq11", "integration-by-parts check on the solved derivative")
-    _add_field_flags(sub)
-    sub.add_argument("--tol", type=_tolerance, action="append", default=[],
-                     help="tolerance override, key=value (key: spectral_tol)")
-
-    sub = add_tau_curve("eq15", "paired-direction gradient identity, evaluated")
-    _add_field_flags(sub)
-    sub.add_argument("--tol", type=_tolerance, action="append", default=[],
-                     help="tolerance override, key=value (key: exact_tol)")
-
-    sub = add("distance", "stretch-factor distance between two moduli")
-    sub.add_argument("--tau", type=_tau, required=True, help="first modulus, a+bi")
-    sub.add_argument("--tau2", type=_tau, required=True, help="second modulus, a+bi")
-    sub.add_argument("--max-pq", type=int, default=50,
-                     help="curve search bound |p|,|q| <= N (default 50)")
-
-    sub = add_tau_curve("bound", "convexity floor along a unit stretch line")
-    sub.add_argument("--mu", type=_complex, required=True, help="direction with |mu| = 1")
-    sub.add_argument("--step", type=float, default=1e-3,
-                     help="second-difference step, in (0, 1e-2] (default 1e-3)")
-    sub.add_argument("--tol", type=_tolerance, action="append", default=[],
-                     help="tolerance override, key=value (key: rel_tol_first)")
-
-    sub = add("sweep", "extremal length and Levi form over a rectangle of moduli")
-    sub.add_argument("--curve", type=_curve, required=True, help="curve class, p,q integers")
-    sub.add_argument("--re", type=_range, required=True, help="real range lo:hi:step")
-    sub.add_argument("--im", type=_range, required=True, help="imaginary range lo:hi:step, lo > 0")
-
-    sub = add("verify", "run the full cross-check suite")
-    sub.add_argument("--seed", type=int, default=42, help="sampling seed (default 42)")
-    sub.add_argument("--tol", type=_tolerance, action="append", default=[],
-                     help="profile override, key=value, repeatable")
-
-    return parser
-
-
 def _profile(args: argparse.Namespace) -> ToleranceProfile:
     return ToleranceProfile().merged(dict(args.tol))
 
 
+def _report_payload(report) -> dict:
+    data = report.to_json()
+    if report.rhs != 0.0:
+        data["ratio"] = json_float(report.lhs / report.rhs)
+    return data
+
+
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2)
+    return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def _csv_text(payload: dict) -> str:
@@ -234,131 +206,192 @@ def _emit(text: str, out: str | None) -> int:
     return 0
 
 
-def _report_payload(report) -> dict:
-    data = report.to_json()
-    if data["rhs"] != 0.0:
-        data["ratio"] = data["lhs"] / data["rhs"]
-    return data
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its help, its flags, the ``--format`` values it writes,
+    and ``run``, which returns the one payload dict the subcommand writes
+    (``sweep`` and ``verify`` write rows or a table and return an exit code).
+    """
+
+    help: str
+    flags: tuple[Callable[[argparse.ArgumentParser], None], ...]
+    formats: tuple[str, ...]
+    run: Callable[[argparse.Namespace], dict | int]
+
+
+COMMANDS: dict[str, Command] = {}
+
+
+def _command(name: str, help_text: str, flags: tuple, formats: tuple[str, ...] = ("json", "csv")):
+    """Add the decorated function to ``COMMANDS`` as subcommand ``name``.
+
+    Its body names the library functions it calls, so each call goes
+    through this module's global of that name at call time.
+    """
+
+    def register(run):
+        COMMANDS[name] = Command(help_text, flags, formats, run)
+        return run
+
+    return register
+
+
+def _point(a: argparse.Namespace, **values) -> dict:
+    """The one payload head: ``tau`` and ``curve``, then ``values``."""
+    return {"tau": format_complex(a.tau.value), "curve": format_curve(a.curve), **values}
+
+
+@_command("ext", "extremal length and annulus modulus of a curve class", _POINT)
+def _ext(a: argparse.Namespace) -> dict:
+    return _point(
+        a, ext=extremal_length(a.tau, a.curve), cylinder_modulus=cylinder_modulus(a.tau, a.curve)
+    )
+
+
+@_command("levi", "mixed second derivative of extremal length at tau", _POINT)
+def _levi(a: argparse.Namespace) -> dict:
+    return _point(a, levi=levi_form(a.tau, a.curve))
+
+
+@_command("vary1", "first variation of extremal length along a field", _FIELD)
+def _vary1(a: argparse.Namespace) -> dict:
+    mu = format_complex(a.mu) if a.mu is not None else a.mu_fn
+    return _point(a, mu=mu, first_variation=first_variation(a.tau, a.curve, _field_from_args(a)))
+
+
+@_command("vary2", "second variation along a constant field", (*_POINT, _MU))
+def _vary2(a: argparse.Namespace) -> dict:
+    second = second_variation_constant(a.tau, a.curve, a.mu)
+    return _point(a, mu=format_complex(a.mu), second_variation=second)
+
+
+@_command("pair-sum", "second variations along mu and i*mu, summed", (*_POINT, _MU))
+def _pair_sum(a: argparse.Namespace) -> dict:
+    ps = pair_sum_levi(a.tau, a.curve, a.mu)
+    return _point(a, mu=format_complex(a.mu), pair_sum=ps, positive=ps > 0.0)
+
+
+@_command("solve-field", "derivative of the harmonic map along a field", _FIELD)
+def _solve_field(a: argparse.Namespace) -> dict:
+    vf = solve_variation_field(a.tau, a.curve, _field_from_args(a), a.grid)
+    return _point(
+        a,
+        n=vf.n,
+        affine_b=format_complex(vf.affine_b),
+        affine_c=format_complex(vf.affine_c),
+        periodic_sup=float(np.abs(vf.periodic).max()),
+        gradient_sup=float(np.abs(vf.gradient).max()),
+        residual=vf.residual,
+        source_sup=vf.source_sup,
+    )
+
+
+@_command("eq11", "integration-by-parts check on the solved derivative",
+          (*_FIELD, _tol("spectral_tol")))
+def _eq11(a: argparse.Namespace) -> dict:
+    tol = _profile(a).spectral_tol
+    return _report_payload(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid, tol))
+
+
+@_command("eq15", "paired-direction gradient identity, evaluated", (*_FIELD, _tol("exact_tol")))
+def _eq15(a: argparse.Namespace) -> dict:
+    tol = _profile(a).exact_tol
+    return _report_payload(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid, tol))
+
+
+@_command("distance", "stretch-factor distance between two moduli", (
+    _arg("--tau", type=_tau, required=True, help="first modulus, a+bi"),
+    _arg("--tau2", type=_tau, required=True, help="second modulus, a+bi"),
+    _arg("--max-pq", type=_max_pq, default=50,
+         help=f"curve search bound |p|,|q| <= N, N in [1, {MAX_PQ}] (default 50)"),
+))
+def _distance(a: argparse.Namespace) -> dict:
+    kd = kerckhoff_distance(a.tau, a.tau2, a.max_pq)
+    hyp = hyperbolic_distance(a.tau, a.tau2)
+    return {
+        "tau": format_complex(a.tau.value),
+        "tau2": format_complex(a.tau2.value),
+        "max_pq": a.max_pq,
+        "kerckhoff": kd.value,
+        "maximizer": format_curve(kd.maximizer),
+        "hyperbolic": hyp,
+        "half_hyperbolic": 0.5 * hyp,
+    }
+
+
+@_command("bound", "convexity floor along a unit stretch line", (
+    *_POINT,
+    _arg("--mu", type=_complex, required=True, help="direction with |mu| = 1"),
+    _arg("--step", type=_step, default=1e-3,
+         help="second-difference step, in (0, 1e-2] (default 1e-3)"),
+    _tol("rel_tol_first"),
+))
+def _bound(a: argparse.Namespace) -> dict:
+    report = teich_bound_check(a.tau, a.curve, a.mu, a.step, _profile(a).rel_tol_first)
+    return {**_report_payload(report), "ext": extremal_length(a.tau, a.curve)}
+
+
+@_command("sweep", "extremal length and Levi form over a rectangle of moduli", (
+    _CURVE,
+    _arg("--re", type=_range, required=True, help="real range lo:hi:step"),
+    _arg("--im", type=_range, required=True, help="imaginary range lo:hi:step, lo > 0"),
+))
+def _sweep(args: argparse.Namespace) -> int:
+    res = _range_values(args.re)
+    ims = _range_values(args.im)
+    rows = []
+    for im in ims:
+        for re in res:
+            tau = Modulus(re, im)
+            rows.append((re, im, extremal_length(tau, args.curve), levi_form(tau, args.curve)))
+    if args.format == "json":
+        payload = [dict(zip(("re", "im", "ext", "levi"), r)) for r in rows]
+        return _emit(_json_text(payload), args.out)
+    lines = ["re,im,ext,levi"]
+    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return _emit("\n".join(lines) + "\n", args.out)
+
+
+@_command("verify", "run the full cross-check suite", (
+    _arg("--seed", type=int, default=42, help="sampling seed (default 42)"),
+    _tol("any profile field; repeatable"),
+), formats=("json",))
+def _verify(args: argparse.Namespace) -> int:
+    result = run_suite(_profile(args), args.seed)
+    if args.out is not None:
+        code = _emit(result.to_json_text(), args.out)
+        if code != 0:
+            return code
+        print(format_table(result))
+    elif args.format == "json":
+        print(result.to_json_text())
+    else:
+        print(format_table(result))
+    return 0 if result.all_passed else 1
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="extorus", description=__doc__)
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, cmd in COMMANDS.items():
+        sub = subs.add_parser(name, help=cmd.help)
+        sub.add_argument("--out", help="write the result to this path instead of stdout")
+        sub.add_argument(
+            "--format",
+            choices=cmd.formats,
+            default=None,
+            help="output format (default json; sweep defaults to csv, verify to a table)",
+        )
+        for add in cmd.flags:
+            add(sub)
+    return parser
 
 
 def _run(args: argparse.Namespace) -> int:
-    cmd = args.command
-
-    if cmd == "sweep":
-        res = _range_values(args.re)
-        ims = _range_values(args.im)
-        rows = []
-        for im in ims:
-            for re in res:
-                tau = Modulus(re, im)
-                rows.append((re, im, extremal_length(tau, args.curve), levi_form(tau, args.curve)))
-        if args.format == "json":
-            payload = [dict(zip(("re", "im", "ext", "levi"), r)) for r in rows]
-            return _emit(_json_text(payload), args.out)
-        lines = ["re,im,ext,levi"]
-        lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-        return _emit("\n".join(lines) + "\n", args.out)
-
-    if cmd == "verify":
-        result = run_suite(_profile(args), args.seed)
-        if args.out is not None:
-            code = _emit(result.to_json_text(), args.out)
-            if code != 0:
-                return code
-            print(format_table(result))
-        elif args.format == "json":
-            print(result.to_json_text())
-        else:
-            print(format_table(result))
-        return 0 if result.all_passed else 1
-
-    if cmd == "ext":
-        v = extremal_length(args.tau, args.curve)
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "curve": format_curve(args.curve),
-            "ext": v,
-            "cylinder_modulus": cylinder_modulus(args.tau, args.curve),
-        }
-    elif cmd == "levi":
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "curve": format_curve(args.curve),
-            "levi": levi_form(args.tau, args.curve),
-        }
-    elif cmd == "vary1":
-        field = _field_from_args(args)
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "curve": format_curve(args.curve),
-            "mu": format_complex(args.mu) if args.mu is not None else args.mu_fn,
-            "first_variation": first_variation(args.tau, args.curve, field),
-        }
-    elif cmd == "vary2":
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "curve": format_curve(args.curve),
-            "mu": format_complex(args.mu),
-            "second_variation": second_variation_constant(args.tau, args.curve, args.mu),
-        }
-    elif cmd == "pair-sum":
-        ps = pair_sum_levi(args.tau, args.curve, args.mu)
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "curve": format_curve(args.curve),
-            "mu": format_complex(args.mu),
-            "pair_sum": ps,
-            "positive": ps > 0.0,
-        }
-    elif cmd == "solve-field":
-        field = _field_from_args(args)
-        n = max(args.grid, 4)
-        vf = solve_variation_field(args.tau, args.curve, field, n)
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "curve": format_curve(args.curve),
-            "n": vf.n,
-            "affine_b": format_complex(vf.affine_b),
-            "affine_c": format_complex(vf.affine_c),
-            "periodic_sup": float(np.abs(vf.periodic).max()),
-            "gradient_sup": float(np.abs(vf.gradient).max()),
-            "residual": vf.residual,
-            "source_sup": vf.source_sup,
-        }
-    elif cmd == "eq11":
-        profile = _profile(args)
-        report = identity_eq11_check(
-            args.tau, args.curve, _field_from_args(args), args.grid, profile.spectral_tol
-        )
-        payload = _report_payload(report)
-    elif cmd == "eq15":
-        profile = _profile(args)
-        report = identity_eq15_evaluate(
-            args.tau, args.curve, _field_from_args(args), args.grid, profile.exact_tol
-        )
-        payload = _report_payload(report)
-    elif cmd == "distance":
-        kd = kerckhoff_distance(args.tau, args.tau2, args.max_pq)
-        hyp = hyperbolic_distance(args.tau, args.tau2)
-        payload = {
-            "tau": format_complex(args.tau.value),
-            "tau2": format_complex(args.tau2.value),
-            "max_pq": args.max_pq,
-            "kerckhoff": kd.value,
-            "maximizer": format_curve(kd.maximizer),
-            "hyperbolic": hyp,
-            "half_hyperbolic": 0.5 * hyp,
-        }
-    elif cmd == "bound":
-        profile = _profile(args)
-        report = teich_bound_check(
-            args.tau, args.curve, args.mu, args.step, profile.rel_tol_first
-        )
-        payload = _report_payload(report)
-        payload["ext"] = extremal_length(args.tau, args.curve)
-    else:  # pragma: no cover - argparse enforces the command set
-        raise AssertionError(cmd)
-
+    run = COMMANDS[args.command].run
+    if args.command in ("sweep", "verify"):
+        return run(args)
+    payload = run(args)
     text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
     return _emit(text, args.out)
 
@@ -371,6 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return _run(args)
+    except OverflowError:
+        print("extorus: input is outside double range: a result overflowed", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"extorus: {exc}", file=sys.stderr)
         return 1

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .moduli import CurveClass, Modulus, format_complex, format_curve, parse_complex, parse_curve
+from .moduli import CurveClass, Modulus
 
 __all__ = [
     "HarmonicMapTorus",
-    "HopfDifferential",
     "build_harmonic_map",
     "energy",
     "hopf",
-    "jacobian_defect",
 ]
 
 
@@ -34,38 +32,12 @@ __all__ = [
 class HarmonicMapTorus:
     """The map ``w(z) = Re(coeff * z)`` with prescribed translation periods.
 
-    ``period1`` and ``period2`` are the shifts of ``w`` along the ``1``
-    and ``tau`` cycles; they equal ``q`` and ``-p`` and are stored as
-    exact floats.
+    The shifts of ``w`` along the ``1`` and ``tau`` cycles are ``q`` and
+    ``-p``.
     """
 
     tau: Modulus
     curve: CurveClass
-    coeff: complex
-    period1: float
-    period2: float
-
-    def to_json(self) -> dict:
-        return {
-            "tau": format_complex(self.tau.value),
-            "curve": format_curve(self.curve),
-            "coeff": format_complex(self.coeff),
-            "periods": [self.period1, self.period2],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "HarmonicMapTorus":
-        tau = Modulus.from_complex(parse_complex(data["tau"]))
-        curve = parse_curve(data["curve"])
-        coeff = parse_complex(data["coeff"])
-        p1, p2 = (float(v) for v in data["periods"])
-        return cls(tau, curve, coeff, p1, p2)
-
-
-@dataclass(frozen=True)
-class HopfDifferential:
-    """Coefficient of ``dz^2`` in the Hopf differential of a harmonic map."""
-
     coeff: complex
 
 
@@ -77,8 +49,7 @@ def build_harmonic_map(tau: Modulus, curve: CurveClass) -> HarmonicMapTorus:
     ``Im tau > 0``, so the solution is unique.
     """
     b = (curve.q * tau.re + curve.p) / tau.im
-    coeff = complex(curve.q, b)
-    return HarmonicMapTorus(tau, curve, coeff, float(curve.q), float(-curve.p))
+    return HarmonicMapTorus(tau, curve, complex(curve.q, b))
 
 
 def energy(hmap: HarmonicMapTorus) -> float:
@@ -92,16 +63,12 @@ def energy(hmap: HarmonicMapTorus) -> float:
     return abs(hmap.coeff) ** 2 * hmap.tau.im
 
 
-def hopf(hmap: HarmonicMapTorus) -> HopfDifferential:
-    """Hopf differential ``(w_z)^2 dz^2`` of the map; here ``coeff^2 / 4``.
+def hopf(hmap: HarmonicMapTorus) -> complex:
+    """Coefficient of ``dz^2`` in the Hopf differential ``(w_z)^2 dz^2``: ``coeff^2 / 4``.
 
     Its value against the squared holonomy, ``coeff^2 (p + q tau)^2 / 4``,
     is real and nonpositive: the differential points along the foliation
     being collapsed.
     """
-    return HopfDifferential(hmap.coeff**2 / 4.0)
+    return hmap.coeff**2 / 4.0
 
-
-def jacobian_defect(hmap: HarmonicMapTorus) -> float:
-    """``|w_z|^2 - |w_zbar|^2``, identically zero for a map to a line."""
-    return abs(hmap.coeff / 2.0) ** 2 - abs(hmap.coeff.conjugate() / 2.0) ** 2

@@ -29,7 +29,6 @@ __all__ = [
     "KerckhoffDistance",
     "extremal_length",
     "cylinder_modulus",
-    "weighted_extremal_length",
     "levi_form",
     "apply_mapping_class",
     "hyperbolic_distance",
@@ -135,19 +134,6 @@ def cylinder_modulus(tau: Modulus, curve: CurveClass) -> float:
     return tau.im / (w.real**2 + w.imag**2)
 
 
-def weighted_extremal_length(weight: float, tau: Modulus, curve: CurveClass) -> float:
-    """Extremal length of the measured foliation ``weight * curve``.
-
-    Scaling the transverse measure by ``a`` scales extremal length by
-    ``a^2``: the associated flat cylinder has height ``a`` and
-    circumference ``a |p + q tau|^2 / Im tau``, and extremal length is
-    its area.
-    """
-    if not (weight > 0 and math.isfinite(weight)):
-        raise ValueError("weight must be positive and finite")
-    return weight**2 * extremal_length(tau, curve)
-
-
 def levi_form(tau: Modulus, curve: CurveClass) -> float:
     """Mixed second derivative ``d^2 Ext / (d tau d tau-bar)`` at ``tau``.
 
@@ -190,6 +176,12 @@ class KerckhoffDistance:
     maximizer: CurveClass
 
 
+def _require_max_index(max_index: int) -> None:
+    """Reject a curve search box ``|p|, |q| <= max_index`` that holds no class."""
+    if max_index < 1:
+        raise ValueError("max_index must be at least 1")
+
+
 @lru_cache(maxsize=None)
 def _primitive_pairs(max_index: int) -> tuple[np.ndarray, np.ndarray]:
     """All sign-canonical primitive ``(p, q)`` with ``|p|, |q| <= max_index``."""
@@ -218,15 +210,19 @@ def kerckhoff_distance(
     large enough for their pair.  The value is monotone nondecreasing in
     ``max_index``.
     """
-    if max_index < 1:
-        raise ValueError("max_index must be at least 1")
+    _require_max_index(max_index)
     parr, qarr = _primitive_pairs(max_index)
 
     def ext_all(tau: Modulus) -> np.ndarray:
         return ((parr + qarr * tau.re) ** 2 + (qarr * tau.im) ** 2) / tau.im
 
-    ratio = ext_all(tau2) / ext_all(tau1)
-    best = int(np.argmax(ratio))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = ext_all(tau2) / ext_all(tau1)
+    best = int(np.argmax(ratio))  # the first NaN, if there is one
+    if not math.isfinite(ratio[best]):
+        raise ValueError(
+            f"extremal-length ratio between {tau1} and {tau2} is outside double range"
+        )
     return KerckhoffDistance(
         0.5 * math.log(float(ratio[best])),
         CurveClass(int(parr[best]), int(qarr[best])),

@@ -90,16 +90,25 @@ class IdentityReport:
     asserted: bool = True
 
     def to_json(self) -> dict:
+        """Plain-JSON form; a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``."""
         return {
             "name": self.name,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "tolerance": self.tolerance,
+            "lhs": json_float(self.lhs),
+            "rhs": json_float(self.rhs),
+            "abs_err": json_float(self.abs_err),
+            "rel_err": json_float(self.rel_err),
+            "tolerance": json_float(self.tolerance),
             "pass": self.passed,
             "asserted": self.asserted,
         }
+
+
+def json_float(x: float) -> float | str:
+    """``x`` itself if finite, else its ``str``, which ``float()`` reads back.
+
+    Standard JSON has no token for infinity or NaN.
+    """
+    return x if math.isfinite(x) else str(x)
 
 
 def make_report(
@@ -303,6 +312,11 @@ def identity_eq15_evaluate(
     return report
 
 
+def _require_step(h: float) -> None:
+    if not 0.0 < h <= 1e-2:
+        raise ValueError("step must lie in (0, 1e-2]")
+
+
 def teich_bound_check(
     tau: Modulus,
     curve: CurveClass,
@@ -319,8 +333,7 @@ def teich_bound_check(
     """
     if abs(abs(m) - 1.0) > 1e-12:
         raise ValueError("bound check needs a unimodular direction")
-    if not 0.0 < h <= 1e-2:
-        raise ValueError("step must lie in (0, 1e-2]")
+    _require_step(h)
     ext0 = extremal_length(tau, curve)
     plus = extremal_length(teich_geodesic_constant(tau, m, h), curve)
     minus = extremal_length(teich_geodesic_constant(tau, m, -h), curve)

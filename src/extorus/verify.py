@@ -106,7 +106,7 @@ class SuiteResult:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2)
+        return json.dumps(self.to_json(), indent=2, allow_nan=False)
 
 
 def fd_first_variation(tau: Modulus, curve: CurveClass, m: complex, h: float) -> float:
@@ -193,26 +193,24 @@ def sample_mapping_class(rng: np.random.Generator, max_word: int = 6) -> Mapping
     return MappingClass(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
 
 
-def _aggregate(
-    name: str, rows: list[tuple[float, float, float]], tolerance: float
-) -> IdentityReport:
-    """Fold per-sample comparisons into one report.
+def _worst_of(name: str, reports: list[IdentityReport]) -> IdentityReport:
+    """Fold per-sample reports into one, renamed to ``name``.
 
     The representative sample is the first failing one, or the one with
     the largest relative error when all pass.
     """
-    reports = [make_report(name, lhs, rhs, tolerance, scale) for lhs, rhs, scale in rows]
-    for r in reports:
-        if not r.passed:
-            return r
-    return max(reports, key=lambda r: r.rel_err)
-
-
-def _worst_of(name: str, reports: list[IdentityReport]) -> IdentityReport:
     for r in reports:
         if not r.passed:
             return replace(r, name=name)
     return replace(max(reports, key=lambda r: r.rel_err), name=name)
+
+
+def _aggregate(
+    name: str, rows: list[tuple[float, float, float]], tolerance: float
+) -> IdentityReport:
+    """``_worst_of`` over ``(lhs, rhs, scale)`` comparisons."""
+    reports = [make_report(name, lhs, rhs, tolerance, scale) for lhs, rhs, scale in rows]
+    return _worst_of(name, reports)
 
 
 def run_suite(profile: ToleranceProfile | None = None, seed: int = 42) -> SuiteResult:
@@ -249,7 +247,7 @@ def run_suite(profile: ToleranceProfile | None = None, seed: int = 42) -> SuiteR
     rows = []
     for _ in range(1000):
         tau, curve = sample_modulus(rng), sample_curve(rng)
-        v = hopf(build_harmonic_map(tau, curve)).coeff * curve.holonomy(tau) ** 2
+        v = hopf(build_harmonic_map(tau, curve)) * curve.holonomy(tau) ** 2
         metric = max(abs(v.imag), max(0.0, v.real))
         rows.append((metric, 0.0, max(1.0, abs(v))))
     reports.append(_aggregate("hopf_direction", rows, 1e-13))

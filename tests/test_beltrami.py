@@ -13,7 +13,6 @@ from extorus.beltrami import (
     constant,
     dz_multiplier,
     dzbar_multiplier,
-    field_from_spec,
     from_function,
     grid_dz,
     grid_dzbar,
@@ -88,7 +87,6 @@ def test_multipliers_zero_nyquist_row():
 def test_constant_field_basics():
     field = constant(I, 0.3 - 0.4j)
     assert field.is_constant
-    assert field.is_harmonic
     assert field.n == 1
     assert field.mean() == 0.3 - 0.4j
     assert field.sup_norm() == pytest.approx(0.5, rel=1e-15)
@@ -156,17 +154,6 @@ def test_catalog_names_and_unknown():
         catalog_field(I, "nope", 32)
 
 
-def test_field_from_spec():
-    field = field_from_spec(I, {"constant": "0.1+0.2i"})
-    assert field.is_constant and field.value == 0.1 + 0.2j
-    field = field_from_spec(I, {"function": "sin2pis", "N": 16})
-    assert field.n == 16
-    field = field_from_spec(I, {"function": "sin2pis"})
-    assert field.n == 64
-    with pytest.raises(ValueError, match="field spec"):
-        field_from_spec(I, {})
-
-
 def test_grid_samples_resampling():
     coarse = catalog_field(I, "coscos", 8)
     fine = coarse.grid_samples(32)
@@ -192,25 +179,6 @@ def test_dzbar_of_band_limited_field():
     field = catalog_field(I, "cos2pis", 32)
     d = field.dzbar()
     assert np.max(np.abs(d.samples - (-np.pi * np.sin(TWO_PI * s)))) <= 1e-13
-
-
-def test_json_round_trip_constant():
-    field = constant(SKEW, 0.25 - 0.75j)
-    data = field.to_json()
-    assert data["N"] == 1
-    back = BeltramiField.from_json(data)
-    assert back.is_constant and back.value == field.value
-    assert back.tau == field.tau
-
-
-def test_json_round_trip_grid():
-    field = catalog_field(SKEW, "exp2pist", 8)
-    data = field.to_json()
-    assert data["N"] == 8
-    assert len(data["samples"]) == 64
-    back = BeltramiField.from_json(data)
-    assert back.tau == field.tau
-    assert np.array_equal(back.samples, field.samples)
 
 
 def test_modulus_path_values():

@@ -6,11 +6,15 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from extorus import cli
 from extorus.cli import main
 from extorus.moduli import parse_complex
+from extorus.variation import IdentityReport
+from extorus.verify import SuiteResult
 
 
 def run(capsys, *argv):
@@ -268,6 +272,15 @@ def test_argument_errors_exit_2(capsys):
         ("vary1", "--tau", "0+1i", "--curve", "1,0"),
         ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--mu-fn", "cos2pis"),
         ("nonsense",),
+        ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "3"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "48"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "4096"),
+        ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "x"),
+        ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "0"),
+        ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "2001"),
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "1"),
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "nan"),
+        ("verify", "--format", "csv"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -288,6 +301,35 @@ def test_computation_errors_exit_1(capsys):
     )
     assert code == 1
     assert "unimodular" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("distance", "--tau", "0+1i", "--tau2", "0+1e300i", "--max-pq", "5"),
+    ("ext", "--tau", "1e200+1i", "--curve", "1,1"),
+])
+def test_overflow_exits_1_with_one_line(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "double range" in err
+
+
+def test_verify_json_is_strict_when_a_check_fails(capsys, monkeypatch):
+    failed = IdentityReport("pair_sum_scaling_positivity", 4.0, 4.0, math.inf, math.inf,
+                            False, 1e-10)
+    monkeypatch.setattr(cli, "run_suite", lambda profile, seed: SuiteResult(
+        (failed,), seed, 0.1, False))
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    data = json.loads(out, parse_constant=reject)
+    assert data["reports"][0]["abs_err"] == "inf"
 
 
 def test_out_writes_file(tmp_path, capsys):

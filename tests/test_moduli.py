@@ -20,7 +20,6 @@ from extorus.moduli import (
     levi_form,
     parse_complex,
     parse_curve,
-    weighted_extremal_length,
 )
 from extorus.verify import sample_curve, sample_mapping_class, sample_modulus
 
@@ -92,27 +91,6 @@ def test_cylinder_modulus_is_reciprocal():
         tau, curve = sample_modulus(rng), sample_curve(rng)
         prod = extremal_length(tau, curve) * cylinder_modulus(tau, curve)
         assert abs(prod - 1.0) <= 1e-14
-
-
-def test_weighted_extremal_length_scales_quadratically():
-    assert weighted_extremal_length(3.0, I, HORIZ) == 9.0
-    tau = Modulus(0.5, 1.25)
-    curve = CurveClass(2, 1)
-    base = extremal_length(tau, curve)
-    # the weighted cylinder has height a and circumference a * Ext,
-    # so its area is a^2 * Ext
-    a = 0.7
-    height = a
-    circumference = a * base
-    assert weighted_extremal_length(a, tau, curve) == pytest.approx(
-        height * circumference, rel=1e-15
-    )
-    with pytest.raises(ValueError, match="weight"):
-        weighted_extremal_length(0.0, tau, curve)
-    with pytest.raises(ValueError, match="weight"):
-        weighted_extremal_length(-1.0, tau, curve)
-    with pytest.raises(ValueError, match="weight"):
-        weighted_extremal_length(math.nan, tau, curve)
 
 
 def test_levi_form_values():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from extorus.moduli import CurveClass, Modulus
+from extorus.variation import IdentityReport
 from extorus.verify import (
     SuiteResult,
     ToleranceProfile,
@@ -180,3 +181,19 @@ def test_suite_json_schema():
             "pass",
             "asserted",
         }
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def test_suite_json_is_strict_for_failing_reports():
+    # a failed positivity or maximizer check carries abs_err = inf
+    failed = IdentityReport("kerckhoff_vs_half_hyperbolic", 1.0, -math.inf, math.inf,
+                            math.nan, False, 1e-9)
+    text = SuiteResult((failed,), 42, 0.5, False).to_json_text()
+    entry = json.loads(text, parse_constant=_reject_constant)["reports"][0]
+    assert (entry["rhs"], entry["abs_err"], entry["rel_err"]) == ("-inf", "inf", "nan")
+    assert float(entry["rhs"]) == -math.inf and float(entry["abs_err"]) == math.inf
+    assert math.isnan(float(entry["rel_err"]))
+    assert entry["lhs"] == 1.0

@@ -17,11 +17,13 @@ import math
 import sys
 from dataclasses import dataclass
 from dataclasses import fields as dataclass_fields
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .beltrami import BeltramiField, _require_grid_size, catalog_field, constant, FIELD_CATALOG
 from .moduli import (
+    MIN_IMAG,
     Modulus,
+    _closed_forms_on_grid,
     _require_max_index,
     cylinder_modulus,
     extremal_length,
@@ -49,10 +51,18 @@ from .verify import ToleranceProfile, format_table, run_suite
 import numpy as np
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
-#: square of either; at these limits a run takes about 3 s and 0.3-0.7 GB
-#: on a 2-core x86-64 host.
+#: square of either; at these limits a run takes at most about 3 s and
+#: 0.7 GB on a 2-core x86-64 host.
 MAX_GRID = 2048
 MAX_PQ = 2000
+
+#: Most points one ``sweep`` writes (``--re`` count times ``--im`` count).
+#: As CSV, 1001 x 1001 points take about 3.4 s and 80 MB, and the cap
+#: about 14 s and 134 MB, on a 2-core x86-64 host.
+MAX_SWEEP_POINTS = 4_000_000
+
+#: Rows ``sweep`` formats at a time, so memory stays flat in the grid size.
+_SWEEP_CHUNK = 1 << 16
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,17 +104,48 @@ _max_pq = _number(int, _require_max_index, MAX_PQ)
 _step = _number(float, _require_step)
 
 
+def _require_non_negative(value: int) -> None:
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+
+
+_seed = _number(int, _require_non_negative)
+
+
+def _range_count(spec: tuple[float, float, float]) -> float:
+    """Points in ``lo, lo + step, ...`` up to ``hi``: an integer, or ``inf`` past float range."""
+    lo, hi, step = spec
+    span = (hi - lo) / step + 1e-9
+    return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
+
 def _range(text: str) -> tuple[float, float, float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError(f"expected lo:hi:step, got {text!r}")
     try:
-        lo, hi, step = (float(p) for p in parts)
+        spec = lo, hi, step = tuple(float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numeric lo:hi:step, got {text!r}") from None
+    if not all(math.isfinite(v) for v in spec):
+        raise argparse.ArgumentTypeError(f"range needs finite lo, hi and step, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("range needs step > 0 and hi >= lo")
-    return lo, hi, step
+    count = _range_count(spec)
+    if count > MAX_SWEEP_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"range {text!r} has {count} points; a sweep writes at most {MAX_SWEEP_POINTS}"
+        )
+    return spec
+
+
+def _im_range(text: str) -> tuple[float, float, float]:
+    spec = _range(text)
+    if spec[0] <= MIN_IMAG:
+        raise argparse.ArgumentTypeError(
+            f"imaginary range needs lo > {MIN_IMAG:g}: tau must lie in the upper half-plane"
+        )
+    return spec
 
 
 def _tolerance(text: str) -> tuple[str, float]:
@@ -122,10 +163,10 @@ def _tolerance(text: str) -> tuple[str, float]:
         raise argparse.ArgumentTypeError(f"tolerance value must be numeric in {text!r}") from None
 
 
-def _range_values(spec: tuple[float, float, float]) -> list[float]:
-    lo, hi, step = spec
-    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    return [lo + i * step for i in range(count)]
+def _range_values(spec: tuple[float, float, float]) -> np.ndarray:
+    """The points of a range; ``lo + i*step`` rounds as the scalar expression does."""
+    lo, _, step = spec
+    return lo + np.arange(_range_count(spec)) * step
 
 
 def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
@@ -193,13 +234,20 @@ def _csv_text(payload: dict) -> str:
     return buf.getvalue()
 
 
-def _emit(text: str, out: str | None) -> int:
+def _emit(text: str | Iterable[str], out: str | None) -> int:
+    """Write ``text`` (or its pieces in order) to ``out``, or to stdout ending in a newline."""
+    pieces = [text] if isinstance(text, str) else text
     if out is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        last = ""
+        for last in pieces:
+            sys.stdout.write(last)
+        if not last.endswith("\n"):
+            sys.stdout.write("\n")
         return 0
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
         print(f"extorus: cannot write {out}: {exc}", file=sys.stderr)
         return 3
@@ -331,29 +379,57 @@ def _bound(a: argparse.Namespace) -> dict:
     return {**_report_payload(report), "ext": extremal_length(a.tau, a.curve)}
 
 
+_SWEEP_KEYS = ("re", "im", "ext", "levi")
+
+
+def _sweep_rows(res: np.ndarray, ims: np.ndarray, ext: np.ndarray, levi: np.ndarray
+                ) -> Iterator[list[float]]:
+    """The im-major rows ``re, im, ext, levi``, flattened, ``_SWEEP_CHUNK`` rows at a time."""
+    ext, levi = ext.ravel(), levi.ravel()
+    for start in range(0, ext.size, _SWEEP_CHUNK):
+        at = np.arange(start, min(start + _SWEEP_CHUNK, ext.size))
+        yield np.column_stack((res[at % res.size], ims[at // res.size], ext[at], levi[at])
+                              ).ravel().tolist()
+
+
+def _sweep_json(chunks: Iterable[list[float]]) -> Iterator[str]:
+    """``_json_text`` of the list of row dicts, one chunk of rows at a time."""
+    yield "[\n"
+    sep = ""
+    for flat in chunks:
+        rows = [dict(zip(_SWEEP_KEYS, flat[i:i + 4])) for i in range(0, len(flat), 4)]
+        yield sep + _json_text(rows)[2:-2]  # the rows without the enclosing "[\n" and "\n]"
+        sep = ",\n"
+    yield "\n]"
+
+
+def _sweep_csv(chunks: Iterable[list[float]]) -> Iterator[str]:
+    """The CSV text, one ``%`` format per chunk; ``%.17g`` writes what ``f"{v:.17g}"`` does."""
+    yield ",".join(_SWEEP_KEYS) + "\n"
+    for flat in chunks:
+        yield "%.17g,%.17g,%.17g,%.17g\n" * (len(flat) // 4) % tuple(flat)
+
+
 @_command("sweep", "extremal length and Levi form over a rectangle of moduli", (
     _CURVE,
     _arg("--re", type=_range, required=True, help="real range lo:hi:step"),
-    _arg("--im", type=_range, required=True, help="imaginary range lo:hi:step, lo > 0"),
+    _arg("--im", type=_im_range, required=True, help="imaginary range lo:hi:step, lo > 1e-12"),
 ))
 def _sweep(args: argparse.Namespace) -> int:
+    points = _range_count(args.re) * _range_count(args.im)
+    if points > MAX_SWEEP_POINTS:
+        print(f"extorus sweep: error: --re and --im give {points} points; "
+              f"a sweep writes at most {MAX_SWEEP_POINTS}", file=sys.stderr)
+        return 2
     res = _range_values(args.re)
     ims = _range_values(args.im)
-    rows = []
-    for im in ims:
-        for re in res:
-            tau = Modulus(re, im)
-            rows.append((re, im, extremal_length(tau, args.curve), levi_form(tau, args.curve)))
-    if args.format == "json":
-        payload = [dict(zip(("re", "im", "ext", "levi"), r)) for r in rows]
-        return _emit(_json_text(payload), args.out)
-    lines = ["re,im,ext,levi"]
-    lines += [",".join(f"{v:.17g}" for v in row) for row in rows]
-    return _emit("\n".join(lines) + "\n", args.out)
+    ext, levi = _closed_forms_on_grid(args.curve, res, ims, _SWEEP_CHUNK)
+    chunks = _sweep_rows(res, ims, ext, levi)
+    return _emit(_sweep_json(chunks) if args.format == "json" else _sweep_csv(chunks), args.out)
 
 
 @_command("verify", "run the full cross-check suite", (
-    _arg("--seed", type=int, default=42, help="sampling seed (default 42)"),
+    _arg("--seed", type=_seed, default=42, help="sampling seed, integer >= 0 (default 42)"),
     _tol("any profile field; repeatable"),
 ), formats=("json",))
 def _verify(args: argparse.Namespace) -> int:

@@ -120,8 +120,52 @@ def extremal_length(tau: Modulus, curve: CurveClass) -> float:
     squared flat length of the geodesic over the torus area:
     ``|p + q tau|^2 / Im tau``.
     """
-    w = curve.holonomy(tau)
-    return (w.real**2 + w.imag**2) / tau.im
+    return _ext_formula(curve.p, curve.q, tau.re, tau.im)
+
+
+def _ext_formula(p, q, re, im):
+    """``|p + q tau|^2 / Im tau`` at ``tau = re + im i``, the one copy of the formula.
+
+    Plain operators only, so it takes Python numbers (scalar callers
+    never pay for numpy) or numpy arrays, which broadcast.  On Python
+    floats it rounds exactly as the complex holonomy ``p + q tau`` does,
+    because ``q (re + im i)`` rounds to ``q re + (q im) i``.  On float
+    arrays ``**`` squares by multiplying instead of calling ``pow``, so
+    ``_closed_forms_on_grid`` passes object arrays to keep the scalar bits.
+    """
+    return ((p + q * re) ** 2 + (q * im) ** 2) / im
+
+
+def _levi_formula(ext, im):
+    """Levi form ``Ext / (2 (Im tau)^2)`` from the extremal length ``ext`` at ``Im tau = im``."""
+    return ext / (2.0 * im**2)
+
+
+def _closed_forms_on_grid(
+    curve: CurveClass, res: np.ndarray, ims: np.ndarray, block: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``extremal_length`` and ``levi_form`` at every ``res[j] + ims[i] i``, shape ``(ims, res)``.
+
+    The formulas run on object arrays of Python floats, so every value
+    is bit-identical to the scalar functions: Python's ``x**2`` is libm
+    ``pow``, which rounds about one square in a thousand one ulp away
+    from numpy's multiply-based square.  At most about ``block`` points are
+    held as Python floats at a time.  A value outside double range
+    raises ``OverflowError``, as ``**`` does in the scalar functions.
+    """
+    ext = np.empty((ims.size, res.size))
+    levi = np.empty_like(ext)
+    re = res.astype(object)
+    rows = max(1, block // res.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, ims.size, rows):
+            im = ims[start:start + rows, None].astype(object)
+            ext_rows = _ext_formula(curve.p, curve.q, re, im)
+            ext[start:start + rows] = ext_rows
+            levi[start:start + rows] = _levi_formula(ext_rows, im)
+    if not (np.isfinite(ext).all() and np.isfinite(levi).all()):
+        raise OverflowError(f"extremal length of {curve} leaves double range on the sweep")
+    return ext, levi
 
 
 def cylinder_modulus(tau: Modulus, curve: CurveClass) -> float:
@@ -140,7 +184,7 @@ def levi_form(tau: Modulus, curve: CurveClass) -> float:
     Extremal length of a fixed class is ``|p + q tau|^2 / Im tau``;
     differentiating gives ``Ext / (2 (Im tau)^2)``, manifestly positive.
     """
-    return extremal_length(tau, curve) / (2.0 * tau.im**2)
+    return _levi_formula(_ext_formula(curve.p, curve.q, tau.re, tau.im), tau.im)
 
 
 def apply_mapping_class(
@@ -182,18 +226,28 @@ def _require_max_index(max_index: int) -> None:
         raise ValueError("max_index must be at least 1")
 
 
+#: Elements of one ``gcd`` block in ``_primitive_pairs`` (8 MB of int64).
+_PAIR_BLOCK = 1 << 20
+
+
 @lru_cache(maxsize=None)
 def _primitive_pairs(max_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """All sign-canonical primitive ``(p, q)`` with ``|p|, |q| <= max_index``."""
-    ps = [1]
-    qs = [0]
-    for q in range(1, max_index + 1):
-        for p in range(-max_index, max_index + 1):
-            if math.gcd(abs(p), q) == 1:
-                ps.append(p)
-                qs.append(q)
-    parr = np.array(ps, dtype=float)
-    qarr = np.array(qs, dtype=float)
+    """All sign-canonical primitive ``(p, q)`` with ``|p|, |q| <= max_index``.
+
+    The order is ``(1, 0)``, then ``q`` ascending and ``p`` ascending
+    within each ``q``; ``kerckhoff_distance`` breaks ties by it.  The
+    arrays are read-only because the cache hands out the same ones.
+    """
+    p = np.arange(-max_index, max_index + 1)
+    rows = max(1, _PAIR_BLOCK // p.size)
+    ps, qs = [np.ones(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
+    for start in range(1, max_index + 1, rows):
+        q = np.arange(start, min(start + rows, max_index + 1))
+        qi, pi = np.nonzero(np.gcd(p, q[:, None]) == 1)
+        ps.append(p[pi])
+        qs.append(q[qi])
+    parr = np.concatenate(ps).astype(float)
+    qarr = np.concatenate(qs).astype(float)
     parr.flags.writeable = False
     qarr.flags.writeable = False
     return parr, qarr
@@ -213,11 +267,9 @@ def kerckhoff_distance(
     _require_max_index(max_index)
     parr, qarr = _primitive_pairs(max_index)
 
-    def ext_all(tau: Modulus) -> np.ndarray:
-        return ((parr + qarr * tau.re) ** 2 + (qarr * tau.im) ** 2) / tau.im
-
     with np.errstate(over="ignore", invalid="ignore"):
-        ratio = ext_all(tau2) / ext_all(tau1)
+        ext1 = _ext_formula(parr, qarr, tau1.re, tau1.im)
+        ratio = _ext_formula(parr, qarr, tau2.re, tau2.im) / ext1
     best = int(np.argmax(ratio))  # the first NaN, if there is one
     if not math.isfinite(ratio[best]):
         raise ValueError(

@@ -12,7 +12,7 @@ import pytest
 
 from extorus import cli
 from extorus.cli import main
-from extorus.moduli import parse_complex
+from extorus.moduli import Modulus, extremal_length, levi_form, parse_complex, parse_curve
 from extorus.variation import IdentityReport
 from extorus.verify import SuiteResult
 
@@ -179,6 +179,81 @@ def test_sweep_json(capsys):
     assert rows == [{"re": 0.0, "im": 1.0, "ext": 1.0, "levi": 0.5}]
 
 
+def _scalar_sweep(curve, re_spec, im_spec):
+    """Sweep rows by the scalar closed forms at ``lo + i*step``, im-major."""
+
+    def values(lo, hi, step):
+        return [lo + i * step for i in range(int(math.floor((hi - lo) / step + 1e-9)) + 1)]
+
+    rows = []
+    for im in values(*im_spec):
+        for re in values(*re_spec):
+            tau = Modulus(re, im)
+            rows.append((re, im, extremal_length(tau, curve), levi_form(tau, curve)))
+    return rows
+
+
+SWEEPS = [
+    ("-3,2", (-1.0, 1.0, 0.1), (0.1, 3.0, 0.07)),  # negative p, re crossing 0
+    ("1,0", (-0.3, 0.3, 0.01), (0.2, 1.2, 0.013)),  # q = 0
+    ("5,7", (0.25, 0.25, 1.0), (1.5, 1.5, 0.1)),  # one point
+    # Holds re = -0.0007176000000000001, where (1 + re)**2 and numpy's
+    # square of 1 + re differ by one ulp with glibc's pow.
+    ("1,1", (-1e-3, -1e-3 + 3000 * 1e-7, 1e-7), (1.0, 1.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize("curve,re_spec,im_spec", SWEEPS,
+                         ids=["negative-p", "q-zero", "one-point", "pow-rounding"])
+@pytest.mark.parametrize("chunk", [cli._SWEEP_CHUNK, 7])
+def test_sweep_bits_match_scalar_closed_forms(capsys, monkeypatch, curve, re_spec, im_spec,
+                                              chunk):
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
+    argv = ("sweep", f"--curve={curve}", "--re={!r}:{!r}:{!r}".format(*re_spec),
+            "--im={!r}:{!r}:{!r}".format(*im_spec))
+    rows = _scalar_sweep(parse_curve(curve), re_spec, im_spec)
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert out == "\n".join(["re,im,ext,levi"] + [",".join(f"{v:.17g}" for v in row)
+                                                  for row in rows]) + "\n"
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    payload = [dict(zip(("re", "im", "ext", "levi"), row)) for row in rows]
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_sweep_out_matches_stdout(tmp_path, capsys):
+    argv = ("sweep", "--curve", "2,1", "--re=-1:1:0.25", "--im", "0.5:2:0.25")
+    for fmt in ("csv", "json"):
+        _, out, _ = run(capsys, *argv, "--format", fmt)
+        target = tmp_path / f"sweep.{fmt}"
+        code, printed, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
+        assert code == 0 and printed == ""
+        # stdout ends the JSON with a newline; the file holds the text alone
+        assert target.read_text(encoding="utf-8") == (out if fmt == "csv" else out[:-1])
+
+
+def test_sweep_point_cap(capsys):
+    assert 1001 * 1001 <= cli.MAX_SWEEP_POINTS
+    cap = str(cli.MAX_SWEEP_POINTS)
+    # one range over the cap: refused while parsing, before any allocation
+    code, out, err = run(capsys, "sweep", "--curve", "1,0", "--re", "0:1e9:1e-9", "--im", "1:1:1")
+    assert (code, out) == (2, "")
+    assert "1000000000000000001 points" in err and cap in err
+    # each range under the cap, their product over it
+    code, out, err = run(capsys, "sweep", "--curve", "1,0", "--re", "0:2:0.001",
+                         "--im", "1:3:0.001")
+    assert (code, out) == (2, "")
+    assert "4004001 points" in err and cap in err
+
+
+def test_seed_and_im_range_diagnostics(capsys):
+    code, _, err = run(capsys, "verify", "--seed=-1")
+    assert code == 2 and "non-negative integer" in err
+    code, _, err = run(capsys, "sweep", "--curve", "1,0", "--re", "0:1:1", "--im=-1:1:1")
+    assert code == 2 and "upper half-plane" in err
+
+
 def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0
@@ -281,6 +356,10 @@ def test_argument_errors_exit_2(capsys):
         ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "1"),
         ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "nan"),
         ("verify", "--format", "csv"),
+        ("sweep", "--curve", "1,0", "--re=nan:1:1", "--im", "1:1:1"),
+        ("sweep", "--curve", "1,0", "--re", "0:inf:1", "--im", "1:1:1"),
+        ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "1:2:nan"),
+        ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "0:1:1"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
@@ -306,6 +385,8 @@ def test_computation_errors_exit_1(capsys):
 @pytest.mark.parametrize("argv", [
     ("distance", "--tau", "0+1i", "--tau2", "0+1e300i", "--max-pq", "5"),
     ("ext", "--tau", "1e200+1i", "--curve", "1,1"),
+    ("sweep", "--curve", "1,1", "--re", "1e200:1e200:1", "--im", "1:1:1"),
+    ("sweep", "--curve", "1,2", "--re", "1e308:1e308:1", "--im", "1:1:1"),
 ])
 def test_overflow_exits_1_with_one_line(capsys, argv):
     with warnings.catch_warnings():

@@ -2,10 +2,12 @@
 distances, and the text round trips."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
+from extorus import moduli
 from extorus.moduli import (
     CurveClass,
     MappingClass,
@@ -180,6 +182,105 @@ def test_kerckhoff_matches_half_hyperbolic_on_vertical_pairs():
         t1, t2 = Modulus(x, y1), Modulus(x, y2)
         kd = kerckhoff_distance(t1, t2, 50).value
         assert abs(kd - 0.5 * hyperbolic_distance(t1, t2)) <= 1e-9
+
+
+def test_extremal_length_bits_match_complex_holonomy():
+    # The real form must round exactly as the complex holonomy p + q*tau does.
+    rng = random.Random(11)
+    for _ in range(20000):
+        tau = Modulus(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 3),
+                      10.0 ** rng.uniform(-6, 3))
+        p, q = rng.randint(-50, 50), rng.randint(0, 50)
+        if math.gcd(p, q) != 1:
+            continue
+        curve = CurveClass(p, q)
+        w = curve.p + curve.q * tau.value
+        ext = (w.real**2 + w.imag**2) / tau.im
+        assert extremal_length(tau, curve) == ext, (tau, curve)
+        assert levi_form(tau, curve) == ext / (2.0 * tau.im**2), (tau, curve)
+
+
+def _reference_pairs(max_index):
+    """The primitive pairs by a plain gcd loop, in the order kerckhoff_distance relies on."""
+    ps, qs = [1], [0]
+    for q in range(1, max_index + 1):
+        for p in range(-max_index, max_index + 1):
+            if math.gcd(abs(p), q) == 1:
+                ps.append(p)
+                qs.append(q)
+    return np.array(ps, dtype=float), np.array(qs, dtype=float)
+
+
+def _assert_same_pairs(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+def test_primitive_pairs_match_gcd_loop():
+    for n in list(range(1, 61)) + random.Random(5).sample(range(61, 201), 4):
+        got = moduli._primitive_pairs(n)
+        _assert_same_pairs(got, _reference_pairs(n))
+        assert not got[0].flags.writeable and not got[1].flags.writeable
+        assert moduli._primitive_pairs(n) is got
+
+
+def test_primitive_pairs_across_blocks(monkeypatch):
+    # Blocks of three and of 19 q rows (the last block short), and of one row
+    # when a row alone exceeds the block.
+    for block, n in ((3 * 41, 20), (19 * 41, 20), (7, 20)):
+        monkeypatch.setattr(moduli, "_PAIR_BLOCK", block)
+        _assert_same_pairs(moduli._primitive_pairs.__wrapped__(n), _reference_pairs(n))
+
+
+def _reference_kerckhoff(tau1, tau2, max_index):
+    p, q = _reference_pairs(max_index)
+
+    def ext(tau):
+        return ((p + q * tau.re) ** 2 + (q * tau.im) ** 2) / tau.im
+
+    ratio = ext(tau2) / ext(tau1)
+    best = int(np.argmax(ratio))
+    return 0.5 * math.log(float(ratio[best])), CurveClass(int(p[best]), int(q[best])), ratio
+
+
+# Pairs whose largest ratio is attained by two classes: the first in the
+# enumeration order must win.
+TIES = [
+    ((0.0, 0.5), (0.5, 0.5), 7),
+    ((0.0, 2.0), (1.0, 1.0), 7),
+    ((0.5, 0.5), (-0.5, 1.0), 7),
+    ((-0.5, 2.0), (0.25, 2.0), 7),
+    ((0.25, 2.0), (0.0, 0.75), 7),
+    ((0.25, 2.0), (-0.5, 1.0), 7),
+]
+
+
+@pytest.mark.parametrize("a,b,n", TIES)
+def test_kerckhoff_breaks_ties_by_enumeration_order(a, b, n):
+    tau1, tau2 = Modulus(*a), Modulus(*b)
+    value, maximizer, ratio = _reference_kerckhoff(tau1, tau2, n)
+    assert np.count_nonzero(ratio == ratio.max()) >= 2
+    kd = kerckhoff_distance(tau1, tau2, n)
+    assert (kd.value, kd.maximizer) == (value, maximizer)
+
+
+def test_kerckhoff_equal_moduli_pick_first_class():
+    for n in (1, 7, 50):
+        kd = kerckhoff_distance(Modulus(0.3, 1.7), Modulus(0.3, 1.7), n)
+        assert kd.value == 0.0
+        assert kd.maximizer == HORIZ
+
+
+def test_kerckhoff_matches_reference_on_seeded_pairs():
+    rng = random.Random(8)
+    for _ in range(12):
+        tau1 = Modulus(rng.uniform(-1, 1), rng.uniform(0.2, 3))
+        tau2 = Modulus(rng.uniform(-1, 1), rng.uniform(0.2, 3))
+        n = rng.randint(1, 200)
+        value, maximizer, _ = _reference_kerckhoff(tau1, tau2, n)
+        kd = kerckhoff_distance(tau1, tau2, n)
+        assert (kd.value, kd.maximizer) == (value, maximizer), (tau1, tau2, n)
 
 
 def test_kerckhoff_rejects_bad_bound():

@@ -134,22 +134,11 @@ class BeltramiField:
             return self.value
         return complex(self.samples.mean())
 
-    def sup_norm(self) -> float:
-        if self.is_constant:
-            return abs(self.value)
-        return float(np.abs(self.samples).max())
-
     def l2_mean_square(self) -> float:
         """Grid mean of ``|mu|^2``."""
         if self.is_constant:
             return abs(self.value) ** 2
         return float(np.mean(np.abs(self.samples) ** 2))
-
-    def dzbar(self) -> "BeltramiField":
-        """Spectral ``d mu / d zbar``, exact for band-limited samples."""
-        if self.is_constant:
-            return BeltramiField(self.tau, 1, value=0j)
-        return BeltramiField(self.tau, self.n, samples=grid_dzbar(self.samples, self.tau))
 
     def scaled(self, factor: complex) -> "BeltramiField":
         if self.is_constant:

@@ -16,7 +16,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from dataclasses import fields as dataclass_fields
 from typing import Callable, Iterable, Iterator
 
 from .beltrami import BeltramiField, _require_grid_size, catalog_field, constant, FIELD_CATALOG
@@ -148,21 +147,6 @@ def _im_range(text: str) -> tuple[float, float, float]:
     return spec
 
 
-def _tolerance(text: str) -> tuple[str, float]:
-    key, sep, value = text.partition("=")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
-    known = {f.name for f in dataclass_fields(ToleranceProfile)}
-    if key not in known:
-        raise argparse.ArgumentTypeError(
-            f"unknown tolerance key {key!r}; known: {', '.join(sorted(known))}"
-        )
-    try:
-        return key, float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"tolerance value must be numeric in {text!r}") from None
-
-
 def _range_values(spec: tuple[float, float, float]) -> np.ndarray:
     """The points of a range; ``lo + i*step`` rounds as the scalar expression does."""
     lo, _, step = spec
@@ -173,9 +157,25 @@ def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
     return lambda sub: sub.add_argument(*names, **kwargs)
 
 
-def _tol(keys: str) -> Callable[[argparse.ArgumentParser], None]:
-    return _arg("--tol", type=_tolerance, action="append", default=[],
-                help=f"tolerance override, key=value (key: {keys})")
+def _tol(*keys: str) -> Callable[[argparse.ArgumentParser], None]:
+    """Repeatable ``--tol key=value`` for the profile ``keys`` a subcommand reads
+    (any key when none are given); the value must pass ``ToleranceProfile``."""
+
+    def parse(text: str) -> tuple[str, float]:
+        key, _, value = text.partition("=")
+        if keys and key not in keys:
+            raise ValueError(f"tolerance {key!r} is not read here; this subcommand reads "
+                             f"{', '.join(keys)}")
+        try:
+            number = float(value)
+        except ValueError:
+            raise ValueError(f"expected key=number, got {text!r}") from None
+        ToleranceProfile().merged({key: number})
+        return key, number
+
+    names = ", ".join(keys) or "any profile field"
+    return _arg("--tol", type=_arg_type(parse), action="append", default=[],
+                help=f"tolerance override, key=value (key: {names}; repeatable)")
 
 
 def _field_flags(sub: argparse.ArgumentParser) -> None:
@@ -392,13 +392,20 @@ def _sweep_rows(res: np.ndarray, ims: np.ndarray, ext: np.ndarray, levi: np.ndar
                               ).ravel().tolist()
 
 
+#: One row as ``_json_text`` indents it inside the list.
+_SWEEP_JSON_ROW = "  {\n" + ",\n".join(f'    "{k}": %r' for k in _SWEEP_KEYS) + "\n  }"
+
+
 def _sweep_json(chunks: Iterable[list[float]]) -> Iterator[str]:
-    """``_json_text`` of the list of row dicts, one chunk of rows at a time."""
+    """``_json_text`` of the list of row dicts, one ``%`` format per chunk.
+
+    ``%r`` is ``float.__repr__``, which is what ``json`` writes for a finite
+    float; every value is finite, as ``_closed_forms_on_grid`` raises otherwise.
+    """
     yield "[\n"
     sep = ""
     for flat in chunks:
-        rows = [dict(zip(_SWEEP_KEYS, flat[i:i + 4])) for i in range(0, len(flat), 4)]
-        yield sep + _json_text(rows)[2:-2]  # the rows without the enclosing "[\n" and "\n]"
+        yield sep + ",\n".join([_SWEEP_JSON_ROW] * (len(flat) // 4)) % tuple(flat)
         sep = ",\n"
     yield "\n]"
 
@@ -430,7 +437,7 @@ def _sweep(args: argparse.Namespace) -> int:
 
 @_command("verify", "run the full cross-check suite", (
     _arg("--seed", type=_seed, default=42, help="sampling seed, integer >= 0 (default 42)"),
-    _tol("any profile field; repeatable"),
+    _tol(),
 ), formats=("json",))
 def _verify(args: argparse.Namespace) -> int:
     result = run_suite(_profile(args), args.seed)

@@ -83,10 +83,10 @@ class ToleranceProfile:
             raise ValueError("finite-difference steps above 1e-2 are not meaningful here")
 
     def merged(self, overrides: dict) -> "ToleranceProfile":
-        known = {f.name for f in fields(self)}
+        known = [f.name for f in fields(self)]
         for key in overrides:
             if key not in known:
-                raise ValueError(f"unknown tolerance key {key!r}")
+                raise ValueError(f"unknown tolerance key {key!r}; known: {', '.join(known)}")
         return replace(self, **overrides)
 
 
@@ -155,227 +155,225 @@ def sample_modulus(rng: np.random.Generator) -> Modulus:
     return Modulus(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.3, 3.0)))
 
 
-def sample_curve(rng: np.random.Generator, bound: int = 5) -> CurveClass:
-    """Draw a primitive class with ``|p|, |q| <= bound``."""
+def sample_curve(rng: np.random.Generator) -> CurveClass:
+    """Draw a primitive class with ``|p|, |q| <= 5``."""
     while True:
-        p = int(rng.integers(-bound, bound + 1))
-        q = int(rng.integers(-bound, bound + 1))
+        p = int(rng.integers(-5, 6))
+        q = int(rng.integers(-5, 6))
         if (p, q) != (0, 0) and math.gcd(abs(p), abs(q)) == 1:
             return CurveClass(p, q)
 
 
-def sample_direction(
-    rng: np.random.Generator, rmin: float = 0.05, rmax: float = 0.5
-) -> complex:
-    """Draw a deformation direction with modulus in ``[rmin, rmax]``.
+def sample_direction(rng: np.random.Generator) -> complex:
+    """Draw a deformation direction with modulus in ``[0.05, 0.5]``.
 
     The lower cutoff keeps finite-difference comparisons above the
     rounding floor: second differences of size ``|m|^2`` drown in the
     ``eps / h^2`` noise when ``|m|`` is tiny.
     """
-    r = float(rng.uniform(rmin, rmax))
+    r = float(rng.uniform(0.05, 0.5))
     theta = float(rng.uniform(0.0, 2.0 * math.pi))
     return r * complex(math.cos(theta), math.sin(theta))
 
 
-_TWIST = np.array([[1, 1], [0, 1]])
-_TWIST_INV = np.array([[1, -1], [0, 1]])
-_FLIP = np.array([[0, -1], [1, 0]])
-_FLIP_INV = np.array([[0, 1], [-1, 0]])
+#: The twist, its inverse, the flip and its inverse.
+_GENERATORS = tuple(np.array(g) for g in (
+    [[1, 1], [0, 1]], [[1, -1], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]]))
 
 
-def sample_mapping_class(rng: np.random.Generator, max_word: int = 6) -> MappingClass:
-    """Random short word in the twist and flip generators."""
-    gens = (_TWIST, _TWIST_INV, _FLIP, _FLIP_INV)
+def sample_mapping_class(rng: np.random.Generator) -> MappingClass:
+    """Random word of 1 to 6 letters in the twist and flip generators."""
     mat = np.eye(2, dtype=int)
-    for _ in range(int(rng.integers(1, max_word + 1))):
-        mat = mat @ gens[int(rng.integers(0, 4))]
+    for _ in range(int(rng.integers(1, 7))):
+        mat = mat @ _GENERATORS[int(rng.integers(0, 4))]
     return MappingClass(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
 
 
-def _worst_of(name: str, reports: list[IdentityReport]) -> IdentityReport:
-    """Fold per-sample reports into one, renamed to ``name``.
+def _draws(rng: np.random.Generator, count: int):
+    """``count`` lazy draws of ``tau, curve``; a loop body's own draws fall in between."""
+    for _ in range(count):
+        yield sample_modulus(rng), sample_curve(rng)
 
-    The representative sample is the first failing one, or the one with
-    the largest relative error when all pass.
-    """
+
+def _worst_of(reports: list[IdentityReport]) -> IdentityReport:
+    """The first failing report, else the one with the largest relative error."""
     for r in reports:
         if not r.passed:
-            return replace(r, name=name)
-    return replace(max(reports, key=lambda r: r.rel_err), name=name)
+            return r
+    return max(reports, key=lambda r: r.rel_err)
 
 
-def _aggregate(
-    name: str, rows: list[tuple[float, float, float]], tolerance: float
-) -> IdentityReport:
+def _rows(rows: list[tuple[float, float, float]], tolerance: float) -> IdentityReport:
     """``_worst_of`` over ``(lhs, rhs, scale)`` comparisons."""
-    reports = [make_report(name, lhs, rhs, tolerance, scale) for lhs, rhs, scale in rows]
-    return _worst_of(name, reports)
+    return _worst_of([make_report("", lhs, rhs, tolerance, scale) for lhs, rhs, scale in rows])
 
 
-def run_suite(profile: ToleranceProfile | None = None, seed: int = 42) -> SuiteResult:
-    """Run the fixed sequence of cross-checks with seeded sampling.
+def _failed_unless(ok: bool, report: IdentityReport) -> IdentityReport:
+    """``report``, or a failure with infinite error when ``ok`` is false."""
+    return report if ok else replace(report, passed=False, abs_err=math.inf, rel_err=math.inf)
 
-    The checks, in order: reciprocity of extremal length and annulus
-    modulus; energy against extremal length; the direction of the Hopf
-    differential; invariance under change of marking; first and second
-    variations against finite differences; the integration-by-parts
-    identity over the field catalog at three grid sizes; the
-    paired-direction identity (asserted for constants, reported for the
-    catalog); pair-sum positivity and quadratic scaling; the Levi form
-    against the five-point oracle; constancy of the pair-sum/Levi-form
-    ratio; the convexity floor along stretch lines; and the
-    stretch-factor distance against half the hyperbolic distance.
-    """
-    profile = profile or ToleranceProfile()
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-    reports: list[IdentityReport] = []
 
+_ANCHOR = Modulus(0.0, 1.0)
+_HORIZ = CurveClass(1, 0)
+
+
+def _reciprocity(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    return _rows([(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)
+                  for tau, curve in _draws(rng, 1000)], 1e-14)
+
+
+def _harmonic_energy(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    return _rows([(energy(build_harmonic_map(tau, curve)), extremal_length(tau, curve), 0.0)
+                  for tau, curve in _draws(rng, 1000)], 1e-13)
+
+
+def _hopf_axis(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    """The Hopf differential times the squared holonomy is real and non-positive."""
     rows = []
-    for _ in range(1000):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        rows.append((extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0))
-    reports.append(_aggregate("ext_reciprocal", rows, 1e-14))
-
-    rows = []
-    for _ in range(1000):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        rows.append((energy(build_harmonic_map(tau, curve)), extremal_length(tau, curve), 0.0))
-    reports.append(_aggregate("energy_equals_ext", rows, 1e-13))
-
-    rows = []
-    for _ in range(1000):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in _draws(rng, 1000):
         v = hopf(build_harmonic_map(tau, curve)) * curve.holonomy(tau) ** 2
-        metric = max(abs(v.imag), max(0.0, v.real))
-        rows.append((metric, 0.0, max(1.0, abs(v))))
-    reports.append(_aggregate("hopf_direction", rows, 1e-13))
+        rows.append((max(abs(v.imag), max(0.0, v.real)), 0.0, max(1.0, abs(v))))
+    return _rows(rows, 1e-13)
 
+
+def _remarking(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
     rows = []
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in _draws(rng, 100):
         new_tau, new_curve = apply_mapping_class(tau, curve, sample_mapping_class(rng))
         rows.append((extremal_length(new_tau, new_curve), extremal_length(tau, curve), 0.0))
-    reports.append(_aggregate("marking_invariance", rows, 1e-12))
+    return _rows(rows, 1e-12)
 
+
+def _first_vs_fd(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
     rows = []
-    for _ in range(200):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in _draws(rng, 200):
         m = sample_direction(rng)
         closed = first_variation(tau, curve, constant(tau, m))
         fd = fd_first_variation(tau, curve, m, profile.fd_step_first)
         rows.append((closed, fd, abs(m) * extremal_length(tau, curve)))
-    reports.append(_aggregate("first_variation_fd", rows, profile.rel_tol_first))
+    return _rows(rows, profile.rel_tol_first)
 
+
+def _second_vs_fd(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
     rows = []
-    for _ in range(200):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in _draws(rng, 200):
         m = sample_direction(rng)
         closed = second_variation_constant(tau, curve, m)
         fd = fd_second_variation(tau, curve, m, profile.fd_step_second)
         rows.append((closed, fd, abs(m) ** 2 * extremal_length(tau, curve)))
-    anchor = Modulus(0.0, 1.0)
-    horiz = CurveClass(1, 0)
-    rows.append((second_variation_constant(anchor, horiz, 1.0), 4.0, 0.0))
-    rows.append((second_variation_constant(anchor, horiz, 1j), 4.0, 0.0))
-    reports.append(_aggregate("second_variation_fd", rows, profile.rel_tol_second))
+    rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
+    return _rows(rows, profile.rel_tol_second)
 
-    bases = [(anchor, horiz), (Modulus(0.5, 1.25), CurveClass(1, 1))]
-    eq11 = []
-    for tau, curve in bases:
-        for nm in sorted(FIELD_CATALOG):
-            for n in (32, 64, 128):
-                eq11.append(
-                    identity_eq11_check(
-                        tau, curve, catalog_field(tau, nm, n), n, profile.spectral_tol
-                    )
-                )
-    reports.append(_worst_of("eq11_catalog", eq11))
 
-    eq15c = []
-    for tau, curve in [(anchor, horiz), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
-        for m in (1.0, 0.5j, 0.3 - 0.2j):
-            eq15c.append(
-                identity_eq15_evaluate(tau, curve, constant(tau, m), 8, profile.exact_tol)
-            )
-    reports.append(_worst_of("eq15_constant", eq15c))
+def _eq11_fields(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    return _worst_of([
+        identity_eq11_check(tau, curve, catalog_field(tau, nm, n), n, profile.spectral_tol)
+        for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1))]
+        for nm in sorted(FIELD_CATALOG)
+        for n in (32, 64, 128)
+    ])
 
-    eq15r = identity_eq15_evaluate(
-        anchor, horiz, catalog_field(anchor, "cos2pis", 64), 64, profile.spectral_tol
-    )
-    reports.append(replace(eq15r, name="eq15_catalog", asserted=False))
 
+def _pairing_on_constants(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    return _worst_of([
+        identity_eq15_evaluate(tau, curve, constant(tau, m), 8, profile.exact_tol)
+        for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
+        for m in (1.0, 0.5j, 0.3 - 0.2j)
+    ])
+
+
+def _pairing_on_grid_field(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    """Reported only: ``identity_eq15_evaluate`` asserts constant fields alone."""
+    field = catalog_field(_ANCHOR, "cos2pis", 64)
+    return identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64, profile.spectral_tol)
+
+
+def _pair_sum_scaling(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    """Doubling the direction quadruples the paired sum.
+
+    Positivity needs no row of its own: ``pair_sum_levi`` raises
+    ``ArithmeticError`` unless the sum is positive.
+    """
     rows = []
-    positive = True
-    for _ in range(1000):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in _draws(rng, 1000):
         m = sample_direction(rng)
         ps = pair_sum_levi(tau, curve, m)
-        positive = positive and ps > 0.0
         rows.append((pair_sum_levi(tau, curve, 2.0 * m), 4.0 * ps, 0.0))
-    agg = _aggregate("pair_sum_scaling_positivity", rows, 1e-10)
-    if not positive:
-        agg = replace(agg, passed=False, abs_err=math.inf, rel_err=math.inf)
-    reports.append(agg)
+    return _rows(rows, 1e-10)
 
+
+def _levi_vs_fd(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
     rows = []
-    for curve in (horiz, CurveClass(0, 1), CurveClass(1, 1)):
+    for curve in (_HORIZ, CurveClass(0, 1), CurveClass(1, 1)):
         for re in np.linspace(-1.0, 1.0, 10):
             for im in np.linspace(0.3, 3.0, 10):
                 tau = Modulus(float(re), float(im))
                 rows.append((levi_form(tau, curve), fd_levi_form(tau, curve, 1e-4), 0.0))
-    reports.append(_aggregate("levi_fd", rows, profile.rel_tol_first))
+    return _rows(rows, profile.rel_tol_first)
 
-    ratios = []
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        velocity_sq = 4.0 * tau.im**2
-        ratios.append(pair_sum_levi(tau, curve, 1.0) / (levi_form(tau, curve) * velocity_sq))
+
+def _pair_sum_over_levi(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    """The paired sum along 1 over ``levi_form * 4 (Im tau)^2`` is one constant:
+    ``lhs``, ``rhs`` are the largest and smallest ratio, ``rel_err`` their spread."""
+    ratios = [pair_sum_levi(tau, curve, 1.0) / (levi_form(tau, curve) * (4.0 * tau.im**2))
+              for tau, curve in _draws(rng, 100)]
     lo, hi, mean = min(ratios), max(ratios), sum(ratios) / len(ratios)
     spread = (hi - lo) / mean
-    reports.append(
-        IdentityReport(
-            "pair_sum_levi_ratio",
-            hi,
-            lo,
-            hi - lo,
-            spread,
-            spread <= profile.rel_tol_first,
-            profile.rel_tol_first,
-        )
-    )
+    tol = profile.rel_tol_first
+    return IdentityReport("", hi, lo, hi - lo, spread, spread <= tol, tol)
 
-    bound_reports = []
-    for _ in range(50):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        for k in range(16):
-            m = complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0))
-            bound_reports.append(
-                teich_bound_check(tau, curve, m, profile.fd_step_second, profile.rel_tol_first)
-            )
-    reports.append(_worst_of("teich_lower_bound", bound_reports))
 
-    rows = []
-    anchor_kd = kerckhoff_distance(anchor, Modulus(0.0, 2.0), 50)
-    rows.append(
-        (anchor_kd.value, 0.5 * hyperbolic_distance(anchor, Modulus(0.0, 2.0)), 0.0)
-    )
-    maximizer_ok = anchor_kd.maximizer == CurveClass(0, 1)
+def _stretch_floor(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
+    return _worst_of([
+        teich_bound_check(tau, curve, m, profile.fd_step_second, profile.rel_tol_first)
+        for tau, curve in _draws(rng, 50)
+        for m in units
+    ])
+
+
+def _kerckhoff_vs_hyperbolic(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+    """On vertical segments the stretch-factor distance is half the hyperbolic
+    distance; at ``i, 2i`` the maximizing curve must be ``0,1``."""
+    anchor_kd = kerckhoff_distance(_ANCHOR, Modulus(0.0, 2.0), 50)
+    rows = [(anchor_kd.value, 0.5 * hyperbolic_distance(_ANCHOR, Modulus(0.0, 2.0)), 0.0)]
     for _ in range(50):
         x = float(rng.integers(-8, 9)) / 8.0
         y1 = float(math.exp(rng.uniform(math.log(0.3), math.log(3.0))))
         delta = float(rng.uniform(0.01, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
         t1, t2 = Modulus(x, y1), Modulus(x, y1 * math.exp(delta))
         rows.append((kerckhoff_distance(t1, t2, 50).value, 0.5 * hyperbolic_distance(t1, t2), 0.0))
-    agg = _aggregate("kerckhoff_vs_half_hyperbolic", rows, 1e-9)
-    if not maximizer_ok:
-        agg = replace(agg, passed=False, abs_err=math.inf, rel_err=math.inf)
-    reports.append(agg)
+    return _failed_unless(anchor_kd.maximizer == CurveClass(0, 1), _rows(rows, 1e-9))
 
+
+#: The checks in run order, each with the name it reports under.
+_SUITE = (
+    ("ext_reciprocal", _reciprocity),
+    ("energy_equals_ext", _harmonic_energy),
+    ("hopf_direction", _hopf_axis),
+    ("marking_invariance", _remarking),
+    ("first_variation_fd", _first_vs_fd),
+    ("second_variation_fd", _second_vs_fd),
+    ("eq11_catalog", _eq11_fields),
+    ("eq15_constant", _pairing_on_constants),
+    ("eq15_catalog", _pairing_on_grid_field),
+    ("pair_sum_scaling_positivity", _pair_sum_scaling),
+    ("levi_fd", _levi_vs_fd),
+    ("pair_sum_levi_ratio", _pair_sum_over_levi),
+    ("teich_lower_bound", _stretch_floor),
+    ("kerckhoff_vs_half_hyperbolic", _kerckhoff_vs_hyperbolic),
+)
+
+
+def run_suite(profile: ToleranceProfile | None = None, seed: int = 42) -> SuiteResult:
+    """Run the checks of ``_SUITE`` in order on one ``default_rng(seed)`` stream."""
+    profile = profile or ToleranceProfile()
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    reports = tuple(replace(check(rng, profile), name=name) for name, check in _SUITE)
     elapsed = time.perf_counter() - start
     all_passed = all(r.passed for r in reports if r.asserted)
-    return SuiteResult(tuple(reports), seed, elapsed, all_passed)
+    return SuiteResult(reports, seed, elapsed, all_passed)
 
 
 def format_table(result: SuiteResult) -> str:

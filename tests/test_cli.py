@@ -360,6 +360,13 @@ def test_argument_errors_exit_2(capsys):
         ("sweep", "--curve", "1,0", "--re", "0:inf:1", "--im", "1:1:1"),
         ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "1:2:nan"),
         ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "0:1:1"),
+        ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "8",
+         "--tol", "fd_step_first=1e-3"),
+        ("eq15", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--tol", "exact_tol=x"),
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--tol", "spectral_tol=-1"),
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--tol", "rel_tol_first=-1"),
+        ("verify", "--tol", "fd_step_first=0.5"),
+        ("verify", "--tol", "spectral_tol"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)

@@ -1,5 +1,7 @@
 """Finite-difference oracles, tolerance profiles, and the cross-check suite."""
 
+import dataclasses
+import importlib
 import json
 import math
 
@@ -197,3 +199,77 @@ def test_suite_json_is_strict_for_failing_reports():
     assert float(entry["rhs"]) == -math.inf and float(entry["abs_err"]) == math.inf
     assert math.isnan(float(entry["rel_err"]))
     assert entry["lhs"] == 1.0
+
+
+def _scaled(factor):
+    return lambda f: lambda *args: f(*args) * factor
+
+
+def _field_changed(attr, change):
+    """Wrap ``f`` so that field ``attr`` of its dataclass result goes through ``change``."""
+
+    def wrong(f):
+        def call(*args):
+            out = f(*args)
+            return dataclasses.replace(out, **{attr: change(getattr(out, attr))})
+
+        return call
+
+    return wrong
+
+
+# (check, module.attribute to patch, original -> wrong replacement): one
+# small error in what each asserted check compares.
+WRONG_ANSWERS = [
+    ("ext_reciprocal", "verify.cylinder_modulus", _scaled(1 + 1e-4)),
+    ("energy_equals_ext", "verify.energy", _scaled(1 + 1e-4)),
+    ("hopf_direction", "verify.hopf", _scaled(1j)),
+    ("marking_invariance", "verify.apply_mapping_class",
+     lambda f: lambda tau, curve, mc: (f(tau, curve, mc)[0], curve)),
+    ("first_variation_fd", "verify.first_variation", _scaled(1 + 1e-4)),
+    ("second_variation_fd", "verify.second_variation_constant", _scaled(1 + 1e-4)),
+    ("eq11_catalog", "variation.solve_variation_field",
+     _field_changed("gradient", lambda g: g * (1 + 1e-4))),
+    ("eq15_constant", "variation.solve_variation_field",
+     _field_changed("gradient", lambda g: g + 1e-4)),
+    ("pair_sum_scaling_positivity", "verify.pair_sum_levi",
+     lambda f: lambda tau, curve, m: f(tau, curve, m) * (1 + 1e-4 * abs(m))),
+    ("levi_fd", "verify.levi_form",
+     lambda f: lambda tau, curve: f(tau, curve) * (1 + 1e-4 * tau.im)),
+    ("pair_sum_levi_ratio", "verify.pair_sum_levi",
+     lambda f: lambda tau, curve, m: f(tau, curve, m) * (1 + 1e-4 * tau.im)),
+    ("kerckhoff_vs_half_hyperbolic", "verify.kerckhoff_distance",
+     _field_changed("value", lambda v: v * (1 + 1e-4))),
+    ("kerckhoff_vs_half_hyperbolic", "verify.kerckhoff_distance",
+     _field_changed("maximizer", lambda m: CurveClass(1, 0))),
+]
+
+
+@pytest.mark.parametrize("check,target,wrong", WRONG_ANSWERS,
+                         ids=[f"{c}-{t}" for c, t, _ in WRONG_ANSWERS])
+def test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong):
+    module_name, attr = target.split(".")
+    module = importlib.import_module(f"extorus.{module_name}")
+    monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+    result = run_suite(seed=42)
+    assert not {r.name: r for r in result.reports}[check].passed
+    assert not result.all_passed
+
+
+# Along a unit stretch line the second difference of extremal length is
+# 4 Ext, and this check asserts only that it stays above -4 Ext: no small
+# error reaches the floor (twice the speed along the line still passes).
+NO_SMALL_WRONG_ANSWER = {"teich_lower_bound"}
+
+
+def test_asserted_checks_all_have_a_wrong_answer():
+    asserted = {r.name for r in run_suite(seed=42).reports if r.asserted}
+    assert {check for check, _, _ in WRONG_ANSWERS} == asserted - NO_SMALL_WRONG_ANSWER
+
+
+def test_non_positive_pair_sum_stops_the_suite(monkeypatch):
+    # positivity is enforced by pair_sum_levi raising, not by a report row
+    monkeypatch.setattr("extorus.variation.second_variation_constant",
+                        lambda tau, curve, m: -1.0)
+    with pytest.raises(ArithmeticError, match="positive"):
+        run_suite(seed=42)

@@ -3,7 +3,7 @@
 One subcommand per operation family; numbers go out as JSON (default)
 or CSV, complex values in the same ``a+bi`` form the parsers accept, so
 every emitted value round-trips.  Exit codes: 0 success (for ``verify``,
-all asserted checks passed), 1 computation failure, 2 argument error,
+all checks passed), 1 computation failure, 2 argument error,
 3 output I/O error.
 """
 
@@ -341,7 +341,8 @@ def _eq11(a: argparse.Namespace) -> dict:
     return _report_payload(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid, tol))
 
 
-@_command("eq15", "paired-direction gradient identity, evaluated", (*_FIELD, _tol("exact_tol")))
+@_command("eq15", "paired-direction gradient identity on the solved derivative",
+          (*_FIELD, _tol("exact_tol")))
 def _eq15(a: argparse.Namespace) -> dict:
     tol = _profile(a).exact_tol
     return _report_payload(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid, tol))
@@ -367,7 +368,7 @@ def _distance(a: argparse.Namespace) -> dict:
     }
 
 
-@_command("bound", "convexity floor along a unit stretch line", (
+@_command("bound", "second difference of extremal length along a unit stretch line", (
     *_POINT,
     _arg("--mu", type=_complex, required=True, help="direction with |mu| = 1"),
     _arg("--step", type=_step, default=1e-3,

@@ -20,12 +20,11 @@ From these pieces:
 * the paired sum of second variations along ``m`` and ``i m``, the
   quantity whose positivity expresses plurisubharmonicity of extremal
   length over the moduli space;
-* grid evaluations of the two integral identities used to cross-check
-  the solver (an integration-by-parts identity that holds for every
-  field, and a paired-direction derivative identity that holds for
-  constant fields and is reported, not asserted, otherwise);
-* a finite-difference check of the convexity lower bound along unit
-  stretch lines.
+* grid checks of two integral identities the solver's output must
+  satisfy for every field: an integration-by-parts identity, and a
+  paired-direction identity whose right side depends on the field alone;
+* a second-difference check of extremal length along unit stretch
+  lines against its exact value.
 
 Measure convention: ``<< f >> = 4 Im tau * (grid mean of f)``, the
 normalization under which the energy of the harmonic map equals the
@@ -44,7 +43,6 @@ from .beltrami import (
     dz_multiplier,
     dzbar_multiplier,
     grid_dz,
-    grid_dzbar,
     lattice_grid,
     pair_hopf,
     teich_geodesic_constant,
@@ -65,6 +63,8 @@ __all__ = [
 ]
 
 #: Residual certified by the spectral solve, relative to the source sup norm.
+#: Holds up to n = 1024; at n = 2048 rounding amplified by the n^2 symbol
+#: reaches 3.4e-10 of the source sup although the solve is exact.
 SOLVER_RESIDUAL_REL = 1e-10
 SOLVER_RESIDUAL_ABS = 1e-14
 
@@ -74,10 +74,7 @@ class IdentityReport:
     """Outcome of one numerical check.
 
     ``passed`` is true iff ``abs_err <= tolerance`` or
-    ``rel_err <= tolerance``.  ``asserted`` distinguishes checks whose
-    failure is an error from quantities that are evaluated and reported
-    only; reported-only checks never affect a suite verdict or an exit
-    code.
+    ``rel_err <= tolerance``.  A report that does not pass is a failure.
     """
 
     name: str
@@ -87,10 +84,13 @@ class IdentityReport:
     rel_err: float
     passed: bool
     tolerance: float
-    asserted: bool = True
 
     def to_json(self) -> dict:
-        """Plain-JSON form; a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``."""
+        """Plain-JSON form; a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``.
+
+        The ``"asserted"`` key is always true; readers of the format count
+        failures by it.
+        """
         return {
             "name": self.name,
             "lhs": json_float(self.lhs),
@@ -99,7 +99,7 @@ class IdentityReport:
             "rel_err": json_float(self.rel_err),
             "tolerance": json_float(self.tolerance),
             "pass": self.passed,
-            "asserted": self.asserted,
+            "asserted": True,
         }
 
 
@@ -117,7 +117,6 @@ def make_report(
     rhs: float,
     tolerance: float,
     scale: float = 0.0,
-    asserted: bool = True,
 ) -> IdentityReport:
     """Compare ``lhs`` to ``rhs``; ``scale`` sets a floor for the relative error.
 
@@ -128,7 +127,7 @@ def make_report(
     denom = max(abs(lhs), abs(rhs), scale)
     rel_err = abs_err / denom if denom > 0 else 0.0
     passed = abs_err <= tolerance or rel_err <= tolerance
-    return IdentityReport(name, lhs, rhs, abs_err, rel_err, passed, tolerance, asserted)
+    return IdentityReport(name, lhs, rhs, abs_err, rel_err, passed, tolerance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -286,30 +285,22 @@ def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
 def identity_eq15_evaluate(
     tau: Modulus, curve: CurveClass, field: BeltramiField, n: int, tolerance: float = 1e-12
 ) -> IdentityReport:
-    """Paired-direction gradient identity, evaluated but only asserted
-    for constant fields.
+    """Paired-direction gradient identity, for every field.
 
     Both sides are plain grid means: the left side is
     ``mean |wdot_z(mu)|^2 + mean |wdot_z(i mu)|^2``, the right side
-    ``4 mean(|mu_zbar|^2 |w_z|^2)``.  For constant fields both vanish
-    identically and the report asserts that; for non-constant fields the
-    two sides measure different corrections and the report carries the
-    values without judging them.
+    ``4 |w_z|^2 mean |mu - mean mu|^2``.  With ``mu~`` the mean-zero part
+    of ``mu``, ``wdot_z = w_z B[mu~] + conj(w_z) conj(mu~)`` (the affine
+    part has no ``z`` derivative) for a Fourier symbol ``B`` of modulus
+    one off the Nyquist row and column, so the cross terms of ``mu`` and
+    ``i mu`` cancel.  For constant fields both sides vanish.
     """
     vf1 = solve_variation_field(tau, curve, field, n)
     vf2 = solve_variation_field(tau, curve, field.scaled(1j), n)
     lhs = float(np.mean(np.abs(vf1.gradient) ** 2) + np.mean(np.abs(vf2.gradient) ** 2))
     w_z_sq = abs(vf1.base.coeff / 2.0) ** 2
-    mu_zbar = grid_dzbar(vf1.mu_samples, tau)
-    rhs = 4.0 * w_z_sq * float(np.mean(np.abs(mu_zbar) ** 2))
-    report = make_report(
-        f"eq15[{_field_label(field)},n={n}]",
-        lhs,
-        rhs,
-        tolerance,
-        asserted=field.is_constant,
-    )
-    return report
+    rhs = 4.0 * w_z_sq * float(np.mean(np.abs(vf1.mu_samples - field.mean()) ** 2))
+    return make_report(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, tolerance)
 
 
 def _require_step(h: float) -> None:
@@ -324,12 +315,13 @@ def teich_bound_check(
     h: float,
     tolerance: float = 1e-6,
 ) -> IdentityReport:
-    """Convexity floor along the unit stretch line in direction ``m``.
+    """Second difference of extremal length along the unit stretch line in
+    direction ``m``, against its exact value.
 
-    The second difference of extremal length along the line must be at
-    least ``-4 Ext`` (attained when the class is parallel to the
-    stretch).  ``abs_err`` records the amount by which the bound is
-    violated, zero when it holds.
+    At arc-length parameter ``s`` along the line the even part of
+    extremal length is ``cosh(2s) Ext``, so the second difference with
+    step ``h`` is exactly ``4 (sinh h / h)^2 Ext``: the second derivative
+    ``4 Ext`` plus the ``O(h^2)`` error of the difference.
     """
     if abs(abs(m) - 1.0) > 1e-12:
         raise ValueError("bound check needs a unimodular direction")
@@ -338,18 +330,8 @@ def teich_bound_check(
     plus = extremal_length(teich_geodesic_constant(tau, m, h), curve)
     minus = extremal_length(teich_geodesic_constant(tau, m, -h), curve)
     second_diff = (plus - 2.0 * ext0 + minus) / h**2
-    floor = -4.0 * ext0
-    violation = max(0.0, floor - second_diff)
-    rel = violation / max(abs(second_diff), abs(floor))
-    return IdentityReport(
-        "teich_bound",
-        second_diff,
-        floor,
-        violation,
-        rel,
-        violation <= tolerance,
-        tolerance,
-    )
+    exact = 4.0 * (math.sinh(h) / h) ** 2 * ext0
+    return make_report("teich_bound", second_diff, exact, tolerance)
 
 
 def _field_label(field: BeltramiField) -> str:

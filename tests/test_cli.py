@@ -116,9 +116,9 @@ def test_eq15_command(capsys):
         "--mu-fn", "cos2pis",
         "--grid", "64",
     )
-    assert data["asserted"] is False
-    assert data["lhs"] == pytest.approx(0.5, abs=1e-10)
-    assert data["rhs"] == pytest.approx(math.pi**2 / 2.0, abs=1e-10)
+    assert data["pass"] is True and data["asserted"] is True
+    assert data["lhs"] == pytest.approx(0.5, abs=1e-15)
+    assert data["rhs"] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_distance_command(capsys):
@@ -257,7 +257,7 @@ def test_seed_and_im_range_diagnostics(capsys):
 def test_verify_passes(capsys):
     code, out, err = run(capsys, "verify")
     assert code == 0
-    assert "all asserted checks passed" in out
+    assert "all checks passed" in out
     for name in ("ext_reciprocal", "kerckhoff_vs_half_hyperbolic"):
         assert name in out
 

@@ -53,11 +53,12 @@ def test_make_report_scale_floor():
 
 
 def test_identity_report_json():
-    r = make_report("demo", 2.0, 2.0, 1e-10, asserted=False)
+    r = make_report("demo", 2.0, 2.0, 1e-10)
     data = r.to_json()
     assert data["name"] == "demo"
     assert data["pass"] is True
-    assert data["asserted"] is False
+    assert data["asserted"] is True
+    assert make_report("demo", 2.0, 3.0, 1e-10).to_json()["asserted"] is True
     assert set(data) == {
         "name",
         "lhs",
@@ -245,17 +246,18 @@ def test_eq15_constant_fields_vanish():
     for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
         for m in (1.0, 0.5j, 0.3 - 0.2j):
             report = identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
-            assert report.asserted
             assert report.passed
-            assert abs(report.lhs) <= 1e-12 and abs(report.rhs) <= 1e-12
+            assert abs(report.lhs) <= 1e-12 and report.rhs == 0.0
 
 
 def test_eq15_cosine_reports_both_sides():
+    # 4 |w_z|^2 mean |cos 2 pi s|^2 with |w_z|^2 = 1/4 at (i, (1,0))
     field = catalog_field(I, "cos2pis", 64)
     report = identity_eq15_evaluate(I, HORIZ, field, 64)
-    assert not report.asserted
-    assert report.lhs == pytest.approx(0.5, abs=1e-10)
-    assert report.rhs == pytest.approx(math.pi**2 / 2.0, abs=1e-10)
+    assert report.passed
+    assert report.lhs == pytest.approx(0.5, abs=1e-15)
+    assert report.rhs == pytest.approx(0.5, abs=1e-15)
+    assert report.rel_err <= 1e-15
 
 
 def test_teich_bound_anchor_values():
@@ -263,9 +265,10 @@ def test_teich_bound_anchor_values():
         report = teich_bound_check(I, HORIZ, m, 1e-3)
         assert report.name == "teich_bound"
         assert report.passed
-        assert report.abs_err == 0.0
-        assert report.lhs == pytest.approx(4.0, abs=1e-5)
-        assert report.rhs == -4.0
+        # Ext = 1 at (i, (1,0)); the exact second difference is 4 (sinh h / h)^2
+        assert report.rhs == 4.0 * (math.sinh(1e-3) / 1e-3) ** 2
+        assert report.rhs == pytest.approx(4.0 + 4e-6 / 3.0, abs=1e-12)
+        assert report.abs_err <= 1e-9
 
 
 def test_teich_bound_holds_at_random_points():

@@ -50,8 +50,9 @@ from .verify import ToleranceProfile, format_table, run_suite
 import numpy as np
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
-#: square of either; at these limits a run takes at most about 3 s and
-#: 0.7 GB on a 2-core x86-64 host.
+#: square of ``--grid``; at its limit a run takes at most about 3 s and
+#: 0.7 GB on a 2-core x86-64 host.  ``distance`` costs the same at every
+#: ``--max-pq``.
 MAX_GRID = 2048
 MAX_PQ = 2000
 

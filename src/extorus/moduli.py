@@ -18,7 +18,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -226,31 +225,22 @@ def _require_max_index(max_index: int) -> None:
         raise ValueError("max_index must be at least 1")
 
 
-#: Elements of one ``gcd`` block in ``_primitive_pairs`` (8 MB of int64).
-_PAIR_BLOCK = 1 << 20
+def _candidates(slope: float, max_index: int) -> list[tuple[int, int]]:
+    """``(1, 0)`` and the box classes next to ``slope`` on each side, in enumeration order.
 
-
-@lru_cache(maxsize=None)
-def _primitive_pairs(max_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """All sign-canonical primitive ``(p, q)`` with ``|p|, |q| <= max_index``.
-
-    The order is ``(1, 0)``, then ``q`` ascending and ``p`` ascending
-    within each ``q``; ``kerckhoff_distance`` breaks ties by it.  The
-    arrays are read-only because the cache hands out the same ones.
+    A walk down the continued fraction of ``|slope|`` (``max_index`` past the
+    box, or for nan) ends on it if it is a box fraction, else on adjacent
+    bounds whose mediant, and so every fraction between them, leaves the box.
     """
-    p = np.arange(-max_index, max_index + 1)
-    rows = max(1, _PAIR_BLOCK // p.size)
-    ps, qs = [np.ones(1, dtype=np.int64)], [np.zeros(1, dtype=np.int64)]
-    for start in range(1, max_index + 1, rows):
-        q = np.arange(start, min(start + rows, max_index + 1))
-        qi, pi = np.nonzero(np.gcd(p, q[:, None]) == 1)
-        ps.append(p[pi])
-        qs.append(q[qi])
-    parr = np.concatenate(ps).astype(float)
-    qarr = np.concatenate(qs).astype(float)
-    parr.flags.writeable = False
-    qarr.flags.writeable = False
-    return parr, qarr
+    num, den = min(max_index, abs(slope)).as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while den and max(p0 + num // den * p1, q0 + num // den * q1) <= max_index:
+        k = num // den
+        p0, q0, p1, q1, num, den = p1, q1, p0 + k * p1, q0 + k * q1, den, num - k * den
+    k = min((max_index - p0) // p1 if p1 else max_index, (max_index - q0) // q1)
+    sign = 1 if slope >= 0.0 else -1
+    pairs = {(1, 0), (sign * p1, q1), (sign * (p0 + k * p1), q0 + k * q1) if den else (1, 0)}
+    return sorted(pairs, key=lambda pq: (pq[1], pq[0]))
 
 
 def kerckhoff_distance(
@@ -259,13 +249,25 @@ def kerckhoff_distance(
     """Half the log of the largest extremal-length ratio over curve classes.
 
     The supremum over all classes equals half the hyperbolic distance;
-    this routine maximizes over the finite box ``|p|, |q| <= max_index``
-    and reports which class won, so callers can see whether the box was
-    large enough for their pair.  The value is monotone nondecreasing in
-    ``max_index``.
+    this maximizes over the box ``|p|, |q| <= max_index`` (the value cannot
+    fall as it grows) and reports which class won.  The ratio rises to its
+    top direction and falls after it around the circle of slopes, so only
+    the ``_candidates`` next to it are scored, in O(log max_index), by
+    ``_ext_formula`` on float64 arrays: they round as an enumeration of the
+    box does, and a tie goes to the first in its order.  numpy squares by
+    multiplying, so the value can be an ulp off ``extremal_length`` (``pow``).
     """
     _require_max_index(max_index)
-    parr, qarr = _primitive_pairs(max_index)
+    # Ext(tau, (p, q)) is q^2 |tau - s|^2 / Im tau at s = -p/q, so the ratio
+    # peaks where s ends the geodesic from tau2 through tau1: with tau1 = i,
+    # tau2 = a + b i and c = sign(a) times its centre, at -sign(a) (r - c).
+    a = (tau2.re - tau1.re) / tau1.im
+    b = tau2.im / tau1.im
+    c = 0.5 * (abs(a) + (b - 1.0) * (b + 1.0) / abs(a)) if a else math.copysign(math.inf, b - 1.0)
+    r = math.hypot(c, 1.0)
+    end = math.copysign(1.0 / (c + r) if c >= 0.0 else r - c, -a)
+    pairs = _candidates(-(tau1.re + tau1.im * end), max_index)
+    parr, qarr = np.array(pairs, dtype=float).T
 
     with np.errstate(over="ignore", invalid="ignore"):
         ext1 = _ext_formula(parr, qarr, tau1.re, tau1.im)
@@ -275,10 +277,7 @@ def kerckhoff_distance(
         raise ValueError(
             f"extremal-length ratio between {tau1} and {tau2} is outside double range"
         )
-    return KerckhoffDistance(
-        0.5 * math.log(float(ratio[best])),
-        CurveClass(int(parr[best]), int(qarr[best])),
-    )
+    return KerckhoffDistance(0.5 * math.log(float(ratio[best])), CurveClass(*pairs[best]))
 
 
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

@@ -1,8 +1,13 @@
 """Closed forms on the torus: extremal length, Levi form, marking action,
 distances, and the text round trips."""
 
+import bisect
 import math
 import random
+import re
+import tracemalloc
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,47 +206,44 @@ def test_extremal_length_bits_match_complex_holonomy():
 
 
 def _reference_pairs(max_index):
-    """The primitive pairs by a plain gcd loop, in the order kerckhoff_distance relies on."""
-    ps, qs = [1], [0]
-    for q in range(1, max_index + 1):
-        for p in range(-max_index, max_index + 1):
-            if math.gcd(abs(p), q) == 1:
-                ps.append(p)
-                qs.append(q)
-    return np.array(ps, dtype=float), np.array(qs, dtype=float)
+    """Every primitive pair of the box by ``np.gcd``, in blocks of 64 values of ``q``.
+
+    The order is the one ``kerckhoff_distance`` breaks ties by: ``(1, 0)``,
+    then ``q`` ascending and ``p`` ascending within each ``q``.
+    """
+    yield np.ones(1), np.zeros(1)
+    p = np.arange(-max_index, max_index + 1)
+    for start in range(1, max_index + 1, 64):
+        q = np.arange(start, min(start + 64, max_index + 1))
+        qi, pi = np.nonzero(np.gcd(p, q[:, None]) == 1)
+        yield p[pi].astype(float), q[qi].astype(float)
 
 
-def _assert_same_pairs(got, want):
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert np.array_equal(g, w)
-
-
-def test_primitive_pairs_match_gcd_loop():
-    for n in list(range(1, 61)) + random.Random(5).sample(range(61, 201), 4):
-        got = moduli._primitive_pairs(n)
-        _assert_same_pairs(got, _reference_pairs(n))
-        assert not got[0].flags.writeable and not got[1].flags.writeable
-        assert moduli._primitive_pairs(n) is got
-
-
-def test_primitive_pairs_across_blocks(monkeypatch):
-    # Blocks of three and of 19 q rows (the last block short), and of one row
-    # when a row alone exceeds the block.
-    for block, n in ((3 * 41, 20), (19 * 41, 20), (7, 20)):
-        monkeypatch.setattr(moduli, "_PAIR_BLOCK", block)
-        _assert_same_pairs(moduli._primitive_pairs.__wrapped__(n), _reference_pairs(n))
-
-
-def _reference_kerckhoff(tau1, tau2, max_index):
-    p, q = _reference_pairs(max_index)
-
+def _reference_ratio(tau1, tau2, p, q):
     def ext(tau):
         return ((p + q * tau.re) ** 2 + (q * tau.im) ** 2) / tau.im
 
-    ratio = ext(tau2) / ext(tau1)
-    best = int(np.argmax(ratio))
-    return 0.5 * math.log(float(ratio[best])), CurveClass(int(p[best]), int(q[best])), ratio
+    return ext(tau2) / ext(tau1)
+
+
+def _reference_kerckhoff(tau1, tau2, max_index, blocks=None):
+    """Value, maximizer and largest ratio over the whole box; the first maximum wins.
+
+    ``blocks`` is ``list(_reference_pairs(max_index))``, to enumerate once for many pairs.
+    """
+    best, maximizer = -math.inf, None
+    for p, q in blocks or _reference_pairs(max_index):
+        ratio = _reference_ratio(tau1, tau2, p, q)
+        i = int(np.argmax(ratio))
+        if ratio[i] > best:
+            best, maximizer = float(ratio[i]), CurveClass(int(p[i]), int(q[i]))
+    return 0.5 * math.log(best), maximizer, best
+
+
+def _assert_matches_reference(tau1, tau2, max_index, blocks=None):
+    value, maximizer, _ = _reference_kerckhoff(tau1, tau2, max_index, blocks)
+    kd = kerckhoff_distance(tau1, tau2, max_index)
+    assert (kd.value, kd.maximizer) == (value, maximizer), (str(tau1), str(tau2), max_index)
 
 
 # Pairs whose largest ratio is attained by two classes: the first in the
@@ -259,28 +261,111 @@ TIES = [
 @pytest.mark.parametrize("a,b,n", TIES)
 def test_kerckhoff_breaks_ties_by_enumeration_order(a, b, n):
     tau1, tau2 = Modulus(*a), Modulus(*b)
-    value, maximizer, ratio = _reference_kerckhoff(tau1, tau2, n)
+    ratio = np.concatenate([_reference_ratio(tau1, tau2, p, q) for p, q in _reference_pairs(n)])
     assert np.count_nonzero(ratio == ratio.max()) >= 2
-    kd = kerckhoff_distance(tau1, tau2, n)
-    assert (kd.value, kd.maximizer) == (value, maximizer)
+    _assert_matches_reference(tau1, tau2, n)
 
 
 def test_kerckhoff_equal_moduli_pick_first_class():
-    for n in (1, 7, 50):
+    for n in (1, 7, 50, 2000):
         kd = kerckhoff_distance(Modulus(0.3, 1.7), Modulus(0.3, 1.7), n)
         assert kd.value == 0.0
         assert kd.maximizer == HORIZ
 
 
+def _seeded_modulus(rng):
+    return Modulus(rng.uniform(-1, 1), rng.uniform(0.2, 3))
+
+
 def test_kerckhoff_matches_reference_on_seeded_pairs():
     rng = random.Random(8)
-    for _ in range(12):
-        tau1 = Modulus(rng.uniform(-1, 1), rng.uniform(0.2, 3))
-        tau2 = Modulus(rng.uniform(-1, 1), rng.uniform(0.2, 3))
-        n = rng.randint(1, 200)
-        value, maximizer, _ = _reference_kerckhoff(tau1, tau2, n)
-        kd = kerckhoff_distance(tau1, tau2, n)
-        assert (kd.value, kd.maximizer) == (value, maximizer), (tau1, tau2, n)
+    for n in range(1, 201):
+        blocks = list(_reference_pairs(n))
+        for _ in range(12):
+            _assert_matches_reference(_seeded_modulus(rng), _seeded_modulus(rng), n, blocks)
+
+
+def test_kerckhoff_matches_reference_on_a_shared_dyadic_real_part():
+    # The top slope -x is then a box class once 8 <= N, or lies between two.
+    rng = random.Random(9)
+    for n in (1, 2, 3, 7, 8, 9, 16, 50):
+        for _ in range(12):
+            x = rng.randint(-16, 16) / 8.0
+            y1, y2 = rng.uniform(0.2, 3), rng.uniform(0.2, 3)
+            _assert_matches_reference(Modulus(x, y1), Modulus(x, y2), n)
+
+
+def test_kerckhoff_matches_reference_on_large_bounds():
+    rng = random.Random(10)
+    for n in (1000, 2000):
+        for _ in range(3):
+            _assert_matches_reference(_seeded_modulus(rng), _seeded_modulus(rng), n)
+
+
+def test_kerckhoff_near_equal_moduli_within_rounding_of_reference():
+    """Below a distance of about 1e-6 the ratio is flat to rounding over the
+    classes next to the top slope, so the enumeration's first maximum is
+    rounding noise.  The maximizer may differ there; its ratio must lie
+    within 8 ulps of the enumeration's largest (6 is the most seen for
+    ``Im tau`` in [0.2, 3]; the enumeration's noise grows as ``Im tau``
+    shrinks), and the value must be exactly half the log of its own ratio."""
+    rng = random.Random(12)
+    for n in (1, 2, 5, 7, 20, 50, 200, 1000):
+        for _ in range(8):
+            tau1 = _seeded_modulus(rng)
+            e = 10.0 ** rng.uniform(-16, -6)
+            tau2 = Modulus(tau1.re + rng.uniform(-e, e), tau1.im * (1 + rng.uniform(-e, e)))
+            _, _, best = _reference_kerckhoff(tau1, tau2, n)
+            kd = kerckhoff_distance(tau1, tau2, n)
+            p, q = np.array([float(kd.maximizer.p)]), np.array([float(kd.maximizer.q)])
+            ratio = float(_reference_ratio(tau1, tau2, p, q)[0])
+            assert abs(ratio - best) <= 8 * math.ulp(best), (str(tau1), str(tau2), n)
+            assert kd.value == 0.5 * math.log(ratio)
+
+
+def test_kerckhoff_cost_is_flat_in_the_bound():
+    tau1, tau2 = Modulus(0.0, 1.0), Modulus(0.3, 2.0)
+    kerckhoff_distance(tau1, tau2, 2000)
+    tracemalloc.start()
+    try:
+        kd = kerckhoff_distance(tau1, tau2, 2000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    value, maximizer, _ = _reference_kerckhoff(tau1, tau2, 2000)
+    assert (kd.value, kd.maximizer) == (value, maximizer)
+
+
+def test_kerckhoff_candidates_match_a_scan():
+    for n in (1, 2, 3, 5, 8, 13):
+        box = sorted({Fraction(p, q) for q in range(1, n + 1) for p in range(-n, n + 1)})
+        for lo, hi in zip(box, box[1:]):
+            for slope in (float(lo), float((lo + hi) / 2), float(hi)):
+                x = Fraction(slope)  # the float's exact value
+                if abs(x) >= n:
+                    continue
+                i = bisect.bisect_left(box, x)
+                want = [x] if box[i] == x else [box[i - 1], box[i]]
+                got = moduli._candidates(slope, n)
+                assert got[0] == (1, 0) and got == sorted(got, key=lambda pq: (pq[1], pq[0]))
+                assert sorted(Fraction(p, q) for p, q in got[1:]) == want, (slope, n)
+
+
+def test_kerckhoff_outside_double_range_is_a_value_error():
+    # Python float squares would raise OverflowError here; numpy's give inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tau2 in (Modulus(0.0, 1e300), Modulus(1e200, 1.0)):
+            for n in (1, 5, 2000):
+                with pytest.raises(ValueError, match=re.escape(f"between 0+1i and {tau2}")):
+                    kerckhoff_distance(I, tau2, n)
+
+
+def test_kerckhoff_valid_extreme():
+    kd = kerckhoff_distance(Modulus(1e150, 1e150), I, 5)
+    assert kd.value == 172.69388197455342
+    assert kd.maximizer == HORIZ
 
 
 def test_kerckhoff_rejects_bad_bound():

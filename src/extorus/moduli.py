@@ -229,8 +229,8 @@ def _candidates(slope: float, max_index: int) -> list[tuple[int, int]]:
     """``(1, 0)`` and the box classes next to ``slope`` on each side, in enumeration order.
 
     A walk down the continued fraction of ``|slope|`` (``max_index`` past the
-    box, or for nan) ends on it if it is a box fraction, else on adjacent
-    bounds whose mediant, and so every fraction between them, leaves the box.
+    box) ends on it if it is a box fraction, else on adjacent bounds whose
+    mediant, and so every fraction between them, leaves the box.
     """
     num, den = min(max_index, abs(slope)).as_integer_ratio()
     p0, q0, p1, q1 = 0, 1, 1, 0
@@ -243,19 +243,18 @@ def _candidates(slope: float, max_index: int) -> list[tuple[int, int]]:
     return sorted(pairs, key=lambda pq: (pq[1], pq[0]))
 
 
-def kerckhoff_distance(
-    tau1: Modulus, tau2: Modulus, max_index: int
-) -> KerckhoffDistance:
+def kerckhoff_distance(tau1: Modulus, tau2: Modulus, max_index: int) -> KerckhoffDistance:
     """Half the log of the largest extremal-length ratio over curve classes.
 
-    The supremum over all classes equals half the hyperbolic distance;
-    this maximizes over the box ``|p|, |q| <= max_index`` (the value cannot
-    fall as it grows) and reports which class won.  The ratio rises to its
+    The supremum over all classes is half the hyperbolic distance; this
+    maximizes over the box ``|p|, |q| <= max_index``.  The ratio rises to its
     top direction and falls after it around the circle of slopes, so only
     the ``_candidates`` next to it are scored, in O(log max_index), by
-    ``_ext_formula`` on float64 arrays: they round as an enumeration of the
-    box does, and a tie goes to the first in its order.  numpy squares by
-    multiplying, so the value can be an ulp off ``extremal_length`` (``pow``).
+    ``_ext_formula`` on float64 arrays, ties going to the first in box order.
+    Where rounding flattens the ratio near the top (at distances up to about
+    1e-3 at max_index 2000, shrinking like max_index^-4), an enumeration can
+    find a class a few ulps higher, and a larger box can score a few ulps
+    lower.  numpy squares by multiplying: an ulp off ``extremal_length``.
     """
     _require_max_index(max_index)
     # Ext(tau, (p, q)) is q^2 |tau - s|^2 / Im tau at s = -p/q, so the ratio
@@ -264,11 +263,11 @@ def kerckhoff_distance(
     a = (tau2.re - tau1.re) / tau1.im
     b = tau2.im / tau1.im
     c = 0.5 * (abs(a) + (b - 1.0) * (b + 1.0) / abs(a)) if a else math.copysign(math.inf, b - 1.0)
+    c = math.inf if math.isinf(a) else c  # not inf / inf: c >= |a| / 2 - 1 / (2 |a|)
     r = math.hypot(c, 1.0)
     end = math.copysign(1.0 / (c + r) if c >= 0.0 else r - c, -a)
     pairs = _candidates(-(tau1.re + tau1.im * end), max_index)
     parr, qarr = np.array(pairs, dtype=float).T
-
     with np.errstate(over="ignore", invalid="ignore"):
         ext1 = _ext_formula(parr, qarr, tau1.re, tau1.im)
         ratio = _ext_formula(parr, qarr, tau2.re, tau2.im) / ext1

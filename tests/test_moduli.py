@@ -302,25 +302,35 @@ def test_kerckhoff_matches_reference_on_large_bounds():
             _assert_matches_reference(_seeded_modulus(rng), _seeded_modulus(rng), n)
 
 
+def _assert_within_rounding_of_reference(tau1, tau2, n, blocks):
+    _, _, best = _reference_kerckhoff(tau1, tau2, n, blocks)
+    kd = kerckhoff_distance(tau1, tau2, n)
+    p, q = np.array([float(kd.maximizer.p)]), np.array([float(kd.maximizer.q)])
+    ratio = float(_reference_ratio(tau1, tau2, p, q)[0])
+    assert abs(ratio - best) <= 8 * math.ulp(best), (str(tau1), str(tau2), n)
+    assert kd.value == 0.5 * math.log(ratio)
+
+
 def test_kerckhoff_near_equal_moduli_within_rounding_of_reference():
-    """Below a distance of about 1e-6 the ratio is flat to rounding over the
-    classes next to the top slope, so the enumeration's first maximum is
-    rounding noise.  The maximizer may differ there; its ratio must lie
-    within 8 ulps of the enumeration's largest (6 is the most seen for
-    ``Im tau`` in [0.2, 3]; the enumeration's noise grows as ``Im tau``
+    """Near the top slope the ratio falls by about ``2 d delta^2``, with ``d``
+    the hyperbolic distance and ``delta`` a class's offset from the top
+    slope, and box slopes can be ``1 / N^2`` apart.  So the ratio can be
+    flat to rounding over the classes next to the top, and the enumeration's
+    first maximum rounding noise, up to a distance that grows like ``N^4``
+    (the largest seen for ``Im tau`` in [0.2, 3]: 1e-14 at N = 50, 7e-7 at
+    N = 200, 2e-3 at N = 1000).  The maximizer may differ there; its ratio
+    must lie within 8 ulps of the enumeration's largest (6 is the most seen
+    for ``Im tau`` in [0.2, 3]; the enumeration's noise grows as ``Im tau``
     shrinks), and the value must be exactly half the log of its own ratio."""
     rng = random.Random(12)
-    for n in (1, 2, 5, 7, 20, 50, 200, 1000):
-        for _ in range(8):
+    for n, top, count in ((1, -6, 8), (2, -6, 8), (5, -6, 8), (7, -6, 8), (20, -6, 8),
+                          (50, -6, 8), (200, -6, 8), (1000, -2, 24), (2000, -2, 24)):
+        blocks = list(_reference_pairs(n))
+        for _ in range(count):
             tau1 = _seeded_modulus(rng)
-            e = 10.0 ** rng.uniform(-16, -6)
+            e = 10.0 ** rng.uniform(-16, top)
             tau2 = Modulus(tau1.re + rng.uniform(-e, e), tau1.im * (1 + rng.uniform(-e, e)))
-            _, _, best = _reference_kerckhoff(tau1, tau2, n)
-            kd = kerckhoff_distance(tau1, tau2, n)
-            p, q = np.array([float(kd.maximizer.p)]), np.array([float(kd.maximizer.q)])
-            ratio = float(_reference_ratio(tau1, tau2, p, q)[0])
-            assert abs(ratio - best) <= 8 * math.ulp(best), (str(tau1), str(tau2), n)
-            assert kd.value == 0.5 * math.log(ratio)
+            _assert_within_rounding_of_reference(tau1, tau2, n, blocks)
 
 
 def test_kerckhoff_cost_is_flat_in_the_bound():
@@ -352,20 +362,37 @@ def test_kerckhoff_candidates_match_a_scan():
                 assert sorted(Fraction(p, q) for p, q in got[1:]) == want, (slope, n)
 
 
-def test_kerckhoff_outside_double_range_is_a_value_error():
+# With tau1 = 0+1e-11i, a = (Re tau2 - Re tau1) / Im tau1 overflows, and so
+# does b = Im tau2 / Im tau1 or b^2; the top slope must still be finite.
+OVERFLOWING = [
+    (I, Modulus(0.0, 1e300)),
+    (I, Modulus(1e200, 1.0)),
+    (Modulus(0.0, 1e-11), Modulus(1e298, 1e298)),
+    (Modulus(0.0, 1e-11), Modulus(1e298, 1e160)),
+]
+
+
+@pytest.mark.parametrize("tau1,tau2", OVERFLOWING, ids=str)
+def test_kerckhoff_outside_double_range_is_a_value_error(tau1, tau2):
     # Python float squares would raise OverflowError here; numpy's give inf.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for tau2 in (Modulus(0.0, 1e300), Modulus(1e200, 1.0)):
-            for n in (1, 5, 2000):
-                with pytest.raises(ValueError, match=re.escape(f"between 0+1i and {tau2}")):
-                    kerckhoff_distance(I, tau2, n)
+        for n in (1, 5, 2000):
+            with pytest.raises(ValueError, match=re.escape(f"between {tau1} and {tau2}")):
+                kerckhoff_distance(tau1, tau2, n)
 
 
 def test_kerckhoff_valid_extreme():
     kd = kerckhoff_distance(Modulus(1e150, 1e150), I, 5)
     assert kd.value == 172.69388197455342
     assert kd.maximizer == HORIZ
+    # a and b^2 overflow, the ratio of every class with q > 0 rounds to 0.
+    tau1, tau2 = Modulus(-1e300, 1e-11), Modulus(0.5, 1e150)
+    for n in (1, 5, 50):
+        kd = kerckhoff_distance(tau1, tau2, n)
+        with np.errstate(over="ignore"):
+            value, maximizer, _ = _reference_kerckhoff(tau1, tau2, n)
+        assert (kd.value, kd.maximizer) == (value, maximizer) == (-185.35809998602068, HORIZ)
 
 
 def test_kerckhoff_rejects_bad_bound():

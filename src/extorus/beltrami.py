@@ -86,10 +86,19 @@ def dzbar_multiplier(tau: Modulus, n: int) -> np.ndarray:
 
 
 def grid_dz(samples: np.ndarray, tau: Modulus) -> np.ndarray:
-    return np.fft.ifft2(dz_multiplier(tau, samples.shape[0]) * np.fft.fft2(samples))
+    """``d/dz`` of grid samples; the symbol multiplies the spectrum in place."""
+    spec = np.fft.fft2(samples)
+    # symbol first: numpy's complex multiply is not bitwise commutative
+    np.multiply(dz_multiplier(tau, samples.shape[0]), spec, out=spec)
+    return np.fft.ifft2(spec)
+
 
 def grid_dzbar(samples: np.ndarray, tau: Modulus) -> np.ndarray:
-    return np.fft.ifft2(dzbar_multiplier(tau, samples.shape[0]) * np.fft.fft2(samples))
+    """``d/dzbar`` of grid samples; the symbol multiplies the spectrum in place."""
+    spec = np.fft.fft2(samples)
+    # symbol first: numpy's complex multiply is not bitwise commutative
+    np.multiply(dzbar_multiplier(tau, samples.shape[0]), spec, out=spec)
+    return np.fft.ifft2(spec)
 
 
 @dataclass(frozen=True, eq=False)

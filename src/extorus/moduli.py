@@ -206,9 +206,29 @@ def apply_mapping_class(
 
 
 def hyperbolic_distance(tau1: Modulus, tau2: Modulus) -> float:
-    """Distance in the curvature ``-1`` metric ``|d tau|^2 / (Im tau)^2``."""
-    sq = (tau1.re - tau2.re) ** 2 + (tau1.im - tau2.im) ** 2
-    return math.acosh(1.0 + sq / (2.0 * tau1.im * tau2.im))
+    """Distance in the curvature ``-1`` metric ``|d tau|^2 / (Im tau)^2``.
+
+    ``cosh d = 1 + |tau1 - tau2|^2 / (2 Im tau1 Im tau2)``.  Where a square
+    or that denominator leaves double range, the same distance comes from
+    ``sinh(d / 2) = |tau1 - tau2| / (2 sqrt(Im tau1 Im tau2))``, through
+    logarithms once that ratio is past ``2^27``.
+    """
+    den = 2.0 * tau1.im * tau2.im
+    try:
+        sq = (tau1.re - tau2.re) ** 2 + (tau1.im - tau2.im) ** 2
+    except OverflowError:
+        sq = math.inf
+    if sq < math.inf and den < math.inf:
+        return math.acosh(1.0 + sq / den)
+    # a quarter of |tau1 - tau2|, finite for every pair of finite moduli
+    quarter = math.hypot(tau1.re / 4 - tau2.re / 4, tau1.im / 4 - tau2.im / 4)
+    root = math.sqrt(tau1.im) * math.sqrt(tau2.im)
+    ratio = quarter / root  # sinh(d / 2) / 2
+    if ratio < 2.0**26:
+        return 2.0 * math.asinh(2.0 * ratio)
+    # asinh(y) = log(2 y) to double precision for y > 2^27
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(quarter) - math.log(root)
+    return 2.0 * (math.log(4.0) + log_ratio)
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,7 @@ __all__ = [
 
 #: Residual certified by the spectral solve, relative to the source sup norm.
 #: Holds up to n = 1024; at n = 2048 rounding amplified by the n^2 symbol
-#: reaches 3.4e-10 of the source sup although the solve is exact.
+#: reaches 3.3e-10 of the source sup although the solve is exact.
 SOLVER_RESIDUAL_REL = 1e-10
 SOLVER_RESIDUAL_ABS = 1e-14
 
@@ -208,23 +208,40 @@ def solve_variation_field(
     m0 = complex(mu.mean())
     b, c = _affine_coefficients(hmap, m0)
 
+    # Each n x n intermediate is freed or overwritten once read, so about
+    # five complex grids are live at the peak, the outputs included.  The
+    # in-place products keep the symbol or scalar first: numpy's complex
+    # multiply is not bitwise commutative.
     w_z = hmap.coeff / 2.0
-    mu_tilde = mu - m0
-    source = 2.0 * np.real(w_z * grid_dz(mu_tilde, tau))
+    dmu = grid_dz(mu - m0, tau)
+    np.multiply(w_z, dmu, out=dmu)
+    source = 2.0 * dmu.real
+    del dmu
     source_sup = float(np.abs(source).max())
 
+    # The Laplacian symbol -(pi / Im tau)^2 |k - tau j|^2 is real; the
+    # complex product's imaginary part is rounding noise.  The copy frees
+    # the product, which a view would keep.
+    symbol = np.real(dz_multiplier(tau, n) * dzbar_multiplier(tau, n)).copy()
     spec = np.fft.fft2(source)
     if abs(spec[0, 0]) / n**2 > 1e-12 * max(1.0, source_sup):
         raise ArithmeticError("source term has nonzero mean; problem is not solvable")
-    symbol = dz_multiplier(tau, n) * dzbar_multiplier(tau, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        psol = np.where(symbol != 0, spec / symbol, 0.0)
-    periodic = np.fft.ifft2(psol).real
+        np.divide(spec, symbol, out=spec)
+    spec[symbol == 0] = 0.0
+    periodic = np.fft.ifft2(spec).real
+    del spec
     periodic = periodic - periodic.mean()
 
-    defect = np.fft.ifft2(symbol * np.fft.fft2(periodic)).real - source
+    defect = np.fft.fft2(periodic)
+    np.multiply(symbol, defect, out=defect)
+    del symbol
+    defect = np.fft.ifft2(defect).real - source
+    del source
     residual = float(np.abs(defect).max())
-    gradient = (b + np.conj(c)) / 2.0 + grid_dz(periodic, tau)
+    del defect
+    gradient = grid_dz(periodic, tau)
+    gradient += (b + np.conj(c)) / 2.0
     return VariationField(
         hmap, n, b, c, periodic, mu, gradient, residual, source_sup
     )

@@ -162,6 +162,31 @@ def test_hyperbolic_distance():
     assert hyperbolic_distance(t1, t2) == hyperbolic_distance(t2, t1)
 
 
+def test_hyperbolic_distance_past_the_square_range():
+    # |tau1 - tau2| = 3e154 squares past double range, yet cosh d = 5.5
+    t1, t2 = Modulus(3e154, 1e154), Modulus(0.0, 1e154)
+    assert hyperbolic_distance(t1, t2) == pytest.approx(math.acosh(5.5), rel=1e-15)
+    # 2 Im tau1 Im tau2 overflows while the distance is 2 asinh(5e-11)
+    d = hyperbolic_distance(Modulus(0.0, 1e160), Modulus(1e150, 1e160))
+    assert d == pytest.approx(2.0 * math.asinh(5e-11), rel=1e-15)
+    # sinh(d / 2) itself overflows: same real part, d = log(Im tau2 / Im tau1)
+    d = hyperbolic_distance(Modulus(0.0, 1e-11), Modulus(0.0, 1e300))
+    assert d == pytest.approx(math.log(1e300) - math.log(1e-11), rel=1e-15)
+    # the coordinate difference overflows: sinh(d / 2) = 1.5e308
+    d = hyperbolic_distance(Modulus(-1.5e308, 1.0), Modulus(1.5e308, 1.0))
+    assert d == pytest.approx(2.0 * (math.log(3.0) + math.log(1e308)), rel=1e-15)
+    # scaling both moduli by a power of two leaves the distance unchanged
+    rng = random.Random(8)
+    for _ in range(200):
+        t1 = Modulus(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
+        t2 = Modulus(rng.uniform(-2.0, 2.0), rng.uniform(0.2, 3.0))
+        d = hyperbolic_distance(t1, t2)
+        for k in (520, 600, 1000):
+            big1 = Modulus(math.ldexp(t1.re, k), math.ldexp(t1.im, k))
+            big2 = Modulus(math.ldexp(t2.re, k), math.ldexp(t2.im, k))
+            assert hyperbolic_distance(big1, big2) == pytest.approx(d, rel=1e-14, abs=1e-15)
+
+
 def test_kerckhoff_distance_anchor():
     kd = kerckhoff_distance(I, Modulus(0.0, 2.0), 50)
     assert kd.value == pytest.approx(0.5 * math.log(2.0), abs=1e-12)

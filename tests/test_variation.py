@@ -2,6 +2,7 @@
 the map derivative, and the identity checks built on it."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,23 @@ def test_solver_upsamples_coarse_fields():
     vf = solve_variation_field(I, HORIZ, field, 32)
     s, _ = lattice_grid(32)
     assert np.max(np.abs(vf.values() - (-np.sin(TWO_PI * s) / np.pi))) <= 1e-12
+
+
+def test_solver_peak_memory_and_owned_outputs():
+    # each n x n intermediate is freed once read: the solve peaks near five
+    # complex grids, its outputs included
+    n = 256
+    field = catalog_field(SKEW, "coscos", 64)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        vf = solve_variation_field(SKEW, CurveClass(1, 1), field, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 6 * n * n * 16
+    for arr in (vf.periodic, vf.gradient, vf.mu_samples):
+        assert arr.flags.c_contiguous and arr.base is None
 
 
 def test_solver_rejects_mismatches():

@@ -7,11 +7,12 @@ spectral: in lattice coordinates the mode ``exp(2 pi i (j s + k t))`` is
 an eigenfunction of both, with eigenvalues
 
     d/dz    ->  pi (k - conj(tau) j) / Im tau
-    d/dzbar ->  pi (tau j - k) / Im tau
+    d/dzbar ->  pi (tau j - k) / Im tau  =  -conj(d/dz symbol)
 
-so differentiation is exact for band-limited fields.  The Nyquist row
-and column carry no usable phase information on a real grid and are
-dropped by the derivative operators.
+so differentiation is exact for band-limited fields.  Only the ``d/dz``
+symbol is built here; ``d/dzbar`` is its negated conjugate, bitwise.
+The Nyquist row and column carry no usable phase information on a real
+grid and are dropped by the symbol.
 
 A constant field ``m`` deforms the torus through an explicit family of
 affine stretches: ``z -> z + t m zbar`` sends the lattice ``Z + tau Z``
@@ -38,9 +39,7 @@ __all__ = [
     "FIELD_CATALOG",
     "lattice_grid",
     "dz_multiplier",
-    "dzbar_multiplier",
     "grid_dz",
-    "grid_dzbar",
     "modulus_path_constant",
     "teich_geodesic_constant",
     "pair_hopf",
@@ -78,26 +77,11 @@ def dz_multiplier(tau: Modulus, n: int) -> np.ndarray:
     return _zero_nyquist(np.pi * (k - tau.value.conjugate() * j) / tau.im)
 
 
-def dzbar_multiplier(tau: Modulus, n: int) -> np.ndarray:
-    """Fourier symbol of ``d/dzbar`` on the ``n x n`` lattice grid."""
-    j = _frequencies(n)[:, None]
-    k = _frequencies(n)[None, :]
-    return _zero_nyquist(np.pi * (tau.value * j - k) / tau.im)
-
-
 def grid_dz(samples: np.ndarray, tau: Modulus) -> np.ndarray:
     """``d/dz`` of grid samples; the symbol multiplies the spectrum in place."""
     spec = np.fft.fft2(samples)
     # symbol first: numpy's complex multiply is not bitwise commutative
     np.multiply(dz_multiplier(tau, samples.shape[0]), spec, out=spec)
-    return np.fft.ifft2(spec)
-
-
-def grid_dzbar(samples: np.ndarray, tau: Modulus) -> np.ndarray:
-    """``d/dzbar`` of grid samples; the symbol multiplies the spectrum in place."""
-    spec = np.fft.fft2(samples)
-    # symbol first: numpy's complex multiply is not bitwise commutative
-    np.multiply(dzbar_multiplier(tau, samples.shape[0]), spec, out=spec)
     return np.fft.ifft2(spec)
 
 

@@ -208,18 +208,12 @@ def apply_mapping_class(
 def hyperbolic_distance(tau1: Modulus, tau2: Modulus) -> float:
     """Distance in the curvature ``-1`` metric ``|d tau|^2 / (Im tau)^2``.
 
-    ``cosh d = 1 + |tau1 - tau2|^2 / (2 Im tau1 Im tau2)``.  Where a square
-    or that denominator leaves double range, the same distance comes from
-    ``sinh(d / 2) = |tau1 - tau2| / (2 sqrt(Im tau1 Im tau2))``, through
-    logarithms once that ratio is past ``2^27``.
+    ``sinh(d / 2) = |tau1 - tau2| / (2 sqrt(Im tau1 Im tau2))``, accurate
+    for close moduli (where ``acosh(1 + x)`` loses ``x`` below machine
+    epsilon) and finite for every pair of finite moduli: the difference
+    is taken in quarters, and past a ratio of ``2^27`` the ``asinh`` goes
+    through logarithms.
     """
-    den = 2.0 * tau1.im * tau2.im
-    try:
-        sq = (tau1.re - tau2.re) ** 2 + (tau1.im - tau2.im) ** 2
-    except OverflowError:
-        sq = math.inf
-    if sq < math.inf and den < math.inf:
-        return math.acosh(1.0 + sq / den)
     # a quarter of |tau1 - tau2|, finite for every pair of finite moduli
     quarter = math.hypot(tau1.re / 4 - tau2.re / 4, tau1.im / 4 - tau2.im / 4)
     root = math.sqrt(tau1.im) * math.sqrt(tau2.im)

@@ -2,9 +2,10 @@
 
 Deforming the torus by a Beltrami field ``mu`` drags the harmonic map
 ``w = Re(a z)`` of a curve class along with it.  The derivative field
-``wdot`` splits into an affine part ``Re(b z + c zbar)`` fixed by
-differentiating the period conditions, plus a periodic correction ``P``
-solving the torus Poisson problem
+``wdot`` is periodic: differentiating the period conditions gives an
+affine part ``Re(b z + c zbar)`` with ``c = a mean(mu)`` and
+``b = -conj(c)``, and that part is identically zero.  So ``wdot`` is
+the periodic solution ``P`` of the torus Poisson problem
 
     P_{z zbar} = d/dz ( mu_tilde w_z ) + d/dzbar ( conj(mu_tilde) w_zbar )
 
@@ -41,9 +42,7 @@ import numpy as np
 from .beltrami import (
     BeltramiField,
     dz_multiplier,
-    dzbar_multiplier,
     grid_dz,
-    lattice_grid,
     pair_hopf,
     teich_geodesic_constant,
 )
@@ -134,12 +133,14 @@ def make_report(
 class VariationField:
     """Derivative ``wdot`` of the harmonic map along a Beltrami field.
 
-    ``wdot = Re(affine_b z + affine_c zbar) + periodic`` with
-    ``periodic`` real, grid mean zero, on the ``n x n`` lattice grid.
-    ``mu_samples`` is the driving field materialized on the same grid,
-    ``gradient`` is ``d wdot / dz`` there, and ``residual`` is the sup
-    norm of the defect of the discrete Poisson equation against a source
-    of sup norm ``source_sup``.
+    ``wdot`` is ``periodic``, real and of grid mean zero on the ``n x n``
+    lattice grid.  The affine coefficients from the period conditions are
+    kept for the record; ``affine_b == -conj(affine_c)``, so the affine
+    part ``Re(affine_b z + affine_c zbar)`` is zero.  ``mu_samples`` is
+    the driving field materialized on the same grid, ``gradient`` is
+    ``d wdot / dz`` there, and ``residual`` is the sup norm of the defect
+    of the discrete Poisson equation against a source of sup norm
+    ``source_sup``.
     """
 
     base: HarmonicMapTorus
@@ -151,31 +152,6 @@ class VariationField:
     gradient: np.ndarray
     residual: float
     source_sup: float
-
-    def values(self) -> np.ndarray:
-        """``wdot`` sampled on the lattice grid."""
-        s, t = lattice_grid(self.n)
-        z = s + t * self.base.tau.value
-        affine = np.real(self.affine_b * z + self.affine_c * np.conj(z))
-        return affine + self.periodic
-
-
-def _affine_coefficients(hmap: HarmonicMapTorus, m0: complex) -> tuple[complex, complex]:
-    """Affine part ``Re(b z + c zbar)`` of ``wdot`` for mean value ``m0``.
-
-    The periods of ``wdot`` must vanish (the target periods ``q, -p`` are
-    t-independent), which after differentiating ``Re(a z + a m t zbar)``
-    in ``t`` pins ``c = a m0`` and gives a 2x2 real system for ``b``:
-    ``Re(b) = -Re(a m0)`` and ``Re(b tau) = -Re(a m0 conj(tau))``.
-    """
-    a = hmap.coeff
-    tau = hmap.tau
-    c = a * m0
-    rhs1 = -((a * m0).real)
-    rhs2 = -((a * m0 * tau.value.conjugate()).real)
-    u = rhs1
-    v = (u * tau.re - rhs2) / tau.im
-    return complex(u, v), c
 
 
 def first_variation(tau: Modulus, curve: CurveClass, field: BeltramiField) -> float:
@@ -194,10 +170,11 @@ def solve_variation_field(
     """Compute ``wdot`` on an ``n x n`` grid (``n`` a power of two >= the
     field resolution).
 
-    The affine part comes from the period conditions; the periodic part
-    from an exact spectral solve of the Poisson problem, gauged to mean
-    zero.  Raises if the discrete source has a nonzero mean (the
-    solvability obstruction) beyond rounding.
+    The period conditions give ``c = a mean(mu)`` and ``b = -conj(c)``,
+    so the affine part is zero and ``wdot`` is the exact spectral solve
+    of the Poisson problem, gauged to mean zero.  Raises if the discrete
+    source has a nonzero mean (the solvability obstruction) beyond
+    rounding.
     """
     if field.tau != tau:
         raise ValueError("field lives on a different torus")
@@ -206,7 +183,7 @@ def solve_variation_field(
     hmap = build_harmonic_map(tau, curve)
     mu = field.grid_samples(n)
     m0 = complex(mu.mean())
-    b, c = _affine_coefficients(hmap, m0)
+    c = hmap.coeff * m0
 
     # Each n x n intermediate is freed or overwritten once read, so about
     # five complex grids are live at the peak, the outputs included.  The
@@ -219,10 +196,18 @@ def solve_variation_field(
     del dmu
     source_sup = float(np.abs(source).max())
 
-    # The Laplacian symbol -(pi / Im tau)^2 |k - tau j|^2 is real; the
-    # complex product's imaginary part is rounding noise.  The copy frees
-    # the product, which a view would keep.
-    symbol = np.real(dz_multiplier(tau, n) * dzbar_multiplier(tau, n)).copy()
+    # The Laplacian symbol dz * dzbar = -(pi / Im tau)^2 |k - tau j|^2 is
+    # real, with dzbar = -conj(dz) bitwise; the complex product's imaginary
+    # part is rounding noise.  The product is formed in place in the
+    # conjugate's buffer, so two complex grids are live here, not three,
+    # and the copy frees it, which a view would keep.
+    dz = dz_multiplier(tau, n)
+    product = np.conj(dz)
+    np.negative(product, out=product)
+    np.multiply(dz, product, out=product)
+    del dz
+    symbol = product.real.copy()
+    del product
     spec = np.fft.fft2(source)
     if abs(spec[0, 0]) / n**2 > 1e-12 * max(1.0, source_sup):
         raise ArithmeticError("source term has nonzero mean; problem is not solvable")
@@ -241,9 +226,8 @@ def solve_variation_field(
     residual = float(np.abs(defect).max())
     del defect
     gradient = grid_dz(periodic, tau)
-    gradient += (b + np.conj(c)) / 2.0
     return VariationField(
-        hmap, n, b, c, periodic, mu, gradient, residual, source_sup
+        hmap, n, -c.conjugate(), c, periodic, mu, gradient, residual, source_sup
     )
 
 
@@ -268,17 +252,13 @@ def identity_eq11_check(
 def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> float:
     """``d^2/dt^2 Ext`` at ``t = 0`` along the constant field ``m``.
 
-    For constant fields the periodic part of ``wdot`` vanishes and the
-    second variation reduces to
-    ``<< 4 |m|^2 |w_z|^2 >> - 2 << |wdot_z|^2 >>`` with both terms
-    closed-form in the map coefficient.
+    The second variation is ``<< 4 |m|^2 |w_z|^2 >> - 2 << |wdot_z|^2 >>``.
+    For a constant field ``wdot`` is zero (its periodic part has no
+    source and its affine part cancels), so the second term vanishes and
+    the value is ``4 Im tau * 4 |m|^2 |w_z|^2``.
     """
-    hmap = build_harmonic_map(tau, curve)
-    b, c = _affine_coefficients(hmap, m)
-    w_z_sq = abs(hmap.coeff / 2.0) ** 2
-    wdot_z_sq = abs((b + c.conjugate()) / 2.0) ** 2
-    measure = 4.0 * tau.im
-    return measure * (4.0 * abs(m) ** 2 * w_z_sq - 2.0 * wdot_z_sq)
+    w_z_sq = abs(build_harmonic_map(tau, curve).coeff / 2.0) ** 2
+    return 4.0 * tau.im * (4.0 * abs(m) ** 2 * w_z_sq)
 
 
 def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
@@ -307,8 +287,8 @@ def identity_eq15_evaluate(
     Both sides are plain grid means: the left side is
     ``mean |wdot_z(mu)|^2 + mean |wdot_z(i mu)|^2``, the right side
     ``4 |w_z|^2 mean |mu - mean mu|^2``.  With ``mu~`` the mean-zero part
-    of ``mu``, ``wdot_z = w_z B[mu~] + conj(w_z) conj(mu~)`` (the affine
-    part has no ``z`` derivative) for a Fourier symbol ``B`` of modulus
+    of ``mu``, ``wdot_z = w_z B[mu~] + conj(w_z) conj(mu~)`` (``wdot``
+    has no affine part) for a Fourier symbol ``B`` of modulus
     one off the Nyquist row and column, so the cross terms of ``mu`` and
     ``i mu`` cancel.  For constant fields both sides vanish.
     """

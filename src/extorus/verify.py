@@ -338,7 +338,7 @@ def _kerckhoff_vs_hyperbolic(rng: np.random.Generator, profile: ToleranceProfile
         delta = float(rng.uniform(0.01, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
         t1, t2 = Modulus(x, y1), Modulus(x, y1 * math.exp(delta))
         rows.append((kerckhoff_distance(t1, t2, 50).value, 0.5 * hyperbolic_distance(t1, t2), 0.0))
-    return _failed_unless(anchor_kd.maximizer == CurveClass(0, 1), _rows(rows, 1e-9))
+    return _failed_unless(anchor_kd.maximizer == CurveClass(0, 1), _rows(rows, 1e-12))
 
 
 #: The checks in run order, each with the name it reports under.

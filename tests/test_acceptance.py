@@ -167,8 +167,8 @@ def test_ac05_spectral_solver_and_gradient_identity():
         vf = solve_variation_field(I, HORIZ, catalog_field(I, "icos2pis", 64), 64)
         s, _ = lattice_grid(64)
         exact = -np.sin(2.0 * np.pi * s) / np.pi
-        assert np.max(np.abs(vf.values() - exact)) <= 1e-12
-        assert np.max(np.abs(vf.values())) == pytest.approx(1.0 / np.pi, abs=1e-12)
+        assert np.max(np.abs(vf.periodic - exact)) <= 1e-12
+        assert np.max(np.abs(vf.periodic)) == pytest.approx(1.0 / np.pi, abs=1e-12)
 
 
 def test_ac06_levi_form_positivity_and_pair_sum():

@@ -12,10 +12,8 @@ from extorus.beltrami import (
     catalog_field,
     constant,
     dz_multiplier,
-    dzbar_multiplier,
     from_function,
     grid_dz,
-    grid_dzbar,
     lattice_grid,
     modulus_path_constant,
     pair_hopf,
@@ -54,32 +52,23 @@ def test_derivative_of_single_modes():
             (-np.pi * tau.value.conjugate() / y) * mode_s,
             atol=1e-12,
         )
-        assert np.allclose(
-            grid_dzbar(mode_s, tau), (np.pi * tau.value / y) * mode_s, atol=1e-12
-        )
         assert np.allclose(grid_dz(mode_t, tau), (np.pi / y) * mode_t, atol=1e-12)
-        assert np.allclose(grid_dzbar(mode_t, tau), (-np.pi / y) * mode_t, atol=1e-12)
 
 
 def test_derivative_of_cosine_row():
     s, _ = lattice_grid(32)
     samples = np.cos(TWO_PI * s) + 0j
     expected = -np.pi * np.sin(TWO_PI * s)
-    assert np.max(np.abs(grid_dzbar(samples, I) - expected)) <= 1e-13
     assert np.max(np.abs(grid_dz(samples, I) - expected)) <= 1e-13
 
 
 def test_derivative_kills_constants():
     samples = np.full((8, 8), 2.5 - 1.5j)
     assert np.max(np.abs(grid_dz(samples, SKEW))) <= 1e-14
-    assert np.max(np.abs(grid_dzbar(samples, SKEW))) <= 1e-14
 
 
 def test_multipliers_zero_nyquist_row():
     mult = dz_multiplier(I, 8)
-    assert np.all(mult[4, :] == 0.0)
-    assert np.all(mult[:, 4] == 0.0)
-    mult = dzbar_multiplier(SKEW, 8)
     assert np.all(mult[4, :] == 0.0)
     assert np.all(mult[:, 4] == 0.0)
 
@@ -169,13 +158,6 @@ def test_scaled():
     assert np.allclose(doubled.samples, 2j * field.samples, atol=0.0)
     c = constant(I, 0.5).scaled(-1j)
     assert c.value == -0.5j
-
-
-def test_dzbar_of_band_limited_field():
-    s, _ = lattice_grid(32)
-    field = catalog_field(I, "cos2pis", 32)
-    d = grid_dzbar(field.samples, I)
-    assert np.max(np.abs(d - (-np.pi * np.sin(TWO_PI * s)))) <= 1e-13
 
 
 def test_modulus_path_values():

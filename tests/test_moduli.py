@@ -162,6 +162,25 @@ def test_hyperbolic_distance():
     assert hyperbolic_distance(t1, t2) == hyperbolic_distance(t2, t1)
 
 
+def test_hyperbolic_distance_of_close_moduli():
+    # d = 2 asinh(delta / (2 y)) = r (1 - r^2 / 24) to double precision, r = delta / y
+    for delta in (1e-9, 1e-7):
+        for y in (0.5, 1.0, 2.0):
+            r = delta / y
+            d = hyperbolic_distance(Modulus(0.0, y), Modulus(delta, y))
+            assert d == pytest.approx(r * (1.0 - r * r / 24.0), rel=1e-15, abs=0.0)
+    # vertical pairs: d = |log(y2 / y1)|, from log1p so the reference keeps
+    # its digits when y2 is close to y1
+    rng = random.Random(9)
+    for _ in range(2000):
+        y1 = math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+        y2 = y1 * (1.0 + 10.0 ** rng.uniform(-12.0, 1.0))
+        want = math.log1p((y2 - y1) / y1)
+        for a, b in ((y1, y2), (y2, y1)):
+            d = hyperbolic_distance(Modulus(0.0, a), Modulus(0.0, b))
+            assert d == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
 def test_hyperbolic_distance_past_the_square_range():
     # |tau1 - tau2| = 3e154 squares past double range, yet cosh d = 5.5
     t1, t2 = Modulus(3e154, 1e154), Modulus(0.0, 1e154)

@@ -7,7 +7,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from extorus.beltrami import catalog_field, constant, grid_dz, lattice_grid
+from extorus.beltrami import (
+    FIELD_CATALOG,
+    BeltramiField,
+    catalog_field,
+    constant,
+    grid_dz,
+    lattice_grid,
+)
 from extorus.moduli import CurveClass, Modulus, extremal_length, levi_form
 from extorus.variation import (
     SOLVER_RESIDUAL_ABS,
@@ -99,11 +106,24 @@ def test_constant_field_variation_vanishes():
         (SKEW, CurveClass(2, 1), 0.3 - 0.2j),
     ]:
         vf = solve_variation_field(tau, curve, constant(tau, m), 16)
-        assert abs(vf.affine_b + vf.affine_c.conjugate()) <= 1e-13
+        assert vf.affine_b == -vf.affine_c.conjugate()
         assert np.max(np.abs(vf.periodic)) == 0.0
-        assert np.max(np.abs(vf.values())) <= 1e-13
-        assert np.max(np.abs(vf.gradient)) <= 1e-13
+        assert np.max(np.abs(vf.gradient)) == 0.0
         assert vf.residual <= SOLVER_RESIDUAL_ABS
+
+
+def test_affine_part_cancels_for_fields_with_a_mean():
+    # the period conditions pin b = -conj(c) exactly, so Re(b z + c zbar) = 0
+    rng = np.random.default_rng(23)
+    names = sorted(FIELD_CATALOG)
+    for _ in range(200):
+        tau, curve = sample_modulus(rng), sample_curve(rng)
+        m = complex(*rng.uniform(-0.5, 0.5, 2))
+        mode = catalog_field(tau, names[rng.integers(len(names))], 8)
+        field = BeltramiField(tau, 8, samples=m + 0.1 * mode.samples)
+        vf = solve_variation_field(tau, curve, field, 8)
+        assert vf.affine_c != 0.0
+        assert vf.affine_b == -vf.affine_c.conjugate()
 
 
 def test_solve_real_cosine_mode_is_silent():
@@ -111,7 +131,7 @@ def test_solve_real_cosine_mode_is_silent():
     # so the real equation has the zero solution
     vf = solve_variation_field(I, HORIZ, catalog_field(I, "cos2pis", 64), 64)
     assert vf.source_sup <= 1e-13
-    assert np.max(np.abs(vf.values())) <= 1e-13
+    assert np.max(np.abs(vf.periodic)) <= 1e-13
     assert np.max(np.abs(vf.gradient)) <= 1e-13
 
 
@@ -120,7 +140,7 @@ def test_solve_imaginary_cosine_mode():
     s, _ = lattice_grid(64)
     expected = -np.sin(TWO_PI * s) / np.pi
     assert abs(vf.affine_b) <= 1e-15 and abs(vf.affine_c) <= 1e-15
-    assert np.max(np.abs(vf.values() - expected)) <= 1e-12
+    assert np.max(np.abs(vf.periodic - expected)) <= 1e-12
     assert np.max(np.abs(vf.gradient - (-np.cos(TWO_PI * s)))) <= 1e-12
     assert vf.source_sup == pytest.approx(np.pi, rel=1e-12)
     assert vf.residual <= SOLVER_RESIDUAL_REL * vf.source_sup
@@ -139,7 +159,7 @@ def test_solver_upsamples_coarse_fields():
     field = catalog_field(I, "icos2pis", 8)
     vf = solve_variation_field(I, HORIZ, field, 32)
     s, _ = lattice_grid(32)
-    assert np.max(np.abs(vf.values() - (-np.sin(TWO_PI * s) / np.pi))) <= 1e-12
+    assert np.max(np.abs(vf.periodic - (-np.sin(TWO_PI * s) / np.pi))) <= 1e-12
 
 
 def test_solver_peak_memory_and_owned_outputs():
@@ -306,12 +326,3 @@ def test_teich_bound_preconditions():
         teich_bound_check(I, HORIZ, 1.0, 0.0)
     with pytest.raises(ValueError, match="step"):
         teich_bound_check(I, HORIZ, 1.0, 0.5)
-
-
-def test_variation_field_reconstruction():
-    field = catalog_field(I, "icos2pis", 32)
-    vf = solve_variation_field(I, HORIZ, field, 32)
-    s, t = lattice_grid(32)
-    z = s + t * 1j
-    affine = np.real(vf.affine_b * z + vf.affine_c * np.conj(z))
-    assert np.max(np.abs(vf.values() - (affine + vf.periodic))) == 0.0

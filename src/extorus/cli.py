@@ -57,12 +57,15 @@ MAX_GRID = 2048
 MAX_PQ = 2000
 
 #: Most points one ``sweep`` writes (``--re`` count times ``--im`` count).
-#: As CSV, 1001 x 1001 points take about 3.4 s and 80 MB, and the cap
-#: about 14 s and 134 MB, on a 2-core x86-64 host.
+#: As CSV, 1001 x 1001 points take about 3.4 s and 47 MB, and the cap
+#: about 13 s and 96 MB, on a 2-core x86-64 host.
 MAX_SWEEP_POINTS = 4_000_000
 
-#: Rows ``sweep`` formats at a time, so memory stays flat in the grid size.
-_SWEEP_CHUNK = 1 << 16
+#: Points ``sweep`` evaluates, and then formats, at a time: the Python
+#: floats of one block and its text, about 1 MB.  The two float64 result
+#: grids (16 B per point) are the only state kept for the whole grid:
+#: every value is computed and checked before the first byte is written.
+_SWEEP_CHUNK = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):

@@ -53,7 +53,8 @@ class Modulus:
         if not (math.isfinite(self.re) and math.isfinite(self.im)):
             raise ValueError("tau must be finite")
         if self.im <= MIN_IMAG:
-            raise ValueError("tau must lie in the upper half-plane")
+            raise ValueError(f"tau must lie in the upper half-plane with Im tau > {MIN_IMAG:g}, "
+                             f"got Im tau = {self.im!r}")
 
     @property
     def value(self) -> complex:
@@ -148,20 +149,23 @@ def _closed_forms_on_grid(
     The formulas run on object arrays of Python floats, so every value
     is bit-identical to the scalar functions: Python's ``x**2`` is libm
     ``pow``, which rounds about one square in a thousand one ulp away
-    from numpy's multiply-based square.  At most about ``block`` points are
-    held as Python floats at a time.  A value outside double range
-    raises ``OverflowError``, as ``**`` does in the scalar functions.
+    from numpy's multiply-based square.  The grid is evaluated in tiles
+    of at most ``block`` points whatever its shape, so no more points
+    than that are held as Python floats at a time.  A value outside
+    double range raises ``OverflowError``, as ``**`` does in the scalar
+    functions.
     """
     ext = np.empty((ims.size, res.size))
     levi = np.empty_like(ext)
-    re = res.astype(object)
     rows = max(1, block // res.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, ims.size, rows):
-            im = ims[start:start + rows, None].astype(object)
-            ext_rows = _ext_formula(curve.p, curve.q, re, im)
-            ext[start:start + rows] = ext_rows
-            levi[start:start + rows] = _levi_formula(ext_rows, im)
+        for col in range(0, res.size, block):
+            re = res[col:col + block].astype(object)
+            for start in range(0, ims.size, rows):
+                im = ims[start:start + rows, None].astype(object)
+                tile = np.s_[start:start + rows, col:col + block]
+                ext[tile] = ext_tile = _ext_formula(curve.p, curve.q, re, im)
+                levi[tile] = _levi_formula(ext_tile, im)
     if not (np.isfinite(ext).all() and np.isfinite(levi).all()):
         raise OverflowError(f"extremal length of {curve} leaves double range on the sweep")
     return ext, levi

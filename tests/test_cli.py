@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from extorus import cli
 from extorus.cli import main
 from extorus.moduli import Modulus, extremal_length, levi_form, parse_complex, parse_curve
-from extorus.variation import IdentityReport
+from extorus.variation import IdentityReport, solver_residual_bound
 from extorus.verify import SuiteResult
 
 
@@ -88,7 +89,7 @@ def test_solve_field_command(capsys):
         "--grid", "64",
     )
     assert data["n"] == 64
-    assert data["residual"] <= 1e-10 * max(1.0, data["source_sup"])
+    assert data["residual"] <= solver_residual_bound(Modulus(0.0, 1.0), 64, data["periodic_sup"])
     assert data["gradient_sup"] == pytest.approx(1.0, abs=1e-12)
     assert data["periodic_sup"] == pytest.approx(1.0 / math.pi, abs=1e-10)
 
@@ -205,7 +206,8 @@ SWEEPS = [
 
 @pytest.mark.parametrize("curve,re_spec,im_spec", SWEEPS,
                          ids=["negative-p", "q-zero", "one-point", "pow-rounding"])
-@pytest.mark.parametrize("chunk", [cli._SWEEP_CHUNK, 7])
+# the default block, a block larger than any grid here, and a small one
+@pytest.mark.parametrize("chunk", [1 << 16, cli._SWEEP_CHUNK, 7])
 def test_sweep_bits_match_scalar_closed_forms(capsys, monkeypatch, curve, re_spec, im_spec,
                                               chunk):
     monkeypatch.setattr(cli, "_SWEEP_CHUNK", chunk)
@@ -231,6 +233,40 @@ def test_sweep_out_matches_stdout(tmp_path, capsys):
         assert code == 0 and printed == ""
         # stdout ends the JSON with a newline; the file holds the text alone
         assert target.read_text(encoding="utf-8") == (out if fmt == "csv" else out[:-1])
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_working_set_is_one_block(tmp_path, fmt):
+    # the benchmark's 316 x 316 shape: the float64 grids take 1.6 MB and one
+    # block of Python floats and text about 1 MB, where formatting the whole
+    # grid at once would take about 20 MB (CSV) and 25 MB (JSON)
+    argv = ["sweep", "--curve", "1,1", "--re=-1:1.004:0.00635", "--im", "0.3:2.304:0.00635",
+            "--format", fmt, "--out", str(tmp_path / "sweep")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+    assert (tmp_path / "sweep").read_text(encoding="utf-8").count("\n") >= 316 * 316
+
+
+@pytest.mark.parametrize("re_spec,im_spec", [
+    ("0:2e154:1e154", "1:1:1"),  # (2e154)**2 raises in pow
+    ("0:1e137:1e137", "2e-12:2e-12:1"),  # ext finite, levi past double range
+], ids=["pow", "levi"])
+def test_sweep_validates_every_block_before_writing(capsys, monkeypatch, re_spec, im_spec):
+    # one point per block and only the last point overflows: nothing is
+    # written, because every block is checked before the first byte
+    monkeypatch.setattr(cli, "_SWEEP_CHUNK", 1)
+    for fmt in ("csv", "json"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "sweep", "--curve", "0,1", f"--re={re_spec}",
+                                 f"--im={im_spec}", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert "double range" in err
 
 
 def test_sweep_point_cap(capsys):
@@ -378,6 +414,9 @@ def test_upper_half_plane_diagnostic(capsys):
     code, _, err = run(capsys, "ext", "--tau", "0-1i", "--curve", "1,0")
     assert code == 2
     assert "upper half-plane" in err
+    code, out, err = run(capsys, "ext", "--tau", "0+1e-13i", "--curve", "1,0")
+    assert (code, out) == (2, "")
+    assert "upper half-plane" in err and "1e-12" in err and "1e-13" in err
 
 
 def test_computation_errors_exit_1(capsys):

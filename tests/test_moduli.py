@@ -44,6 +44,10 @@ def test_modulus_validation():
         Modulus(0.0, 0.0)
     with pytest.raises(ValueError, match="upper half-plane"):
         Modulus(0.0, 1e-12)
+    # a point of the half-plane under the floor: the message names the floor
+    # and the value received
+    with pytest.raises(ValueError, match=r"Im tau > 1e-12, got Im tau = 1e-13"):
+        Modulus(0.0, 1e-13)
     with pytest.raises(ValueError):
         Modulus(math.nan, 1.0)
     with pytest.raises(ValueError):

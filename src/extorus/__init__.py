@@ -47,7 +47,6 @@ from .variation import (
 )
 from .verify import (
     SuiteResult,
-    ToleranceProfile,
     fd_first_variation,
     fd_levi_form,
     fd_second_variation,

@@ -214,6 +214,11 @@ def modulus_path_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     return Modulus.from_complex(w)
 
 
+def _require_unimodular(m: complex) -> None:
+    if abs(abs(m) - 1.0) > 1e-12:
+        raise ValueError(f"direction must be unimodular, |m| = 1, got |m| = {abs(m):g}")
+
+
 def teich_geodesic_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     """Point at arc-length parameter ``t`` on the stretch line through ``tau``.
 
@@ -221,8 +226,7 @@ def teich_geodesic_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     reparametrized by ``tanh`` so that ``t`` is the flat distance of the
     quasiconformal stretch, with dilatation ``exp(2|t|)``.
     """
-    if abs(abs(m) - 1.0) > 1e-12:
-        raise ValueError("geodesic direction must have |m| = 1")
+    _require_unimodular(m)
     return modulus_path_constant(tau, m, math.tanh(t))
 
 

@@ -18,7 +18,14 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .beltrami import BeltramiField, _require_grid_size, catalog_field, constant, FIELD_CATALOG
+from .beltrami import (
+    BeltramiField,
+    FIELD_CATALOG,
+    _require_grid_size,
+    _require_unimodular,
+    catalog_field,
+    constant,
+)
 from .moduli import (
     MIN_IMAG,
     Modulus,
@@ -35,6 +42,7 @@ from .moduli import (
     parse_curve,
 )
 from .variation import (
+    _require_nonzero,
     _require_step,
     first_variation,
     identity_eq11_check,
@@ -45,7 +53,7 @@ from .variation import (
     solve_variation_field,
     teich_bound_check,
 )
-from .verify import ToleranceProfile, format_table, run_suite
+from .verify import format_table, run_suite
 
 import numpy as np
 
@@ -105,6 +113,8 @@ _complex = _arg_type(parse_complex)
 _grid = _number(int, _require_grid_size, MAX_GRID)
 _max_pq = _number(int, _require_max_index, MAX_PQ)
 _step = _number(float, _require_step)
+_nonzero = _number(parse_complex, _require_nonzero)
+_unimodular = _number(parse_complex, _require_unimodular)
 
 
 def _require_non_negative(value: int) -> None:
@@ -161,27 +171,6 @@ def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
     return lambda sub: sub.add_argument(*names, **kwargs)
 
 
-def _tol(*keys: str) -> Callable[[argparse.ArgumentParser], None]:
-    """Repeatable ``--tol key=value`` for the profile ``keys`` a subcommand reads
-    (any key when none are given); the value must pass ``ToleranceProfile``."""
-
-    def parse(text: str) -> tuple[str, float]:
-        key, _, value = text.partition("=")
-        if keys and key not in keys:
-            raise ValueError(f"tolerance {key!r} is not read here; this subcommand reads "
-                             f"{', '.join(keys)}")
-        try:
-            number = float(value)
-        except ValueError:
-            raise ValueError(f"expected key=number, got {text!r}") from None
-        ToleranceProfile().merged({key: number})
-        return key, number
-
-    names = ", ".join(keys) or "any profile field"
-    return _arg("--tol", type=_arg_type(parse), action="append", default=[],
-                help=f"tolerance override, key=value (key: {names}; repeatable)")
-
-
 def _field_flags(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--mu", type=_complex, help="constant deformation field, a+bi form")
@@ -208,10 +197,6 @@ def _field_from_args(args: argparse.Namespace) -> BeltramiField:
     if args.mu is not None:
         return constant(args.tau, args.mu)
     return catalog_field(args.tau, args.mu_fn, args.grid)
-
-
-def _profile(args: argparse.Namespace) -> ToleranceProfile:
-    return ToleranceProfile().merged(dict(args.tol))
 
 
 def _report_payload(report) -> dict:
@@ -317,7 +302,9 @@ def _vary2(a: argparse.Namespace) -> dict:
     return _point(a, mu=format_complex(a.mu), second_variation=second)
 
 
-@_command("pair-sum", "second variations along mu and i*mu, summed", (*_POINT, _MU))
+@_command("pair-sum", "second variations along mu and i*mu, summed", (
+    *_POINT, _arg("--mu", type=_nonzero, required=True, help="nonzero constant field, a+bi form"),
+))
 def _pair_sum(a: argparse.Namespace) -> dict:
     ps = pair_sum_levi(a.tau, a.curve, a.mu)
     return _point(a, mu=format_complex(a.mu), pair_sum=ps, positive=ps > 0.0)
@@ -338,18 +325,14 @@ def _solve_field(a: argparse.Namespace) -> dict:
     )
 
 
-@_command("eq11", "integration-by-parts check on the solved derivative",
-          (*_FIELD, _tol("spectral_tol")))
+@_command("eq11", "integration-by-parts check on the solved derivative", _FIELD)
 def _eq11(a: argparse.Namespace) -> dict:
-    tol = _profile(a).spectral_tol
-    return _report_payload(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid, tol))
+    return _report_payload(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid))
 
 
-@_command("eq15", "paired-direction gradient identity on the solved derivative",
-          (*_FIELD, _tol("exact_tol")))
+@_command("eq15", "paired-direction gradient identity on the solved derivative", _FIELD)
 def _eq15(a: argparse.Namespace) -> dict:
-    tol = _profile(a).exact_tol
-    return _report_payload(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid, tol))
+    return _report_payload(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid))
 
 
 @_command("distance", "stretch-factor distance between two moduli", (
@@ -374,13 +357,12 @@ def _distance(a: argparse.Namespace) -> dict:
 
 @_command("bound", "second difference of extremal length along a unit stretch line", (
     *_POINT,
-    _arg("--mu", type=_complex, required=True, help="direction with |mu| = 1"),
+    _arg("--mu", type=_unimodular, required=True, help="direction with |mu| = 1"),
     _arg("--step", type=_step, default=1e-3,
          help="second-difference step, in (0, 1e-2] (default 1e-3)"),
-    _tol("rel_tol_first"),
 ))
 def _bound(a: argparse.Namespace) -> dict:
-    report = teich_bound_check(a.tau, a.curve, a.mu, a.step, _profile(a).rel_tol_first)
+    report = teich_bound_check(a.tau, a.curve, a.mu, a.step)
     return {**_report_payload(report), "ext": extremal_length(a.tau, a.curve)}
 
 
@@ -442,10 +424,9 @@ def _sweep(args: argparse.Namespace) -> int:
 
 @_command("verify", "run the full cross-check suite", (
     _arg("--seed", type=_seed, default=42, help="sampling seed, integer >= 0 (default 42)"),
-    _tol(),
 ), formats=("json",))
 def _verify(args: argparse.Namespace) -> int:
-    result = run_suite(_profile(args), args.seed)
+    result = run_suite(args.seed)
     if args.out is not None:
         code = _emit(result.to_json_text(), args.out)
         if code != 0:
@@ -480,6 +461,8 @@ def _run(args: argparse.Namespace) -> int:
     if args.command in ("sweep", "verify"):
         return run(args)
     payload = run(args)
+    if any(isinstance(v, float) and not math.isfinite(v) for v in payload.values()):
+        raise OverflowError("a result is outside double range")
     text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
     return _emit(text, args.out)
 

@@ -250,7 +250,7 @@ def solve_variation_field(
 
 
 def identity_eq11_check(
-    tau: Modulus, curve: CurveClass, field: BeltramiField, n: int, tolerance: float = 1e-10
+    tau: Modulus, curve: CurveClass, field: BeltramiField, n: int
 ) -> IdentityReport:
     """Integration-by-parts identity for the variation gradient.
 
@@ -264,7 +264,7 @@ def identity_eq11_check(
     lhs = measure * float(np.mean(np.abs(vf.gradient) ** 2))
     rhs = measure * float(np.mean(2.0 * np.real(vf.mu_samples * w_z * vf.gradient)))
     scale = measure * field.l2_mean_square() * abs(w_z) ** 2
-    return make_report(f"eq11[{_field_label(field)},n={n}]", lhs, rhs, tolerance, scale)
+    return make_report(f"eq11[{_field_label(field)},n={n}]", lhs, rhs, 1e-10, scale)
 
 
 def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> float:
@@ -279,6 +279,11 @@ def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> fl
     return 4.0 * tau.im * (4.0 * abs(m) ** 2 * w_z_sq)
 
 
+def _require_nonzero(m: complex) -> None:
+    if m == 0:
+        raise ValueError("direction must be nonzero")
+
+
 def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
     """Sum of second variations along ``m`` and ``i m``; strictly positive.
 
@@ -287,8 +292,7 @@ def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
     the Hessian and leaves the mixed part, which is positive definite.
     Scales as ``|m|^2``.
     """
-    if m == 0:
-        raise ValueError("direction must be nonzero")
+    _require_nonzero(m)
     total = second_variation_constant(tau, curve, m) + second_variation_constant(
         tau, curve, m * 1j
     )
@@ -298,7 +302,7 @@ def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
 
 
 def identity_eq15_evaluate(
-    tau: Modulus, curve: CurveClass, field: BeltramiField, n: int, tolerance: float = 1e-12
+    tau: Modulus, curve: CurveClass, field: BeltramiField, n: int
 ) -> IdentityReport:
     """Paired-direction gradient identity, for every field.
 
@@ -315,7 +319,7 @@ def identity_eq15_evaluate(
     lhs = float(np.mean(np.abs(vf1.gradient) ** 2) + np.mean(np.abs(vf2.gradient) ** 2))
     w_z_sq = abs(vf1.base.coeff / 2.0) ** 2
     rhs = 4.0 * w_z_sq * float(np.mean(np.abs(vf1.mu_samples - field.mean()) ** 2))
-    return make_report(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, tolerance)
+    return make_report(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
 
 
 def _require_step(h: float) -> None:
@@ -323,30 +327,22 @@ def _require_step(h: float) -> None:
         raise ValueError("step must lie in (0, 1e-2]")
 
 
-def teich_bound_check(
-    tau: Modulus,
-    curve: CurveClass,
-    m: complex,
-    h: float,
-    tolerance: float = 1e-6,
-) -> IdentityReport:
+def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex, h: float) -> IdentityReport:
     """Second difference of extremal length along the unit stretch line in
-    direction ``m``, against its exact value.
+    the unimodular direction ``m``, against its exact value.
 
     At arc-length parameter ``s`` along the line the even part of
     extremal length is ``cosh(2s) Ext``, so the second difference with
     step ``h`` is exactly ``4 (sinh h / h)^2 Ext``: the second derivative
     ``4 Ext`` plus the ``O(h^2)`` error of the difference.
     """
-    if abs(abs(m) - 1.0) > 1e-12:
-        raise ValueError("bound check needs a unimodular direction")
     _require_step(h)
     ext0 = extremal_length(tau, curve)
     plus = extremal_length(teich_geodesic_constant(tau, m, h), curve)
     minus = extremal_length(teich_geodesic_constant(tau, m, -h), curve)
     second_diff = (plus - 2.0 * ext0 + minus) / h**2
     exact = 4.0 * (math.sinh(h) / h) ** 2 * ext0
-    return make_report("teich_bound", second_diff, exact, tolerance)
+    return make_report("teich_bound", second_diff, exact, 1e-6)
 
 
 def _field_label(field: BeltramiField) -> str:

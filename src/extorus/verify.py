@@ -6,7 +6,9 @@ differenced along the explicit constant-field modulus paths, and the
 complex Hessian of extremal length is differenced directly in the
 half-plane.  The spectral solver is checked through integral identities
 its output must satisfy.  ``run_suite`` executes a fixed sequence of
-checks with seeded sampling and reports one line per check.
+checks with seeded sampling and reports one line per check.  Each check
+writes its tolerance, and its difference step if it has one, once, as a
+literal; the tolerance is reported in its row.
 
 Relative errors are floored at the natural scale of the quantity being
 differentiated (for a first variation along ``m`` that scale is
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -49,7 +51,6 @@ from .variation import (
 )
 
 __all__ = [
-    "ToleranceProfile",
     "SuiteResult",
     "fd_first_variation",
     "fd_second_variation",
@@ -61,33 +62,6 @@ __all__ = [
     "run_suite",
     "format_table",
 ]
-
-
-@dataclass(frozen=True)
-class ToleranceProfile:
-    """Steps and tolerances for the verification suite."""
-
-    fd_step_first: float = 1e-4
-    fd_step_second: float = 1e-3
-    rel_tol_first: float = 1e-6
-    rel_tol_second: float = 1e-5
-    spectral_tol: float = 1e-10
-    exact_tol: float = 1e-12
-
-    def __post_init__(self) -> None:
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{f.name} must be positive and finite")
-        if self.fd_step_first > 1e-2 or self.fd_step_second > 1e-2:
-            raise ValueError("finite-difference steps above 1e-2 are not meaningful here")
-
-    def merged(self, overrides: dict) -> "ToleranceProfile":
-        known = [f.name for f in fields(self)]
-        for key in overrides:
-            if key not in known:
-                raise ValueError(f"unknown tolerance key {key!r}; known: {', '.join(known)}")
-        return replace(self, **overrides)
 
 
 @dataclass(frozen=True)
@@ -217,17 +191,17 @@ _ANCHOR = Modulus(0.0, 1.0)
 _HORIZ = CurveClass(1, 0)
 
 
-def _reciprocity(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _reciprocity(rng: np.random.Generator) -> IdentityReport:
     return _rows([(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)
                   for tau, curve in _draws(rng, 1000)], 1e-14)
 
 
-def _harmonic_energy(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _harmonic_energy(rng: np.random.Generator) -> IdentityReport:
     return _rows([(energy(build_harmonic_map(tau, curve)), extremal_length(tau, curve), 0.0)
                   for tau, curve in _draws(rng, 1000)], 1e-13)
 
 
-def _hopf_axis(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _hopf_axis(rng: np.random.Generator) -> IdentityReport:
     """The Hopf differential times the squared holonomy is real and non-positive."""
     rows = []
     for tau, curve in _draws(rng, 1000):
@@ -236,7 +210,7 @@ def _hopf_axis(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityR
     return _rows(rows, 1e-13)
 
 
-def _remarking(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _remarking(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for tau, curve in _draws(rng, 100):
         new_tau, new_curve = apply_mapping_class(tau, curve, sample_mapping_class(rng))
@@ -244,50 +218,50 @@ def _remarking(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityR
     return _rows(rows, 1e-12)
 
 
-def _first_vs_fd(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for tau, curve in _draws(rng, 200):
         m = sample_direction(rng)
         closed = first_variation(tau, curve, constant(tau, m))
-        fd = fd_first_variation(tau, curve, m, profile.fd_step_first)
+        fd = fd_first_variation(tau, curve, m, 1e-4)
         rows.append((closed, fd, abs(m) * extremal_length(tau, curve)))
-    return _rows(rows, profile.rel_tol_first)
+    return _rows(rows, 1e-6)
 
 
-def _second_vs_fd(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for tau, curve in _draws(rng, 200):
         m = sample_direction(rng)
         closed = second_variation_constant(tau, curve, m)
-        fd = fd_second_variation(tau, curve, m, profile.fd_step_second)
+        fd = fd_second_variation(tau, curve, m, 1e-3)
         rows.append((closed, fd, abs(m) ** 2 * extremal_length(tau, curve)))
     rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
-    return _rows(rows, profile.rel_tol_second)
+    return _rows(rows, 1e-5)
 
 
-def _eq11_fields(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _eq11_fields(rng: np.random.Generator) -> IdentityReport:
     return _worst_of([
-        identity_eq11_check(tau, curve, catalog_field(tau, nm, n), n, profile.spectral_tol)
+        identity_eq11_check(tau, curve, catalog_field(tau, nm, n), n)
         for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1))]
         for nm in sorted(FIELD_CATALOG)
         for n in (32, 64, 128)
     ])
 
 
-def _pairing_on_constants(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _pairing_on_constants(rng: np.random.Generator) -> IdentityReport:
     return _worst_of([
-        identity_eq15_evaluate(tau, curve, constant(tau, m), 8, profile.exact_tol)
+        identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
         for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
         for m in (1.0, 0.5j, 0.3 - 0.2j)
     ])
 
 
-def _pairing_on_grid_field(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _pairing_on_grid_field(rng: np.random.Generator) -> IdentityReport:
     field = catalog_field(_ANCHOR, "cos2pis", 64)
-    return identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64, profile.spectral_tol)
+    return identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64)
 
 
-def _pair_sum_scaling(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _pair_sum_scaling(rng: np.random.Generator) -> IdentityReport:
     """The paired sum along ``m`` is ``8 |m|^2 Ext``.
 
     Positivity needs no row of its own: ``pair_sum_levi`` raises
@@ -298,36 +272,36 @@ def _pair_sum_scaling(rng: np.random.Generator, profile: ToleranceProfile) -> Id
         m = sample_direction(rng)
         exact = 8.0 * abs(m) ** 2 * extremal_length(tau, curve)
         rows.append((pair_sum_levi(tau, curve, m), exact, 0.0))
-    return _rows(rows, 1e-10)
+    return _rows(rows, 1e-12)
 
 
-def _levi_vs_fd(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _levi_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for curve in (_HORIZ, CurveClass(0, 1), CurveClass(1, 1)):
         for re in np.linspace(-1.0, 1.0, 10):
             for im in np.linspace(0.3, 3.0, 10):
                 tau = Modulus(float(re), float(im))
                 rows.append((levi_form(tau, curve), fd_levi_form(tau, curve, 1e-4), 0.0))
-    return _rows(rows, profile.rel_tol_first)
+    return _rows(rows, 1e-6)
 
 
-def _pair_sum_over_levi(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
     """The paired sum along 1 is ``4 levi_form`` times the squared chart
     speed ``4 (Im tau)^2`` of the unit stretch."""
     return _rows([(pair_sum_levi(tau, curve, 1.0) / (levi_form(tau, curve) * (4.0 * tau.im**2)),
-                   4.0, 0.0) for tau, curve in _draws(rng, 100)], profile.rel_tol_first)
+                   4.0, 0.0) for tau, curve in _draws(rng, 100)], 1e-12)
 
 
-def _stretch_floor(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _stretch_floor(rng: np.random.Generator) -> IdentityReport:
     units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
     return _worst_of([
-        teich_bound_check(tau, curve, m, profile.fd_step_second, profile.rel_tol_first)
+        teich_bound_check(tau, curve, m, 1e-3)
         for tau, curve in _draws(rng, 50)
         for m in units
     ])
 
 
-def _kerckhoff_vs_hyperbolic(rng: np.random.Generator, profile: ToleranceProfile) -> IdentityReport:
+def _kerckhoff_vs_hyperbolic(rng: np.random.Generator) -> IdentityReport:
     """On vertical segments the stretch-factor distance is half the hyperbolic
     distance; at ``i, 2i`` the maximizing curve must be ``0,1``."""
     anchor_kd = kerckhoff_distance(_ANCHOR, Modulus(0.0, 2.0), 50)
@@ -360,12 +334,11 @@ _SUITE = (
 )
 
 
-def run_suite(profile: ToleranceProfile | None = None, seed: int = 42) -> SuiteResult:
+def run_suite(seed: int = 42) -> SuiteResult:
     """Run the checks of ``_SUITE`` in order on one ``default_rng(seed)`` stream."""
-    profile = profile or ToleranceProfile()
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
-    reports = tuple(replace(check(rng, profile), name=name) for name, check in _SUITE)
+    reports = tuple(replace(check(rng), name=name) for name, check in _SUITE)
     elapsed = time.perf_counter() - start
     all_passed = all(r.passed for r in reports)
     return SuiteResult(reports, seed, elapsed, all_passed)

@@ -11,7 +11,7 @@ import warnings
 
 import pytest
 
-from extorus import cli
+from extorus import cli, verify
 from extorus.cli import main
 from extorus.moduli import Modulus, extremal_length, levi_form, parse_complex, parse_curve
 from extorus.variation import IdentityReport, solver_residual_bound
@@ -306,16 +306,14 @@ def test_verify_json_format(capsys):
     assert data["seed"] == 42
 
 
-def test_verify_fails_with_degenerate_tolerance(capsys):
-    code, out, _ = run(capsys, "verify", "--tol", "rel_tol_first=1e-15")
+def test_verify_fails_with_degenerate_tolerance(capsys, monkeypatch):
+    # tolerances are fixed, so a failing run needs a wrong answer
+    first_variation = verify.first_variation
+    monkeypatch.setattr(verify, "first_variation",
+                        lambda *args: first_variation(*args) * (1 + 1e-4))
+    code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAILURES PRESENT" in out
-
-
-def test_verify_rejects_unknown_tolerance_key(capsys):
-    code, _, err = run(capsys, "verify", "--tol", "bogus=1e-6")
-    assert code == 2
-    assert "bogus" in err
 
 
 REPORT_KEYS = ["name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "pass", "asserted"]
@@ -396,18 +394,17 @@ def test_argument_errors_exit_2(capsys):
         ("sweep", "--curve", "1,0", "--re", "0:inf:1", "--im", "1:1:1"),
         ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "1:2:nan"),
         ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "0:1:1"),
-        ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "8",
-         "--tol", "fd_step_first=1e-3"),
-        ("eq15", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--tol", "exact_tol=x"),
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--tol", "spectral_tol=-1"),
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--tol", "rel_tol_first=-1"),
-        ("verify", "--tol", "fd_step_first=0.5"),
-        ("verify", "--tol", "spectral_tol"),
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "0.5+0i"),
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "2+0i"),
+        ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "0+0i"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
+    # the library's own checks name the rule
+    assert "unimodular" in run(capsys, *cases[-3])[2]
+    assert "nonzero" in run(capsys, *cases[-1])[2]
 
 
 def test_upper_half_plane_diagnostic(capsys):
@@ -420,12 +417,12 @@ def test_upper_half_plane_diagnostic(capsys):
 
 
 def test_computation_errors_exit_1(capsys):
-    # a valid parse that fails the module precondition downstream
+    # a valid nonzero direction whose |mu|^2 underflows: the paired sum is 0
     code, _, err = run(
-        capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "0.5+0i"
+        capsys, "pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-200+0i"
     )
     assert code == 1
-    assert "unimodular" in err
+    assert "positive" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -433,6 +430,11 @@ def test_computation_errors_exit_1(capsys):
     ("ext", "--tau", "1e200+1i", "--curve", "1,1"),
     ("sweep", "--curve", "1,1", "--re", "1e200:1e200:1", "--im", "1:1:1"),
     ("sweep", "--curve", "1,2", "--re", "1e308:1e308:1", "--im", "1:1:1"),
+    # one-row payloads whose closed form leaves double range without raising
+    ("ext", "--tau", "1e308+1e308i", "--curve", "5,7", "--format", "csv"),
+    ("ext", "--tau", "1e308+1e308i", "--curve", "5,7"),
+    ("levi", "--tau", "1e308+1e-6i", "--curve", "5,7", "--format", "csv"),
+    ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e308+1e308i", "--format", "csv"),
 ])
 def test_overflow_exits_1_with_one_line(capsys, argv):
     with warnings.catch_warnings():
@@ -446,8 +448,8 @@ def test_overflow_exits_1_with_one_line(capsys, argv):
 
 def test_verify_json_is_strict_when_a_check_fails(capsys, monkeypatch):
     failed = IdentityReport("pair_sum_scaling_positivity", 4.0, 4.0, math.inf, math.inf,
-                            False, 1e-10)
-    monkeypatch.setattr(cli, "run_suite", lambda profile, seed: SuiteResult(
+                            False, 1e-12)
+    monkeypatch.setattr(cli, "run_suite", lambda seed: SuiteResult(
         (failed,), seed, 0.1, False))
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 1

@@ -478,6 +478,9 @@ def main(argv: list[str] | None = None) -> int:
     except OverflowError:
         print("extorus: input is outside double range: a result overflowed", file=sys.stderr)
         return 1
+    except FloatingPointError:
+        print("extorus: input is outside double range: a result underflowed", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         print(f"extorus: {exc}", file=sys.stderr)
         return 1

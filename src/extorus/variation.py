@@ -35,6 +35,7 @@ extremal length exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,11 +141,20 @@ def make_report(
     The floor keeps comparisons meaningful when the true value is an
     accidental near-zero of a quantity whose natural size is ``scale``.
     """
+    return IdentityReport(name, lhs, rhs, *compare(lhs, rhs, tolerance, scale), tolerance)
+
+
+def compare(lhs: float, rhs: float, tolerance: float, scale: float = 0.0
+            ) -> tuple[float, float, bool]:
+    """``abs_err``, ``rel_err`` and the verdict of ``make_report``, without the report.
+
+    Where no size is positive both sides are 0, and the relative error is
+    the absolute one; a NaN side makes both errors NaN, which fails.
+    """
     abs_err = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs), scale)
-    rel_err = abs_err / denom if denom > 0 else 0.0
-    passed = abs_err <= tolerance or rel_err <= tolerance
-    return IdentityReport(name, lhs, rhs, abs_err, rel_err, passed, tolerance)
+    rel_err = abs_err / denom if denom > 0 else abs_err
+    return abs_err, rel_err, abs_err <= tolerance or rel_err <= tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -273,10 +283,16 @@ def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> fl
     The second variation is ``<< 4 |m|^2 |w_z|^2 >> - 2 << |wdot_z|^2 >>``.
     For a constant field ``wdot`` is zero (its periodic part has no
     source and its affine part cancels), so the second term vanishes and
-    the value is ``4 Im tau * 4 |m|^2 |w_z|^2``.
+    the value is ``4 Im tau * 4 |m|^2 |w_z|^2``.  That is positive for
+    every nonzero ``m``, so a 0 or subnormal result for one is underflow
+    and raises ``FloatingPointError`` (for ``|m|`` below about 1e-154 at
+    ``i``); a zero ``m`` gives 0.
     """
     w_z_sq = abs(build_harmonic_map(tau, curve).coeff / 2.0) ** 2
-    return 4.0 * tau.im * (4.0 * abs(m) ** 2 * w_z_sq)
+    second = 4.0 * tau.im * (4.0 * abs(m) ** 2 * w_z_sq)
+    if m != 0 and second < sys.float_info.min:
+        raise FloatingPointError("the second variation underflowed")
+    return second
 
 
 def _require_nonzero(m: complex) -> None:
@@ -290,7 +306,9 @@ def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
     This is the complex-Hessian pairing of extremal length: averaging
     the stretch directions ``m`` and ``i m`` cancels the pure part of
     the Hessian and leaves the mixed part, which is positive definite.
-    Scales as ``|m|^2``.
+    Scales as ``|m|^2``, so a tiny ``m`` underflows: that raises
+    ``FloatingPointError``, and a sum that is not positive
+    ``ArithmeticError``.
     """
     _require_nonzero(m)
     total = second_variation_constant(tau, curve, m) + second_variation_constant(

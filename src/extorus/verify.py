@@ -6,9 +6,12 @@ differenced along the explicit constant-field modulus paths, and the
 complex Hessian of extremal length is differenced directly in the
 half-plane.  The spectral solver is checked through integral identities
 its output must satisfy.  ``run_suite`` executes a fixed sequence of
-checks with seeded sampling and reports one line per check.  Each check
-writes its tolerance, and its difference step if it has one, once, as a
-literal; the tolerance is reported in its row.
+checks on one seeded random stream and reports one line per check.  A
+check that samples draws all its rows before it computes any, each
+distribution in one vectorized draw, and builds a report only for the
+row it reports.  Each check writes its tolerance, and its difference
+step if it has one, once, as a literal; the tolerance is reported in
+its row.
 
 Relative errors are floored at the natural scale of the quantity being
 differentiated (for a first variation along ``m`` that scale is
@@ -41,10 +44,10 @@ from .moduli import (
 )
 from .variation import (
     IdentityReport,
+    compare,
     first_variation,
     identity_eq11_check,
     identity_eq15_evaluate,
-    make_report,
     pair_sum_levi,
     second_variation_constant,
     teich_bound_check,
@@ -55,9 +58,9 @@ __all__ = [
     "fd_first_variation",
     "fd_second_variation",
     "fd_levi_form",
-    "sample_modulus",
-    "sample_curve",
-    "sample_direction",
+    "sample_moduli",
+    "sample_curves",
+    "sample_directions",
     "sample_mapping_class",
     "run_suite",
     "format_table",
@@ -124,30 +127,36 @@ def fd_levi_form(tau: Modulus, curve: CurveClass, h: float) -> float:
     return 0.25 * lap
 
 
-def sample_modulus(rng: np.random.Generator) -> Modulus:
-    """Draw ``tau`` with ``Re in [-1, 1]`` and ``Im in [0.3, 3]``."""
-    return Modulus(float(rng.uniform(-1.0, 1.0)), float(rng.uniform(0.3, 3.0)))
+def sample_moduli(rng: np.random.Generator, count: int) -> list[Modulus]:
+    """Draw ``count`` moduli with ``Re in [-1, 1)`` and ``Im in [0.3, 3)``."""
+    points = rng.uniform((-1.0, 0.3), (1.0, 3.0), (count, 2)).tolist()
+    return [Modulus(re, im) for re, im in points]
 
 
-def sample_curve(rng: np.random.Generator) -> CurveClass:
-    """Draw a primitive class with ``|p|, |q| <= 5``."""
-    while True:
-        p = int(rng.integers(-5, 6))
-        q = int(rng.integers(-5, 6))
-        if (p, q) != (0, 0) and math.gcd(abs(p), abs(q)) == 1:
-            return CurveClass(p, q)
+def sample_curves(rng: np.random.Generator, count: int) -> list[CurveClass]:
+    """Draw ``count`` primitive classes with ``|p|, |q| <= 5``.
+
+    Each round draws the pairs still missing and keeps the primitive
+    ones, so every kept pair is uniform over the primitive pairs.
+    """
+    kept = np.empty((0, 2), dtype=np.int64)
+    while len(kept) < count:
+        pairs = rng.integers(-5, 6, (count - len(kept), 2))
+        kept = np.concatenate((kept, pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]))
+    return [CurveClass(p, q) for p, q in kept.tolist()]
 
 
-def sample_direction(rng: np.random.Generator) -> complex:
-    """Draw a deformation direction with modulus in ``[0.05, 0.5]``.
+def sample_directions(rng: np.random.Generator, count: int) -> list[complex]:
+    """Draw ``count`` deformation directions with modulus in ``[0.05, 0.5)``.
 
     The lower cutoff keeps finite-difference comparisons above the
     rounding floor: second differences of size ``|m|^2`` drown in the
-    ``eps / h^2`` noise when ``|m|`` is tiny.
+    ``eps / h^2`` noise when ``|m|`` is tiny.  The angle goes through
+    ``math.cos`` and ``math.sin`` row by row: numpy's SIMD loops for them
+    may round differently from one CPU to another.
     """
-    r = float(rng.uniform(0.05, 0.5))
-    theta = float(rng.uniform(0.0, 2.0 * math.pi))
-    return r * complex(math.cos(theta), math.sin(theta))
+    polar = rng.uniform((0.05, 0.0), (0.5, 2.0 * math.pi), (count, 2)).tolist()
+    return [r * complex(math.cos(theta), math.sin(theta)) for r, theta in polar]
 
 
 #: The twist, its inverse, the flip and its inverse.
@@ -163,10 +172,9 @@ def sample_mapping_class(rng: np.random.Generator) -> MappingClass:
     return MappingClass(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
 
 
-def _draws(rng: np.random.Generator, count: int):
-    """``count`` lazy draws of ``tau, curve``; a loop body's own draws fall in between."""
-    for _ in range(count):
-        yield sample_modulus(rng), sample_curve(rng)
+def _draws(rng: np.random.Generator, count: int) -> list[tuple[Modulus, CurveClass]]:
+    """``count`` pairs ``tau, curve``: all the moduli are drawn first, then all the curves."""
+    return list(zip(sample_moduli(rng, count), sample_curves(rng, count)))
 
 
 def _worst_of(reports: list[IdentityReport]) -> IdentityReport:
@@ -178,8 +186,15 @@ def _worst_of(reports: list[IdentityReport]) -> IdentityReport:
 
 
 def _rows(rows: list[tuple[float, float, float]], tolerance: float) -> IdentityReport:
-    """``_worst_of`` over ``(lhs, rhs, scale)`` comparisons."""
-    return _worst_of([make_report("", lhs, rhs, tolerance, scale) for lhs, rhs, scale in rows])
+    """``_worst_of`` over ``(lhs, rhs, scale)`` comparisons, building only the report it picks."""
+    worst = None
+    for lhs, rhs, scale in rows:
+        abs_err, rel_err, passed = compare(lhs, rhs, tolerance, scale)
+        if not passed:
+            return IdentityReport("", lhs, rhs, abs_err, rel_err, False, tolerance)
+        if worst is None or rel_err > worst[3]:
+            worst = (lhs, rhs, abs_err, rel_err)
+    return IdentityReport("", *worst, True, tolerance)
 
 
 def _failed_unless(ok: bool, report: IdentityReport) -> IdentityReport:
@@ -211,17 +226,18 @@ def _hopf_axis(rng: np.random.Generator) -> IdentityReport:
 
 
 def _remarking(rng: np.random.Generator) -> IdentityReport:
+    draws = _draws(rng, 100)
+    marks = [sample_mapping_class(rng) for _ in draws]
     rows = []
-    for tau, curve in _draws(rng, 100):
-        new_tau, new_curve = apply_mapping_class(tau, curve, sample_mapping_class(rng))
+    for (tau, curve), mc in zip(draws, marks):
+        new_tau, new_curve = apply_mapping_class(tau, curve, mc)
         rows.append((extremal_length(new_tau, new_curve), extremal_length(tau, curve), 0.0))
     return _rows(rows, 1e-12)
 
 
 def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
-    for tau, curve in _draws(rng, 200):
-        m = sample_direction(rng)
+    for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = first_variation(tau, curve, constant(tau, m))
         fd = fd_first_variation(tau, curve, m, 1e-4)
         rows.append((closed, fd, abs(m) * extremal_length(tau, curve)))
@@ -230,8 +246,7 @@ def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
 
 def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
-    for tau, curve in _draws(rng, 200):
-        m = sample_direction(rng)
+    for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = second_variation_constant(tau, curve, m)
         fd = fd_second_variation(tau, curve, m, 1e-3)
         rows.append((closed, fd, abs(m) ** 2 * extremal_length(tau, curve)))
@@ -268,8 +283,7 @@ def _pair_sum_scaling(rng: np.random.Generator) -> IdentityReport:
     ``ArithmeticError`` unless the sum is positive.
     """
     rows = []
-    for tau, curve in _draws(rng, 1000):
-        m = sample_direction(rng)
+    for (tau, curve), m in zip(_draws(rng, 1000), sample_directions(rng, 1000)):
         exact = 8.0 * abs(m) ** 2 * extremal_length(tau, curve)
         rows.append((pair_sum_levi(tau, curve, m), exact, 0.0))
     return _rows(rows, 1e-12)
@@ -306,11 +320,12 @@ def _kerckhoff_vs_hyperbolic(rng: np.random.Generator) -> IdentityReport:
     distance; at ``i, 2i`` the maximizing curve must be ``0,1``."""
     anchor_kd = kerckhoff_distance(_ANCHOR, Modulus(0.0, 2.0), 50)
     rows = [(anchor_kd.value, 0.5 * hyperbolic_distance(_ANCHOR, Modulus(0.0, 2.0)), 0.0)]
-    for _ in range(50):
-        x = float(rng.integers(-8, 9)) / 8.0
-        y1 = float(math.exp(rng.uniform(math.log(0.3), math.log(3.0))))
-        delta = float(rng.uniform(0.01, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-        t1, t2 = Modulus(x, y1), Modulus(x, y1 * math.exp(delta))
+    eighths = rng.integers(-8, 9, 50).tolist()
+    segments = rng.uniform((math.log(0.3), 0.01, 0.0), (math.log(3.0), 2.0, 1.0), (50, 3)).tolist()
+    for k, (log_y1, length, coin) in zip(eighths, segments):
+        y1 = math.exp(log_y1)
+        delta = length * (1.0 if coin < 0.5 else -1.0)
+        t1, t2 = Modulus(k / 8.0, y1), Modulus(k / 8.0, y1 * math.exp(delta))
         rows.append((kerckhoff_distance(t1, t2, 50).value, 0.5 * hyperbolic_distance(t1, t2), 0.0))
     return _failed_unless(anchor_kd.maximizer == CurveClass(0, 1), _rows(rows, 1e-12))
 

@@ -43,9 +43,9 @@ from extorus.verify import (
     fd_levi_form,
     fd_second_variation,
     run_suite,
-    sample_curve,
-    sample_direction,
-    sample_modulus,
+    sample_curves,
+    sample_directions,
+    sample_moduli,
 )
 
 I = Modulus(0.0, 1.0)
@@ -75,8 +75,7 @@ def test_ac01_extremal_length_reciprocal_to_cylinder_modulus():
     ):
         rng = np.random.default_rng(101)
         worst = 0.0
-        for _ in range(1000):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
+        for tau, curve in zip(sample_moduli(rng, 1000), sample_curves(rng, 1000)):
             prod = extremal_length(tau, curve) * cylinder_modulus(tau, curve)
             worst = max(worst, abs(prod - 1.0))
         assert worst <= 1e-14, worst
@@ -88,8 +87,7 @@ def test_ac02_energy_realizes_extremal_length():
     ):
         rng = np.random.default_rng(102)
         worst = 0.0
-        for _ in range(1000):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
+        for tau, curve in zip(sample_moduli(rng, 1000), sample_curves(rng, 1000)):
             ext = extremal_length(tau, curve)
             e = energy(build_harmonic_map(tau, curve))
             worst = max(worst, abs(e - ext) / ext)
@@ -104,9 +102,8 @@ def test_ac03_first_variation_matches_finite_differences():
     ):
         rng = np.random.default_rng(103)
         worst = 0.0
-        for _ in range(200):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
-            m = sample_direction(rng)
+        draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
+        for tau, curve, m in draws:
             assert abs(m) <= 0.5
             closed = first_variation(tau, curve, constant(tau, m))
             fd = fd_first_variation(tau, curve, m, 1e-4)
@@ -124,9 +121,8 @@ def test_ac04_second_variation_matches_finite_differences():
     ):
         rng = np.random.default_rng(104)
         worst = 0.0
-        for _ in range(200):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
-            m = sample_direction(rng)
+        draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
+        for tau, curve, m in draws:
             closed = second_variation_constant(tau, curve, m)
             fd = fd_second_variation(tau, curve, m, 1e-3)
             scale = max(abs(closed), abs(fd), abs(m) ** 2 * extremal_length(tau, curve))
@@ -181,9 +177,10 @@ def test_ac06_levi_form_positivity_and_pair_sum():
         5.0,
     ):
         rng = np.random.default_rng(106)
-        for _ in range(1000):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
-            m = sample_direction(rng)
+        count = 1000
+        draws = zip(sample_moduli(rng, count), sample_curves(rng, count),
+                    sample_directions(rng, count))
+        for tau, curve, m in draws:
             ps = pair_sum_levi(tau, curve, m)
             assert ps > 0.0
             ratio = pair_sum_levi(tau, curve, 2.0 * m) / (4.0 * ps)
@@ -203,8 +200,7 @@ def test_ac06_levi_form_positivity_and_pair_sum():
         # the unit stretch moves tau at chart speed 2 Im(tau); dividing the
         # pair sum by levi * (2 Im tau)^2 leaves the same constant everywhere
         ratios = []
-        for _ in range(100):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
+        for tau, curve in zip(sample_moduli(rng, 100), sample_curves(rng, 100)):
             velocity_sq = 4.0 * tau.im**2
             ratios.append(
                 pair_sum_levi(tau, curve, 1.0) / (levi_form(tau, curve) * velocity_sq)
@@ -240,8 +236,7 @@ def test_ac08_convexity_floor_along_stretch_lines():
     ):
         rng = np.random.default_rng(108)
         h = 1e-3
-        for _ in range(50):
-            tau, curve = sample_modulus(rng), sample_curve(rng)
+        for tau, curve in zip(sample_moduli(rng, 50), sample_curves(rng, 50)):
             ext0 = extremal_length(tau, curve)
             for k in range(16):
                 m = complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0))

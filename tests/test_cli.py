@@ -416,13 +416,15 @@ def test_upper_half_plane_diagnostic(capsys):
     assert "upper half-plane" in err and "1e-12" in err and "1e-13" in err
 
 
-def test_computation_errors_exit_1(capsys):
-    # a valid nonzero direction whose |mu|^2 underflows: the paired sum is 0
-    code, _, err = run(
-        capsys, "pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-200+0i"
+def test_computation_errors_exit_1(capsys, monkeypatch):
+    # a paired sum that is really not positive is reported as such
+    monkeypatch.setattr("extorus.variation.second_variation_constant",
+                        lambda tau, curve, m: -1.0)
+    code, out, err = run(
+        capsys, "pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"
     )
-    assert code == 1
-    assert "positive" in err
+    assert (code, out) == (1, "")
+    assert "positive" in err and "double range" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -435,6 +437,10 @@ def test_computation_errors_exit_1(capsys):
     ("ext", "--tau", "1e308+1e308i", "--curve", "5,7"),
     ("levi", "--tau", "1e308+1e-6i", "--curve", "5,7", "--format", "csv"),
     ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e308+1e308i", "--format", "csv"),
+    # a valid nonzero direction whose |mu|^2 underflows: rounding, not a
+    # failure of positivity
+    ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-200+0i"),
+    ("vary2", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-170+0i"),
 ])
 def test_overflow_exits_1_with_one_line(capsys, argv):
     with warnings.catch_warnings():

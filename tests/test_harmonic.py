@@ -5,7 +5,7 @@ import pytest
 
 from extorus.harmonic import build_harmonic_map, energy, hopf
 from extorus.moduli import CurveClass, Modulus, extremal_length
-from extorus.verify import sample_curve, sample_modulus
+from extorus.verify import sample_curves, sample_moduli
 
 I = Modulus(0.0, 1.0)
 
@@ -19,8 +19,7 @@ def test_coefficient_values():
 
 def test_period_conditions_hold():
     rng = np.random.default_rng(11)
-    for _ in range(300):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 300), sample_curves(rng, 300)):
         a = build_harmonic_map(tau, curve).coeff
         assert a.real == curve.q
         assert abs((a * tau.value).real + curve.p) <= 1e-13 * max(1.0, abs(curve.p))
@@ -30,8 +29,7 @@ def test_energy_equals_extremal_length():
     assert energy(build_harmonic_map(I, CurveClass(1, 0))) == 1.0
     assert energy(build_harmonic_map(Modulus(0.0, 2.0), CurveClass(1, 0))) == 0.5
     rng = np.random.default_rng(12)
-    for _ in range(300):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 300), sample_curves(rng, 300)):
         e = energy(build_harmonic_map(tau, curve))
         ext = extremal_length(tau, curve)
         assert abs(e - ext) <= 1e-13 * ext
@@ -46,8 +44,7 @@ def test_hopf_values():
 def test_hopf_points_along_collapsed_foliation():
     # the differential against the squared holonomy is real and <= 0
     rng = np.random.default_rng(13)
-    for _ in range(300):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 300), sample_curves(rng, 300)):
         phi = hopf(build_harmonic_map(tau, curve))
         v = phi * curve.holonomy(tau) ** 2
         scale = max(1.0, abs(v))

@@ -28,7 +28,7 @@ from extorus.moduli import (
     parse_complex,
     parse_curve,
 )
-from extorus.verify import sample_curve, sample_mapping_class, sample_modulus
+from extorus.verify import sample_curves, sample_mapping_class, sample_moduli
 
 I = Modulus(0.0, 1.0)
 HORIZ = CurveClass(1, 0)
@@ -98,8 +98,7 @@ def test_cylinder_modulus_is_reciprocal():
     assert cylinder_modulus(I, HORIZ) == 1.0
     assert cylinder_modulus(Modulus(0.0, 2.0), HORIZ) == 2.0
     rng = np.random.default_rng(3)
-    for _ in range(300):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 300), sample_curves(rng, 300)):
         prod = extremal_length(tau, curve) * cylinder_modulus(tau, curve)
         assert abs(prod - 1.0) <= 1e-14
 
@@ -109,8 +108,7 @@ def test_levi_form_values():
     assert levi_form(I, CurveClass(1, 1)) == 1.0
     assert levi_form(Modulus(0.0, 2.0), HORIZ) == 0.0625
     rng = np.random.default_rng(4)
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 100), sample_curves(rng, 100)):
         assert levi_form(tau, curve) > 0.0
 
 
@@ -145,8 +143,7 @@ def test_apply_mapping_class_carries_holonomy():
 
 def test_marking_invariance_random_words():
     rng = np.random.default_rng(5)
-    for _ in range(200):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 200), sample_curves(rng, 200)):
         mc = sample_mapping_class(rng)
         new_tau, new_curve = apply_mapping_class(tau, curve, mc)
         before = extremal_length(tau, curve)

@@ -32,9 +32,9 @@ from extorus.variation import (
 from extorus.verify import (
     fd_first_variation,
     fd_second_variation,
-    sample_curve,
-    sample_direction,
-    sample_modulus,
+    sample_curves,
+    sample_directions,
+    sample_moduli,
 )
 
 I = Modulus(0.0, 1.0)
@@ -89,9 +89,8 @@ def test_first_variation_values():
 
 def test_first_variation_matches_finite_differences():
     rng = np.random.default_rng(21)
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        m = sample_direction(rng)
+    draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
+    for tau, curve, m in draws:
         closed = first_variation(tau, curve, constant(tau, m))
         fd = fd_first_variation(tau, curve, m, 1e-4)
         scale = abs(m) * extremal_length(tau, curve)
@@ -116,8 +115,7 @@ def test_affine_part_cancels_for_fields_with_a_mean():
     # the period conditions pin b = -conj(c) exactly, so Re(b z + c zbar) = 0
     rng = np.random.default_rng(23)
     names = sorted(FIELD_CATALOG)
-    for _ in range(200):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 200), sample_curves(rng, 200)):
         m = complex(*rng.uniform(-0.5, 0.5, 2))
         mode = catalog_field(tau, names[rng.integers(len(names))], 8)
         field = BeltramiField(tau, 8, samples=m + 0.1 * mode.samples)
@@ -235,9 +233,8 @@ def test_second_variation_values():
     )
     # the closed form collapses to 4 |m|^2 Ext
     rng = np.random.default_rng(23)
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        m = sample_direction(rng)
+    draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
+    for tau, curve, m in draws:
         sv = second_variation_constant(tau, curve, m)
         expected = 4.0 * abs(m) ** 2 * extremal_length(tau, curve)
         assert abs(sv - expected) <= 1e-12 * expected
@@ -245,9 +242,8 @@ def test_second_variation_values():
 
 def test_second_variation_matches_finite_differences():
     rng = np.random.default_rng(24)
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        m = sample_direction(rng)
+    draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
+    for tau, curve, m in draws:
         closed = second_variation_constant(tau, curve, m)
         fd = fd_second_variation(tau, curve, m, 1e-3)
         scale = abs(m) ** 2 * extremal_length(tau, curve)
@@ -260,9 +256,8 @@ def test_pair_sum_values_and_scaling():
         4.0, abs=1e-13
     )
     rng = np.random.default_rng(25)
-    for _ in range(100):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
-        m = sample_direction(rng)
+    draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
+    for tau, curve, m in draws:
         ps = pair_sum_levi(tau, curve, m)
         assert ps > 0.0
         assert abs(pair_sum_levi(tau, curve, 2 * m) - 4.0 * ps) <= 1e-12 * ps
@@ -270,6 +265,22 @@ def test_pair_sum_values_and_scaling():
         assert abs(ps - expected) <= 1e-12 * expected
     with pytest.raises(ValueError, match="nonzero"):
         pair_sum_levi(I, HORIZ, 0.0)
+
+
+def test_underflow_is_not_a_second_variation(monkeypatch):
+    # |m|^2 rounds to 0 or a subnormal: that is underflow, not a value
+    for m in (1e-170, 1e-155j):
+        with pytest.raises(FloatingPointError, match="underflow"):
+            second_variation_constant(I, HORIZ, m)
+    with pytest.raises(FloatingPointError, match="underflow"):
+        pair_sum_levi(I, HORIZ, 1e-200)
+    assert second_variation_constant(I, HORIZ, 0.0) == 0.0
+    assert pair_sum_levi(I, HORIZ, 1e-150) == pytest.approx(8e-300, rel=1e-14)
+    # a sum that is really not positive is named as such
+    monkeypatch.setattr("extorus.variation.second_variation_constant",
+                        lambda tau, curve, m: 0.0)
+    with pytest.raises(ArithmeticError, match="positive"):
+        pair_sum_levi(I, HORIZ, 1.0)
 
 
 def test_pair_sum_matches_paired_finite_differences():
@@ -285,8 +296,7 @@ def test_pair_sum_to_levi_ratio_is_constant():
     # leaves the same constant at every point and class
     rng = np.random.default_rng(26)
     ratios = []
-    for _ in range(50):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 50), sample_curves(rng, 50)):
         velocity_sq = 4.0 * tau.im**2
         ratios.append(
             pair_sum_levi(tau, curve, 1.0) / (levi_form(tau, curve) * velocity_sq)
@@ -326,8 +336,7 @@ def test_teich_bound_anchor_values():
 
 def test_teich_bound_holds_at_random_points():
     rng = np.random.default_rng(27)
-    for _ in range(25):
-        tau, curve = sample_modulus(rng), sample_curve(rng)
+    for tau, curve in zip(sample_moduli(rng, 25), sample_curves(rng, 25)):
         for k in range(8):
             m = complex(math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
             report = teich_bound_check(tau, curve, m, 1e-3)

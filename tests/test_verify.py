@@ -9,18 +9,20 @@ import numpy as np
 import pytest
 
 from extorus.moduli import CurveClass, Modulus
-from extorus.variation import IdentityReport
+from extorus.variation import IdentityReport, make_report
 from extorus.verify import (
     SuiteResult,
+    _rows,
+    _worst_of,
     fd_first_variation,
     fd_levi_form,
     fd_second_variation,
     format_table,
     run_suite,
-    sample_curve,
-    sample_direction,
+    sample_curves,
+    sample_directions,
     sample_mapping_class,
-    sample_modulus,
+    sample_moduli,
 )
 
 I = Modulus(0.0, 1.0)
@@ -78,17 +80,66 @@ def test_fd_preconditions():
         fd_levi_form(Modulus(0.0, 1.5e-3), HORIZ, 1e-3)
 
 
+SAMPLERS = (sample_moduli, sample_curves, sample_directions)
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1000])
+def test_samplers_draw_exactly_count(count):
+    rng = np.random.default_rng(30)
+    for sample in SAMPLERS:
+        assert len(sample(rng, count)) == count
+
+
 def test_samplers_stay_in_range():
     rng = np.random.default_rng(31)
+    moduli = sample_moduli(rng, 20_000)
+    assert all(-1.0 <= tau.re < 1.0 and 0.3 <= tau.im < 3.0 for tau in moduli)
+    directions = sample_directions(rng, 20_000)
+    assert all(0.05 <= abs(m) < 0.5 for m in directions)
+    curves = sample_curves(rng, 20_000)
+    assert all(math.gcd(c.p, c.q) == 1 and max(abs(c.p), abs(c.q)) <= 5 for c in curves)
+    # every sign-canonical primitive class in the box turns up
+    box = {CurveClass(p, q) for p in range(-5, 6) for q in range(-5, 6)
+           if math.gcd(p, q) == 1}
+    assert len(box) == 40
+    assert set(curves) == box
     for _ in range(200):
-        tau = sample_modulus(rng)
-        assert -1.0 <= tau.re <= 1.0 and 0.3 <= tau.im <= 3.0
-        curve = sample_curve(rng)
-        assert math.gcd(abs(curve.p), abs(curve.q)) == 1
-        m = sample_direction(rng)
-        assert 0.05 <= abs(m) <= 0.5
         mc = sample_mapping_class(rng)
         assert mc.a * mc.d - mc.b * mc.c == 1
+
+
+def test_samplers_repeat_for_a_seed():
+    def draw():
+        rng = np.random.default_rng(32)
+        return [sample(rng, 500) for sample in SAMPLERS]
+
+    assert draw() == draw()
+
+
+def test_rows_builds_the_report_worst_of_picks():
+    tol = 1e-9
+    tie = [(1.0, 1.0 + 2.0**-40, 0.0), (2.0, 2.0 + 2.0**-39, 0.0)]  # equal rel_err
+    floored = (1e-8, 0.0, 1e6)  # passes only through its scale
+    worst = (3.0, 3.0 + 1e-11, 0.0)
+    fail_a, fail_b = (1.0, 2.0, 0.0), (5.0, -5.0, 0.0)
+    nan_row = (math.nan, 1.0, 0.0)
+    cases = [
+        [*tie, floored],
+        [*tie, worst, floored],
+        [floored, fail_a, worst, fail_b, nan_row],
+        [worst, nan_row, fail_a],
+        [(0.0, 0.0, 0.0)],
+    ]
+    for rows in cases:
+        reports = [make_report("", lhs, rhs, tol, scale) for lhs, rhs, scale in rows]
+        assert repr(_rows(rows, tol)) == repr(_worst_of(reports)), rows
+    assert _rows(cases[0], tol).lhs == 1.0  # a tie goes to the first row
+    assert _rows(cases[0] + [(1e-8, 0.0, 0.0)], tol).lhs == 1e-8  # no floor, no pass
+    assert _rows(cases[1], tol).lhs == 3.0
+    assert _rows(cases[2], tol).lhs == 1.0 and not _rows(cases[2], tol).passed
+    # a NaN on either side fails
+    assert math.isnan(_rows(cases[3], tol).lhs)
+    assert not make_report("", 1.0, math.nan, tol).passed
 
 
 def test_suite_passes_with_defaults():

@@ -71,18 +71,45 @@ def _zero_nyquist(mult: np.ndarray) -> np.ndarray:
 
 
 def dz_multiplier(tau: Modulus, n: int) -> np.ndarray:
-    """Fourier symbol of ``d/dz`` on the ``n x n`` lattice grid."""
+    """Fourier symbol of ``d/dz`` on the ``n x n`` lattice grid.
+
+    The value is ``pi (k - conj(tau) j) / Im tau``, built in one buffer.
+    """
     j = _frequencies(n)[:, None]
     k = _frequencies(n)[None, :]
-    return _zero_nyquist(np.pi * (k - tau.value.conjugate() * j) / tau.im)
+    mult = np.subtract(k, tau.value.conjugate() * j)
+    np.multiply(np.pi, mult, out=mult)
+    np.divide(mult, tau.im, out=mult)
+    return _zero_nyquist(mult)
+
+
+def _ifft2_in_place(a: np.ndarray) -> np.ndarray:
+    """``np.fft.ifft2(a)``, bit for bit, in the memory of the complex array ``a``.
+
+    ``np.fft.ifft2`` ignores ``out``.  The inverse transform is the
+    conjugate of the forward transform of the conjugate, and
+    ``norm="forward"`` applies the inverse's ``1/n`` per axis.
+    """
+    np.conjugate(a, out=a)
+    np.fft.fft2(a, norm="forward", out=a)
+    return np.conjugate(a, out=a)
 
 
 def grid_dz(samples: np.ndarray, tau: Modulus) -> np.ndarray:
-    """``d/dz`` of grid samples; the symbol multiplies the spectrum in place."""
-    spec = np.fft.fft2(samples)
+    """``d/dz`` of grid samples, computed in one new complex buffer.
+
+    Real samples are copied in as real parts; the transform of that
+    buffer equals ``np.fft.fft2`` of the real array, without numpy's
+    cast copy.
+    """
+    # The symbol is built before the spectrum's buffer exists: building it
+    # takes scratch space of its own.
+    mult = dz_multiplier(tau, samples.shape[0])
+    spec = np.array(samples, dtype=complex)
+    np.fft.fft2(spec, out=spec)
     # symbol first: numpy's complex multiply is not bitwise commutative
-    np.multiply(dz_multiplier(tau, samples.shape[0]), spec, out=spec)
-    return np.fft.ifft2(spec)
+    np.multiply(mult, spec, out=spec)
+    return _ifft2_in_place(spec)
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,7 +182,8 @@ class BeltramiField:
         idx = _frequencies(self.n).astype(int) % n
         out = np.zeros((n, n), dtype=complex)
         out[np.ix_(idx, idx)] = spec
-        return np.fft.ifft2(out) * n**2
+        _ifft2_in_place(out)
+        return np.multiply(out, n**2, out=out)
 
 
 def constant(tau: Modulus, m: complex) -> BeltramiField:

@@ -58,9 +58,9 @@ from .verify import format_table, run_suite
 import numpy as np
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
-#: square of ``--grid``; at its limit a run takes at most about 3 s and
-#: 0.7 GB on a 2-core x86-64 host.  ``distance`` costs the same at every
-#: ``--max-pq``.
+#: square of ``--grid``; at its limit a run takes at most about 4.5 s and
+#: 0.45 GB (``eq15``, two solves) on a 2-core x86-64 host.  ``distance``
+#: costs the same at every ``--max-pq``.
 MAX_GRID = 2048
 MAX_PQ = 2000
 

@@ -42,6 +42,7 @@ import numpy as np
 
 from .beltrami import (
     BeltramiField,
+    _ifft2_in_place,
     dz_multiplier,
     grid_dz,
     pair_hopf,
@@ -213,45 +214,51 @@ def solve_variation_field(
     m0 = complex(mu.mean())
     c = hmap.coeff * m0
 
-    # Each n x n intermediate is freed or overwritten once read, so about
-    # five complex grids are live at the peak, the outputs included.  The
-    # in-place products keep the symbol or scalar first: numpy's complex
-    # multiply is not bitwise commutative.
-    w_z = hmap.coeff / 2.0
-    dmu = grid_dz(mu - m0, tau)
-    np.multiply(w_z, dmu, out=dmu)
-    source = 2.0 * dmu.real
-    del dmu
-    source_sup = float(np.abs(source).max())
-
+    # Every transform but the gradient's runs in place in ``work``, the one
+    # complex buffer the solve owns, so about 3.5 complex grids are live at
+    # the peak, the outputs included; ``grid_dz`` would copy ``mu - m0``
+    # into a fourth.  The in-place products keep the symbol or scalar
+    # first: numpy's complex multiply is not bitwise commutative.
+    #
     # The Laplacian symbol dz * dzbar = -(pi / Im tau)^2 |k - tau j|^2 is
     # real, with dzbar = -conj(dz) bitwise; the complex product's imaginary
-    # part is rounding noise.  The product is formed in place in the
-    # conjugate's buffer, so two complex grids are live here, not three,
-    # and the copy frees it, which a view would keep.
+    # part is rounding noise.
     dz = dz_multiplier(tau, n)
-    product = np.conj(dz)
-    np.negative(product, out=product)
-    np.multiply(dz, product, out=product)
+    work = np.conj(dz)
+    np.negative(work, out=work)
+    np.multiply(dz, work, out=work)
+    symbol = work.real.copy()
+
+    w_z = hmap.coeff / 2.0
+    np.subtract(mu, m0, out=work)
+    np.fft.fft2(work, out=work)
+    np.multiply(dz, work, out=work)
     del dz
-    symbol = product.real.copy()
-    del product
-    spec = np.fft.fft2(source)
-    if abs(spec[0, 0]) / n**2 > 1e-12 * max(1.0, source_sup):
+    _ifft2_in_place(work)
+    np.multiply(w_z, work, out=work)
+    source = 2.0 * work.real
+    source_sup = float(np.abs(source).max())
+
+    # A real array written into a complex buffer (imaginary part zero)
+    # transforms to the same bits as the real array itself.
+    work[...] = source
+    np.fft.fft2(work, out=work)
+    if abs(work[0, 0]) / n**2 > 1e-12 * max(1.0, source_sup):
         raise ArithmeticError("source term has nonzero mean; problem is not solvable")
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(spec, symbol, out=spec)
-    spec[symbol == 0] = 0.0
-    periodic = np.fft.ifft2(spec).real
-    del spec
-    periodic = periodic - periodic.mean()
+        np.divide(work, symbol, out=work)
+    work[symbol == 0] = 0.0
+    _ifft2_in_place(work)
+    periodic = work.real - work.real.mean()
 
-    defect = np.fft.fft2(periodic)
-    np.multiply(symbol, defect, out=defect)
+    work[...] = periodic
+    np.fft.fft2(work, out=work)
+    np.multiply(symbol, work, out=work)
     del symbol
-    defect = np.fft.ifft2(defect).real - source
-    del source
-    residual = float(np.abs(defect).max())
+    _ifft2_in_place(work)
+    defect = np.subtract(work.real, source, out=source)
+    del work, source
+    residual = float(np.abs(defect, out=defect).max())
     del defect
     gradient = grid_dz(periodic, tau)
     return VariationField(
@@ -286,10 +293,12 @@ def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> fl
     the value is ``4 Im tau * 4 |m|^2 |w_z|^2``.  That is positive for
     every nonzero ``m``, so a 0 or subnormal result for one is underflow
     and raises ``FloatingPointError`` (for ``|m|`` below about 1e-154 at
-    ``i``); a zero ``m`` gives 0.
+    ``i``); a zero ``m`` gives 0.  The energy ``4 Im tau |w_z|^2`` is
+    formed first: ``|m|^2 |w_z|^2`` can go subnormal, and lose digits,
+    where the result is normal.
     """
     w_z_sq = abs(build_harmonic_map(tau, curve).coeff / 2.0) ** 2
-    second = 4.0 * tau.im * (4.0 * abs(m) ** 2 * w_z_sq)
+    second = 4.0 * tau.im * w_z_sq * (4.0 * abs(m) ** 2)
     if m != 0 and second < sys.float_info.min:
         raise FloatingPointError("the second variation underflowed")
     return second

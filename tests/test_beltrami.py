@@ -9,6 +9,7 @@ import pytest
 from extorus.beltrami import (
     FIELD_CATALOG,
     BeltramiField,
+    _ifft2_in_place,
     catalog_field,
     constant,
     dz_multiplier,
@@ -65,6 +66,36 @@ def test_derivative_of_cosine_row():
 def test_derivative_kills_constants():
     samples = np.full((8, 8), 2.5 - 1.5j)
     assert np.max(np.abs(grid_dz(samples, SKEW))) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32, 64, 128, 256])
+def test_in_place_transforms_match_numpy_bitwise(n):
+    # the solver's outputs are byte-identical to numpy's allocating
+    # transforms only while these two facts hold
+    rng = np.random.default_rng(n)
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    expected = np.fft.ifft2(z)
+    got = _ifft2_in_place(z)
+    assert got is z
+    assert got.tobytes() == expected.tobytes()
+
+    x = rng.standard_normal((n, n))
+    buf = np.zeros((n, n), dtype=complex)
+    buf.real = x
+    np.fft.fft2(buf, out=buf)
+    assert buf.tobytes() == np.fft.fft2(x).tobytes()
+
+
+def test_grid_dz_leaves_its_input_alone():
+    rng = np.random.default_rng(7)
+    for samples in (rng.standard_normal((16, 16)),
+                    rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))):
+        samples.flags.writeable = False
+        before = samples.copy()
+        out = grid_dz(samples, SKEW)
+        assert np.array_equal(samples, before)
+        assert out.dtype == complex and out.flags.writeable
+        assert not np.shares_memory(out, samples)
 
 
 def test_multipliers_zero_nyquist_row():

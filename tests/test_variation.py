@@ -176,7 +176,7 @@ def test_solver_upsamples_coarse_fields():
 
 
 def test_solver_peak_memory_and_owned_outputs():
-    # each n x n intermediate is freed once read: the solve peaks near five
+    # every transform runs in a buffer the solve owns: it peaks near 3.5
     # complex grids, its outputs included
     n = 256
     field = catalog_field(SKEW, "coscos", 64)
@@ -187,9 +187,22 @@ def test_solver_peak_memory_and_owned_outputs():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - start <= 6 * n * n * 16
+    assert peak - start < 4 * n * n * 16
     for arr in (vf.periodic, vf.gradient, vf.mu_samples):
         assert arr.flags.c_contiguous and arr.base is None
+
+
+def test_solver_in_place_work_stays_inside():
+    # at n == field.n the solve reads the field's own samples
+    field = catalog_field(SKEW, "sinsin", 32).scaled(0.3 - 0.1j)
+    before = field.samples.copy()
+    vf = solve_variation_field(SKEW, CurveClass(2, 1), field, 32)
+    assert np.array_equal(field.samples, before)
+    assert not field.samples.flags.writeable
+    arrays = (vf.periodic, vf.gradient, vf.mu_samples)
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:]:
+            assert not np.shares_memory(a, b)
 
 
 def test_solver_rejects_mismatches():
@@ -238,6 +251,14 @@ def test_second_variation_values():
         sv = second_variation_constant(tau, curve, m)
         expected = 4.0 * abs(m) ** 2 * extremal_length(tau, curve)
         assert abs(sv - expected) <= 1e-12 * expected
+
+
+def test_second_variation_keeps_its_digits_at_tiny_extremal_length():
+    # 4 |m|^2 |w_z|^2 is subnormal here although the result is normal
+    tau, curve = Modulus(0.0, 1e150), HORIZ
+    for m in (1e-10, 1e-8, 1e-10j, 3e-11 - 4e-11j):
+        expected = 4.0 * abs(m) ** 2 * extremal_length(tau, curve)
+        assert abs(second_variation_constant(tau, curve, m) - expected) <= 1e-15 * expected
 
 
 def test_second_variation_matches_finite_differences():

@@ -27,8 +27,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
+from ._lazy import np
 from .moduli import Modulus
 
 __all__ = [
@@ -198,7 +197,7 @@ def from_function(
     return BeltramiField(tau, n, samples=np.asarray(f(s, t), dtype=complex))
 
 
-_TWO_PI = 2.0 * np.pi
+_TWO_PI = 2.0 * math.pi
 
 #: Named test fields, all mean-zero and band-limited with modes well
 #: below the Nyquist frequency of every supported grid.

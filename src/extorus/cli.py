@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
+from ._lazy import np
 from .beltrami import (
     BeltramiField,
     FIELD_CATALOG,
@@ -55,12 +56,10 @@ from .variation import (
 )
 from .verify import format_table, run_suite
 
-import numpy as np
-
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
-#: square of ``--grid``; at its limit a run takes at most about 4.5 s and
-#: 0.45 GB (``eq15``, two solves) on a 2-core x86-64 host.  ``distance``
-#: costs the same at every ``--max-pq``.
+#: square of ``--grid``; at its limit a run takes at most about 3.5 s and
+#: 0.33 GB (``eq15``, two solves, one live at a time) on a 2-core x86-64
+#: host.  ``distance`` costs the same at every ``--max-pq``.
 MAX_GRID = 2048
 MAX_PQ = 2000
 

@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 __all__ = [
     "Modulus",
@@ -267,12 +267,13 @@ def kerckhoff_distance(tau1: Modulus, tau2: Modulus, max_index: int) -> Kerckhof
     The supremum over all classes is half the hyperbolic distance; this
     maximizes over the box ``|p|, |q| <= max_index``.  The ratio rises to its
     top direction and falls after it around the circle of slopes, so only
-    the ``_candidates`` next to it are scored, in O(log max_index), by
-    ``_ext_formula`` on float64 arrays, ties going to the first in box order.
-    Where rounding flattens the ratio near the top (at distances up to about
-    1e-3 at max_index 2000, shrinking like max_index^-4), an enumeration can
-    find a class a few ulps higher, and a larger box can score a few ulps
-    lower.  numpy squares by multiplying: an ulp off ``extremal_length``.
+    the ``_candidates`` next to it are scored, in O(log max_index), by the
+    scalar ``_ext_formula``, ties going to the first in box order, so the
+    value is ``0.5 * log(extremal_length(tau2, m) / extremal_length(tau1, m))``
+    for the maximizer ``m``, bit for bit.  Where rounding flattens the ratio
+    near the top (at distances up to about 1e-3 at max_index 2000, shrinking
+    like max_index^-4), an enumeration can find a class a few ulps higher,
+    and a larger box can score a few ulps lower.
     """
     _require_max_index(max_index)
     # Ext(tau, (p, q)) is q^2 |tau - s|^2 / Im tau at s = -p/q, so the ratio
@@ -285,16 +286,22 @@ def kerckhoff_distance(tau1: Modulus, tau2: Modulus, max_index: int) -> Kerckhof
     r = math.hypot(c, 1.0)
     end = math.copysign(1.0 / (c + r) if c >= 0.0 else r - c, -a)
     pairs = _candidates(-(tau1.re + tau1.im * end), max_index)
-    parr, qarr = np.array(pairs, dtype=float).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        ext1 = _ext_formula(parr, qarr, tau1.re, tau1.im)
-        ratio = _ext_formula(parr, qarr, tau2.re, tau2.im) / ext1
-    best = int(np.argmax(ratio))  # the first NaN, if there is one
-    if not math.isfinite(ratio[best]):
+    ratios = [_ext_or_inf(p, q, tau2) / _ext_or_inf(p, q, tau1) for p, q in pairs]
+    # an infinite ratio would be the largest, and a NaN one (inf / inf) has no order
+    if not all(map(math.isfinite, ratios)):
         raise ValueError(
             f"extremal-length ratio between {tau1} and {tau2} is outside double range"
         )
-    return KerckhoffDistance(0.5 * math.log(float(ratio[best])), CurveClass(*pairs[best]))
+    best = ratios.index(max(ratios))
+    return KerckhoffDistance(0.5 * math.log(ratios[best]), CurveClass(*pairs[best]))
+
+
+def _ext_or_inf(p: int, q: int, tau: Modulus) -> float:
+    """``_ext_formula`` at ``tau``, or ``inf`` where a square leaves double range."""
+    try:
+        return _ext_formula(p, q, tau.re, tau.im)
+    except OverflowError:
+        return math.inf
 
 
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

@@ -38,8 +38,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._lazy import np
 from .beltrami import (
     BeltramiField,
     _ifft2_in_place,
@@ -339,13 +338,19 @@ def identity_eq15_evaluate(
     of ``mu``, ``wdot_z = w_z B[mu~] + conj(w_z) conj(mu~)`` (``wdot``
     has no affine part) for a Fourier symbol ``B`` of modulus
     one off the Nyquist row and column, so the cross terms of ``mu`` and
-    ``i mu`` cancel.  For constant fields both sides vanish.
+    ``i mu`` cancel.  For constant fields both sides vanish.  The first
+    solve is reduced to its two means before the second one runs, so only
+    one solve's grids are live at a time.
     """
-    vf1 = solve_variation_field(tau, curve, field, n)
-    vf2 = solve_variation_field(tau, curve, field.scaled(1j), n)
-    lhs = float(np.mean(np.abs(vf1.gradient) ** 2) + np.mean(np.abs(vf2.gradient) ** 2))
-    w_z_sq = abs(vf1.base.coeff / 2.0) ** 2
-    rhs = 4.0 * w_z_sq * float(np.mean(np.abs(vf1.mu_samples - field.mean()) ** 2))
+    vf = solve_variation_field(tau, curve, field, n)
+    first = np.mean(np.abs(vf.gradient) ** 2)
+    w_z_sq = abs(vf.base.coeff / 2.0) ** 2
+    mu = vf.mu_samples
+    del vf
+    rhs = 4.0 * w_z_sq * float(np.mean(np.abs(mu - field.mean()) ** 2))
+    del mu
+    vf = solve_variation_field(tau, curve, field.scaled(1j), n)
+    lhs = float(first + np.mean(np.abs(vf.gradient) ** 2))
     return make_report(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
 
 

@@ -27,8 +27,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
+from ._lazy import np
 from .beltrami import constant, catalog_field, modulus_path_constant, FIELD_CATALOG
 from .harmonic import build_harmonic_map, energy, hopf
 from .moduli import (
@@ -160,8 +159,7 @@ def sample_directions(rng: np.random.Generator, count: int) -> list[complex]:
 
 
 #: The twist, its inverse, the flip and its inverse.
-_GENERATORS = tuple(np.array(g) for g in (
-    [[1, 1], [0, 1]], [[1, -1], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]]))
+_GENERATORS = ([[1, 1], [0, 1]], [[1, -1], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]])
 
 
 def sample_mapping_class(rng: np.random.Generator) -> MappingClass:

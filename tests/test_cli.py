@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -524,3 +525,56 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ext"] == 1.0
+
+
+#: Runs ``main`` on its arguments in a fresh interpreter; prints the exit
+#: code and whether numpy's core was loaded.
+_PROBE = """
+import contextlib, io, sys
+from extorus.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy._core" in sys.modules)
+"""
+
+_SCALAR = ("--tau", "0.3+1.1i", "--curve", "2,1")
+
+
+def _fresh(code: str, *argv: str) -> str:
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("argv,loads_numpy", [
+    (("ext", *_SCALAR), False),
+    (("levi", *_SCALAR), False),
+    (("vary1", *_SCALAR, "--mu", "0.3-0.2i"), False),
+    (("vary2", *_SCALAR, "--mu", "0.3-0.2i"), False),
+    (("pair-sum", *_SCALAR, "--mu", "0.3-0.2i"), False),
+    (("bound", *_SCALAR, "--mu", "0.6+0.8i"), False),
+    (("distance", "--tau", "0+1i", "--tau2", "0.3+2i", "--max-pq", "1000"), False),
+    (("sweep", "--curve", "1,1", "--re", "0:1:0.5", "--im", "1:2:0.5"), True),
+    (("solve-field", *_SCALAR, "--mu-fn", "coscos", "--grid", "8"), True),
+], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_only_array_commands_load_numpy(argv, loads_numpy):
+    assert _fresh(_PROBE, *argv) == f"0 {loads_numpy}"
+
+
+def test_importing_the_cli_imports_every_module_but_not_numpy():
+    # the benchmark's tracer wraps functions in the modules loaded with the CLI
+    out = _fresh('import sys, extorus.cli; print("numpy._core" in sys.modules, *sys.modules)')
+    numpy_loaded, *modules = out.split()
+    assert numpy_loaded == "False"
+    for name in ("moduli", "harmonic", "beltrami", "variation", "verify"):
+        assert f"extorus.{name}" in modules
+
+
+def test_import_without_numpy_fails_at_once():
+    # a None entry in sys.modules makes numpy unfindable
+    out = _fresh("import sys\nsys.modules['numpy'] = None\n"
+                 "try:\n    import extorus\nexcept ImportError as exc:\n    print(exc)")
+    assert out == "extorus needs numpy"

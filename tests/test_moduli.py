@@ -407,6 +407,18 @@ def test_kerckhoff_candidates_match_a_scan():
                 assert sorted(Fraction(p, q) for p, q in got[1:]) == want, (slope, n)
 
 
+def test_kerckhoff_value_is_the_scalar_ratio_of_its_maximizer():
+    # the candidates are scored with extremal_length's own rounding
+    for n in (20, 1000):
+        rng = random.Random(3)
+        for _ in range(300):
+            tau1, tau2 = _seeded_modulus(rng), _seeded_modulus(rng)
+            kd = kerckhoff_distance(tau1, tau2, n)
+            m = kd.maximizer
+            want = 0.5 * math.log(extremal_length(tau2, m) / extremal_length(tau1, m))
+            assert kd.value == want, (str(tau1), str(tau2), n)
+
+
 # With tau1 = 0+1e-11i, a = (Re tau2 - Re tau1) / Im tau1 overflows, and so
 # does b = Im tau2 / Im tau1 or b^2; the top slope must still be finite.
 OVERFLOWING = [
@@ -419,7 +431,7 @@ OVERFLOWING = [
 
 @pytest.mark.parametrize("tau1,tau2", OVERFLOWING, ids=str)
 def test_kerckhoff_outside_double_range_is_a_value_error(tau1, tau2):
-    # Python float squares would raise OverflowError here; numpy's give inf.
+    # Python float squares raise OverflowError here, which the scoring counts as inf.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 5, 2000):

@@ -192,6 +192,21 @@ def test_solver_peak_memory_and_owned_outputs():
         assert arr.flags.c_contiguous and arr.base is None
 
 
+def test_eq15_peak_memory_is_one_solve():
+    # the first solve is reduced to two means before the second runs
+    n = 256
+    field = catalog_field(SKEW, "coscos", 64)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        report = identity_eq15_evaluate(SKEW, CurveClass(1, 1), field, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak - start < 4 * n * n * 16
+
+
 def test_solver_in_place_work_stays_inside():
     # at n == field.n the solve reads the field's own samples
     field = catalog_field(SKEW, "sinsin", 32).scaled(0.3 - 0.1j)

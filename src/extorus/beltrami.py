@@ -156,8 +156,8 @@ class BeltramiField:
     def l2_mean_square(self) -> float:
         """Grid mean of ``|mu|^2``."""
         if self.is_constant:
-            return abs(self.value) ** 2
-        return float(np.mean(np.abs(self.samples) ** 2))
+            return abs(self.value) * abs(self.value)
+        return float(np.mean(np.square(np.abs(self.samples))))
 
     def scaled(self, factor: complex) -> "BeltramiField":
         if self.is_constant:

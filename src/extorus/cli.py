@@ -64,14 +64,14 @@ MAX_GRID = 2048
 MAX_PQ = 2000
 
 #: Most points one ``sweep`` writes (``--re`` count times ``--im`` count).
-#: As CSV, 1001 x 1001 points take about 3.4 s and 47 MB, and the cap
-#: about 13 s and 96 MB, on a 2-core x86-64 host.
+#: As CSV, 1001 x 1001 points take about 3.3 s and 46 MB, and the cap
+#: about 12 s and 95 MB, on a 2-core x86-64 host.
 MAX_SWEEP_POINTS = 4_000_000
 
-#: Points ``sweep`` evaluates, and then formats, at a time: the Python
-#: floats of one block and its text, about 1 MB.  The two float64 result
-#: grids (16 B per point) are the only state kept for the whole grid:
-#: every value is computed and checked before the first byte is written.
+#: Rows ``sweep`` formats at a time: one block's Python floats and text,
+#: about 1 MB.  The float64 result grids (16 B per point) are the only
+#: state kept for the whole grid: every value is computed and checked
+#: before the first byte is written.
 _SWEEP_CHUNK = 1 << 12
 
 
@@ -416,7 +416,7 @@ def _sweep(args: argparse.Namespace) -> int:
         return 2
     res = _range_values(args.re)
     ims = _range_values(args.im)
-    ext, levi = _closed_forms_on_grid(args.curve, res, ims, _SWEEP_CHUNK)
+    ext, levi = _closed_forms_on_grid(args.curve, res, ims)
     chunks = _sweep_rows(res, ims, ext, levi)
     return _emit(_sweep_json(chunks) if args.format == "json" else _sweep_csv(chunks), args.out)
 

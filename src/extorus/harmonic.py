@@ -60,7 +60,7 @@ def energy(hmap: HarmonicMapTorus) -> float:
     normalized so the torus has mass ``2 Im tau`` this integrates to
     ``|coeff|^2 Im tau``, which equals the extremal length of the class.
     """
-    return abs(hmap.coeff) ** 2 * hmap.tau.im
+    return abs(hmap.coeff) * abs(hmap.coeff) * hmap.tau.im
 
 
 def hopf(hmap: HarmonicMapTorus) -> complex:
@@ -70,5 +70,5 @@ def hopf(hmap: HarmonicMapTorus) -> complex:
     is real and nonpositive: the differential points along the foliation
     being collapsed.
     """
-    return hmap.coeff**2 / 4.0
+    return hmap.coeff * hmap.coeff / 4.0
 

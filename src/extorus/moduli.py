@@ -10,6 +10,12 @@ of the maximal embedded annulus, the Levi form of extremal length, the
 change-of-marking action of integer unimodular matrices, and two
 distances on the half-plane (hyperbolic and a stretch-factor distance
 computed as a maximum of extremal-length ratios).
+
+Where a square leaves double range, ``extremal_length``, ``levi_form``
+and ``harmonic.energy`` return ``inf`` or ``nan``, which every caller in
+the package checks: the CLI, the sweep, ``teich_bound_check`` and Kerckhoff
+raise, and a ``verify`` row fails.  ``cylinder_modulus``, whose reciprocal
+would be a finite wrong answer, raises ``OverflowError``.
 """
 
 from __future__ import annotations
@@ -127,45 +133,30 @@ def _ext_formula(p, q, re, im):
     """``|p + q tau|^2 / Im tau`` at ``tau = re + im i``, the one copy of the formula.
 
     Plain operators only, so it takes Python numbers (scalar callers
-    never pay for numpy) or numpy arrays, which broadcast.  On Python
-    floats it rounds exactly as the complex holonomy ``p + q tau`` does,
-    because ``q (re + im i)`` rounds to ``q re + (q im) i``.  On float
-    arrays ``**`` squares by multiplying instead of calling ``pow``, so
-    ``_closed_forms_on_grid`` passes object arrays to keep the scalar bits.
+    never pay for numpy) or float64 arrays, which broadcast and round
+    alike.  It rounds exactly as the complex holonomy ``p + q tau`` does,
+    because ``q (re + im i)`` rounds to ``q re + (q im) i``.
     """
-    return ((p + q * re) ** 2 + (q * im) ** 2) / im
+    x = p + q * re
+    y = q * im
+    return (x * x + y * y) / im
 
 
 def _levi_formula(ext, im):
     """Levi form ``Ext / (2 (Im tau)^2)`` from the extremal length ``ext`` at ``Im tau = im``."""
-    return ext / (2.0 * im**2)
+    return ext / (2.0 * im * im)
 
 
-def _closed_forms_on_grid(
-    curve: CurveClass, res: np.ndarray, ims: np.ndarray, block: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _closed_forms_on_grid(curve: CurveClass, res: np.ndarray, ims: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
     """``extremal_length`` and ``levi_form`` at every ``res[j] + ims[i] i``, shape ``(ims, res)``.
 
-    The formulas run on object arrays of Python floats, so every value
-    is bit-identical to the scalar functions: Python's ``x**2`` is libm
-    ``pow``, which rounds about one square in a thousand one ulp away
-    from numpy's multiply-based square.  The grid is evaluated in tiles
-    of at most ``block`` points whatever its shape, so no more points
-    than that are held as Python floats at a time.  A value outside
-    double range raises ``OverflowError``, as ``**`` does in the scalar
-    functions.
+    Bit-identical to the scalar functions; a value outside double range
+    raises ``OverflowError``.
     """
-    ext = np.empty((ims.size, res.size))
-    levi = np.empty_like(ext)
-    rows = max(1, block // res.size)
     with np.errstate(over="ignore", invalid="ignore"):
-        for col in range(0, res.size, block):
-            re = res[col:col + block].astype(object)
-            for start in range(0, ims.size, rows):
-                im = ims[start:start + rows, None].astype(object)
-                tile = np.s_[start:start + rows, col:col + block]
-                ext[tile] = ext_tile = _ext_formula(curve.p, curve.q, re, im)
-                levi[tile] = _levi_formula(ext_tile, im)
+        ext = _ext_formula(curve.p, curve.q, res, ims[:, None])
+        levi = _levi_formula(ext, ims[:, None])
     if not (np.isfinite(ext).all() and np.isfinite(levi).all()):
         raise OverflowError(f"extremal length of {curve} leaves double range on the sweep")
     return ext, levi
@@ -175,10 +166,13 @@ def cylinder_modulus(tau: Modulus, curve: CurveClass) -> float:
     """Modulus of the maximal embedded annulus with core ``curve``.
 
     The whole torus fibers over the curve, so this is the reciprocal of
-    the extremal length.
+    the extremal length.  Raises ``OverflowError`` past double range.
     """
     w = curve.holonomy(tau)
-    return tau.im / (w.real**2 + w.imag**2)
+    length_sq = w.real * w.real + w.imag * w.imag
+    if length_sq == math.inf:
+        raise OverflowError(f"|p + q tau|^2 of {curve} at {tau} leaves double range")
+    return tau.im / length_sq
 
 
 def levi_form(tau: Modulus, curve: CurveClass) -> float:
@@ -267,10 +261,10 @@ def kerckhoff_distance(tau1: Modulus, tau2: Modulus, max_index: int) -> Kerckhof
     The supremum over all classes is half the hyperbolic distance; this
     maximizes over the box ``|p|, |q| <= max_index``.  The ratio rises to its
     top direction and falls after it around the circle of slopes, so only
-    the ``_candidates`` next to it are scored, in O(log max_index), by the
-    scalar ``_ext_formula``, ties going to the first in box order, so the
-    value is ``0.5 * log(extremal_length(tau2, m) / extremal_length(tau1, m))``
-    for the maximizer ``m``, bit for bit.  Where rounding flattens the ratio
+    the ``_candidates`` next to it are scored, in O(log max_index), by
+    ``_ext_formula``, ties going to the first in box order, so the value is
+    ``0.5 * log(extremal_length(tau2, m) / extremal_length(tau1, m))`` for
+    the maximizer ``m``, bit for bit.  Where rounding flattens the ratio
     near the top (at distances up to about 1e-3 at max_index 2000, shrinking
     like max_index^-4), an enumeration can find a class a few ulps higher,
     and a larger box can score a few ulps lower.
@@ -286,7 +280,8 @@ def kerckhoff_distance(tau1: Modulus, tau2: Modulus, max_index: int) -> Kerckhof
     r = math.hypot(c, 1.0)
     end = math.copysign(1.0 / (c + r) if c >= 0.0 else r - c, -a)
     pairs = _candidates(-(tau1.re + tau1.im * end), max_index)
-    ratios = [_ext_or_inf(p, q, tau2) / _ext_or_inf(p, q, tau1) for p, q in pairs]
+    ratios = [_ext_formula(p, q, tau2.re, tau2.im) / _ext_formula(p, q, tau1.re, tau1.im)
+              for p, q in pairs]
     # an infinite ratio would be the largest, and a NaN one (inf / inf) has no order
     if not all(map(math.isfinite, ratios)):
         raise ValueError(
@@ -294,14 +289,6 @@ def kerckhoff_distance(tau1: Modulus, tau2: Modulus, max_index: int) -> Kerckhof
         )
     best = ratios.index(max(ratios))
     return KerckhoffDistance(0.5 * math.log(ratios[best]), CurveClass(*pairs[best]))
-
-
-def _ext_or_inf(p: int, q: int, tau: Modulus) -> float:
-    """``_ext_formula`` at ``tau``, or ``inf`` where a square leaves double range."""
-    try:
-        return _ext_formula(p, q, tau.re, tau.im)
-    except OverflowError:
-        return math.inf
 
 
 _FLOAT = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"

@@ -62,9 +62,6 @@ __all__ = [
     "teich_bound_check",
 ]
 
-#: Residual certified by the spectral solve when the source is zero.
-SOLVER_RESIDUAL_ABS = 1e-14
-
 
 def solver_residual_bound(tau: Modulus, n: int, periodic_sup: float) -> float:
     """Residual the spectral solve certifies on an ``n x n`` grid, for a
@@ -83,7 +80,8 @@ def solver_residual_bound(tau: Modulus, n: int, periodic_sup: float) -> float:
     ``0.99+0.3i``, where the source's modes sit low in the symbol.
     """
     m = n // 2 - 1  # the highest frequency the symbols keep
-    largest = (math.pi * m / tau.im) ** 2 * ((1.0 + abs(tau.re)) ** 2 + tau.im**2)
+    k = math.pi * m / tau.im
+    largest = k * k * ((1.0 + abs(tau.re)) * (1.0 + abs(tau.re)) + tau.im * tau.im)
     return 8.0 * np.finfo(float).eps * largest * periodic_sup
 
 
@@ -273,13 +271,16 @@ def identity_eq11_check(
     With the mass-``4 Im tau`` measure, ``<< |wdot_z|^2 >>`` must equal
     ``<< Re(2 mu w_z wdot_z) >>``; this holds for every deformation
     field, so the residual is a direct accuracy check on the solver.
+    A scale ``|mu|^2 |w_z|^2`` outside double range raises ``OverflowError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
     w_z = vf.base.coeff / 2.0
     measure = 4.0 * tau.im
-    lhs = measure * float(np.mean(np.abs(vf.gradient) ** 2))
+    lhs = measure * float(np.mean(np.square(np.abs(vf.gradient))))
     rhs = measure * float(np.mean(2.0 * np.real(vf.mu_samples * w_z * vf.gradient)))
-    scale = measure * field.l2_mean_square() * abs(w_z) ** 2
+    scale = measure * field.l2_mean_square() * (abs(w_z) * abs(w_z))
+    if not math.isfinite(scale):
+        raise OverflowError("|mu|^2 |w_z|^2 leaves double range")
     return make_report(f"eq11[{_field_label(field)},n={n}]", lhs, rhs, 1e-10, scale)
 
 
@@ -294,10 +295,12 @@ def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> fl
     and raises ``FloatingPointError`` (for ``|m|`` below about 1e-154 at
     ``i``); a zero ``m`` gives 0.  The energy ``4 Im tau |w_z|^2`` is
     formed first: ``|m|^2 |w_z|^2`` can go subnormal, and lose digits,
-    where the result is normal.
+    where the result is normal.  Past double range it raises ``OverflowError``.
     """
-    w_z_sq = abs(build_harmonic_map(tau, curve).coeff / 2.0) ** 2
-    second = 4.0 * tau.im * w_z_sq * (4.0 * abs(m) ** 2)
+    w_z_abs = abs(build_harmonic_map(tau, curve).coeff / 2.0)
+    second = 4.0 * tau.im * (w_z_abs * w_z_abs) * (4.0 * (abs(m) * abs(m)))
+    if not math.isfinite(second):
+        raise OverflowError("the second variation overflowed")
     if m != 0 and second < sys.float_info.min:
         raise FloatingPointError("the second variation underflowed")
     return second
@@ -340,17 +343,20 @@ def identity_eq15_evaluate(
     one off the Nyquist row and column, so the cross terms of ``mu`` and
     ``i mu`` cancel.  For constant fields both sides vanish.  The first
     solve is reduced to its two means before the second one runs, so only
-    one solve's grids are live at a time.
+    one solve's grids are live at a time.  A right side outside double
+    range raises ``OverflowError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
-    first = np.mean(np.abs(vf.gradient) ** 2)
-    w_z_sq = abs(vf.base.coeff / 2.0) ** 2
+    first = float(np.mean(np.square(np.abs(vf.gradient))))
+    w_z_abs = abs(vf.base.coeff / 2.0)
     mu = vf.mu_samples
     del vf
-    rhs = 4.0 * w_z_sq * float(np.mean(np.abs(mu - field.mean()) ** 2))
+    rhs = 4.0 * (w_z_abs * w_z_abs) * float(np.mean(np.square(np.abs(mu - field.mean()))))
     del mu
+    if not math.isfinite(rhs):
+        raise OverflowError("4 |w_z|^2 mean |mu - mean mu|^2 leaves double range")
     vf = solve_variation_field(tau, curve, field.scaled(1j), n)
-    lhs = float(first + np.mean(np.abs(vf.gradient) ** 2))
+    lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
     return make_report(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
 
 
@@ -366,14 +372,18 @@ def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex, h: float) -> 
     At arc-length parameter ``s`` along the line the even part of
     extremal length is ``cosh(2s) Ext``, so the second difference with
     step ``h`` is exactly ``4 (sinh h / h)^2 Ext``: the second derivative
-    ``4 Ext`` plus the ``O(h^2)`` error of the difference.
+    ``4 Ext`` plus the ``O(h^2)`` error of the difference.  A side outside
+    double range raises ``OverflowError``.
     """
     _require_step(h)
     ext0 = extremal_length(tau, curve)
     plus = extremal_length(teich_geodesic_constant(tau, m, h), curve)
     minus = extremal_length(teich_geodesic_constant(tau, m, -h), curve)
-    second_diff = (plus - 2.0 * ext0 + minus) / h**2
-    exact = 4.0 * (math.sinh(h) / h) ** 2 * ext0
+    second_diff = (plus - 2.0 * ext0 + minus) / (h * h)
+    stretch = math.sinh(h) / h
+    exact = 4.0 * (stretch * stretch) * ext0
+    if not (math.isfinite(second_diff) and math.isfinite(exact)):
+        raise OverflowError("extremal length along the stretch line leaves double range")
     return make_report("teich_bound", second_diff, exact, 1e-6)
 
 

@@ -101,7 +101,7 @@ def fd_second_variation(tau: Modulus, curve: CurveClass, m: complex, h: float) -
     plus = extremal_length(modulus_path_constant(tau, m, h), curve)
     mid = extremal_length(tau, curve)
     minus = extremal_length(modulus_path_constant(tau, m, -h), curve)
-    return (plus - 2.0 * mid + minus) / h**2
+    return (plus - 2.0 * mid + minus) / (h * h)
 
 
 def fd_levi_form(tau: Modulus, curve: CurveClass, h: float) -> float:
@@ -122,7 +122,7 @@ def fd_levi_form(tau: Modulus, curve: CurveClass, h: float) -> float:
 
     lap = (
         e(x + h, y) + e(x - h, y) + e(x, y + h) + e(x, y - h) - 4.0 * e(x, y)
-    ) / h**2
+    ) / (h * h)
     return 0.25 * lap
 
 
@@ -218,7 +218,8 @@ def _hopf_axis(rng: np.random.Generator) -> IdentityReport:
     """The Hopf differential times the squared holonomy is real and non-positive."""
     rows = []
     for tau, curve in _draws(rng, 1000):
-        v = hopf(build_harmonic_map(tau, curve)) * curve.holonomy(tau) ** 2
+        w = curve.holonomy(tau)
+        v = hopf(build_harmonic_map(tau, curve)) * (w * w)
         rows.append((max(abs(v.imag), max(0.0, v.real)), 0.0, max(1.0, abs(v))))
     return _rows(rows, 1e-13)
 
@@ -247,7 +248,7 @@ def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = second_variation_constant(tau, curve, m)
         fd = fd_second_variation(tau, curve, m, 1e-3)
-        rows.append((closed, fd, abs(m) ** 2 * extremal_length(tau, curve)))
+        rows.append((closed, fd, abs(m) * abs(m) * extremal_length(tau, curve)))
     rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
     return _rows(rows, 1e-5)
 
@@ -282,7 +283,7 @@ def _pair_sum_scaling(rng: np.random.Generator) -> IdentityReport:
     """
     rows = []
     for (tau, curve), m in zip(_draws(rng, 1000), sample_directions(rng, 1000)):
-        exact = 8.0 * abs(m) ** 2 * extremal_length(tau, curve)
+        exact = 8.0 * (abs(m) * abs(m)) * extremal_length(tau, curve)
         rows.append((pair_sum_levi(tau, curve, m), exact, 0.0))
     return _rows(rows, 1e-12)
 
@@ -300,8 +301,9 @@ def _levi_vs_fd(rng: np.random.Generator) -> IdentityReport:
 def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
     """The paired sum along 1 is ``4 levi_form`` times the squared chart
     speed ``4 (Im tau)^2`` of the unit stretch."""
-    return _rows([(pair_sum_levi(tau, curve, 1.0) / (levi_form(tau, curve) * (4.0 * tau.im**2)),
-                   4.0, 0.0) for tau, curve in _draws(rng, 100)], 1e-12)
+    return _rows([(pair_sum_levi(tau, curve, 1.0)
+                   / (4.0 * tau.im * tau.im * levi_form(tau, curve)), 4.0, 0.0)
+                  for tau, curve in _draws(rng, 100)], 1e-12)
 
 
 def _stretch_floor(rng: np.random.Generator) -> IdentityReport:

@@ -199,8 +199,8 @@ SWEEPS = [
     ("-3,2", (-1.0, 1.0, 0.1), (0.1, 3.0, 0.07)),  # negative p, re crossing 0
     ("1,0", (-0.3, 0.3, 0.01), (0.2, 1.2, 0.013)),  # q = 0
     ("5,7", (0.25, 0.25, 1.0), (1.5, 1.5, 0.1)),  # one point
-    # Holds re = -0.0007176000000000001, where (1 + re)**2 and numpy's
-    # square of 1 + re differ by one ulp with glibc's pow.
+    # Holds re = -0.0007176000000000001, where glibc's pow(1 + re, 2) is
+    # one ulp off the product (1 + re) * (1 + re) that both paths compute.
     ("1,1", (-1e-3, -1e-3 + 3000 * 1e-7, 1e-7), (1.0, 1.0, 1.0)),
 ]
 
@@ -254,7 +254,7 @@ def test_sweep_working_set_is_one_block(tmp_path, fmt):
 
 
 @pytest.mark.parametrize("re_spec,im_spec", [
-    ("0:2e154:1e154", "1:1:1"),  # (2e154)**2 raises in pow
+    ("0:2e154:1e154", "1:1:1"),  # 2e154 * 2e154 overflows to inf
     ("0:1e137:1e137", "2e-12:2e-12:1"),  # ext finite, levi past double range
 ], ids=["pow", "levi"])
 def test_sweep_validates_every_block_before_writing(capsys, monkeypatch, re_spec, im_spec):
@@ -433,7 +433,7 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     ("ext", "--tau", "1e200+1i", "--curve", "1,1"),
     ("sweep", "--curve", "1,1", "--re", "1e200:1e200:1", "--im", "1:1:1"),
     ("sweep", "--curve", "1,2", "--re", "1e308:1e308:1", "--im", "1:1:1"),
-    # one-row payloads whose closed form leaves double range without raising
+    # one-row payloads with a closed form outside double range
     ("ext", "--tau", "1e308+1e308i", "--curve", "5,7", "--format", "csv"),
     ("ext", "--tau", "1e308+1e308i", "--curve", "5,7"),
     ("levi", "--tau", "1e308+1e-6i", "--curve", "5,7", "--format", "csv"),
@@ -442,6 +442,14 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     # failure of positivity
     ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-200+0i"),
     ("vary2", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-170+0i"),
+    # (1e200)^2 overflows: ext is inf and levi inf / inf = nan
+    ("ext", "--tau", "0+1e200i", "--curve", "0,1"),
+    ("levi", "--tau", "0+1e200i", "--curve", "0,1"),
+    # an extremal length or a |w_z|^2 that is inf, where a report or a
+    # positivity check would read it
+    ("bound", "--tau", "0+1.3403e154i", "--curve", "0,1", "--mu", "1+0i"),
+    ("bound", "--tau", "1e154+1i", "--curve", "0,1", "--mu", "1+0i"),
+    ("pair-sum", "--tau", "1e200+1i", "--curve", "1,1", "--mu", "1e-200+0i"),
 ])
 def test_overflow_exits_1_with_one_line(capsys, argv):
     with warnings.catch_warnings():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from extorus import moduli
+from extorus.harmonic import build_harmonic_map, energy
 from extorus.moduli import (
     CurveClass,
     MappingClass,
@@ -101,6 +102,19 @@ def test_cylinder_modulus_is_reciprocal():
     for tau, curve in zip(sample_moduli(rng, 300), sample_curves(rng, 300)):
         prod = extremal_length(tau, curve) * cylinder_modulus(tau, curve)
         assert abs(prod - 1.0) <= 1e-14
+
+
+def test_squares_past_double_range():
+    # |p + q tau|^2 = 1e400 overflows though Ext = 1e200 is finite: the closed
+    # forms return inf or nan (inf / inf) for their callers' finiteness checks,
+    # and the annulus modulus raises instead of reading 1e200 / inf = 0.0
+    tau = Modulus(0.0, 1e200)
+    assert extremal_length(tau, VERT) == math.inf
+    assert math.isnan(levi_form(tau, VERT))
+    with pytest.raises(OverflowError, match="double range"):
+        cylinder_modulus(tau, VERT)
+    # |coeff|^2 = 1e400 overflows in the energy
+    assert energy(build_harmonic_map(Modulus(1e200, 1.0), VERT)) == math.inf
 
 
 def test_levi_form_values():
@@ -235,7 +249,8 @@ def test_kerckhoff_matches_half_hyperbolic_on_vertical_pairs():
 
 
 def test_extremal_length_bits_match_complex_holonomy():
-    # The real form must round exactly as the complex holonomy p + q*tau does.
+    # The real form must round exactly as the complex holonomy p + q*tau does,
+    # every square a multiply.
     rng = random.Random(11)
     for _ in range(20000):
         tau = Modulus(rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-6, 3),
@@ -245,9 +260,9 @@ def test_extremal_length_bits_match_complex_holonomy():
             continue
         curve = CurveClass(p, q)
         w = curve.p + curve.q * tau.value
-        ext = (w.real**2 + w.imag**2) / tau.im
+        ext = (w.real * w.real + w.imag * w.imag) / tau.im
         assert extremal_length(tau, curve) == ext, (tau, curve)
-        assert levi_form(tau, curve) == ext / (2.0 * tau.im**2), (tau, curve)
+        assert levi_form(tau, curve) == ext / (2.0 * tau.im * tau.im), (tau, curve)
 
 
 def _reference_pairs(max_index):
@@ -431,7 +446,7 @@ OVERFLOWING = [
 
 @pytest.mark.parametrize("tau1,tau2", OVERFLOWING, ids=str)
 def test_kerckhoff_outside_double_range_is_a_value_error(tau1, tau2):
-    # Python float squares raise OverflowError here, which the scoring counts as inf.
+    # The squares overflow to inf here, and inf / inf ratios are nan.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in (1, 5, 2000):

@@ -17,7 +17,6 @@ from extorus.beltrami import (
 )
 from extorus.moduli import CurveClass, Modulus, extremal_length, levi_form
 from extorus.variation import (
-    SOLVER_RESIDUAL_ABS,
     IdentityReport,
     first_variation,
     identity_eq11_check,
@@ -108,7 +107,7 @@ def test_constant_field_variation_vanishes():
         assert vf.affine_b == -vf.affine_c.conjugate()
         assert np.max(np.abs(vf.periodic)) == 0.0
         assert np.max(np.abs(vf.gradient)) == 0.0
-        assert vf.residual <= SOLVER_RESIDUAL_ABS
+        assert vf.residual == 0.0
 
 
 def test_affine_part_cancels_for_fields_with_a_mean():
@@ -317,6 +316,27 @@ def test_underflow_is_not_a_second_variation(monkeypatch):
                         lambda tau, curve, m: 0.0)
     with pytest.raises(ArithmeticError, match="positive"):
         pair_sum_levi(I, HORIZ, 1.0)
+
+
+def test_squares_past_double_range_raise():
+    # |w_z|^2 = 1e400, or an extremal length past double range, raises
+    # rather than reaching a report or a positivity check as inf or nan
+    far, diag = Modulus(1e200, 1.0), CurveClass(1, 1)
+    with np.errstate(all="ignore"):  # the solve overflows before the identity
+        for field in (constant(far, 1.0), catalog_field(far, "coscos", 16)):
+            with pytest.raises(OverflowError, match="double range"):
+                identity_eq11_check(far, diag, field, 16)
+            with pytest.raises(OverflowError, match="double range"):
+                identity_eq15_evaluate(far, diag, field, 16)
+    for m in (1e-200, 1e200):
+        with pytest.raises(OverflowError, match="overflowed"):
+            second_variation_constant(far, diag, m)
+    with pytest.raises(OverflowError, match="overflowed"):
+        pair_sum_levi(far, diag, 1e-200)
+    # Ext itself is inf at the first; at the second Ext = 1e308 and 2 Ext is inf
+    for tau in (Modulus(0.0, 1.3403e154), Modulus(1e154, 1.0)):
+        with pytest.raises(OverflowError, match="double range"):
+            teich_bound_check(tau, CurveClass(0, 1), 1.0, 1e-3)
 
 
 def test_pair_sum_matches_paired_finite_differences():

@@ -199,6 +199,9 @@ def _field_from_args(args: argparse.Namespace) -> BeltramiField:
 
 
 def _report_payload(report) -> dict:
+    # to_json writes a non-finite side as a string, which _run does not check
+    if not all(math.isfinite(v) for v in (report.lhs, report.rhs, report.scale)):
+        raise OverflowError("a compared value is outside double range")
     data = report.to_json()
     if report.rhs != 0.0:
         data["ratio"] = json_float(report.lhs / report.rhs)
@@ -315,8 +318,6 @@ def _solve_field(a: argparse.Namespace) -> dict:
     return _point(
         a,
         n=vf.n,
-        affine_b=format_complex(vf.affine_b),
-        affine_c=format_complex(vf.affine_c),
         periodic_sup=float(np.abs(vf.periodic).max()),
         gradient_sup=float(np.abs(vf.gradient).max()),
         residual=vf.residual,

@@ -87,19 +87,30 @@ def solver_residual_bound(tau: Modulus, n: int, periodic_sup: float) -> float:
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Outcome of one numerical check.
+    """One numerical check: ``lhs`` against ``rhs``, with the errors and the
+    verdict derived by ``compare``; a report that does not pass is a failure.
 
-    ``passed`` is true iff ``abs_err <= tolerance`` or
-    ``rel_err <= tolerance``.  A report that does not pass is a failure.
+    ``scale`` floors the relative error where the true value is an accidental
+    near-zero of a quantity whose natural size is ``scale``.
     """
 
     name: str
     lhs: float
     rhs: float
-    abs_err: float
-    rel_err: float
-    passed: bool
     tolerance: float
+    scale: float = 0.0
+
+    @property
+    def abs_err(self) -> float:
+        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[0]
+
+    @property
+    def rel_err(self) -> float:
+        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[1]
+
+    @property
+    def passed(self) -> bool:
+        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[2]
 
     def to_json(self) -> dict:
         """Plain-JSON form; a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``.
@@ -107,14 +118,15 @@ class IdentityReport:
         The ``"asserted"`` key is always true; readers of the format count
         failures by it.
         """
+        abs_err, rel_err, passed = compare(self.lhs, self.rhs, self.tolerance, self.scale)
         return {
             "name": self.name,
             "lhs": json_float(self.lhs),
             "rhs": json_float(self.rhs),
-            "abs_err": json_float(self.abs_err),
-            "rel_err": json_float(self.rel_err),
+            "abs_err": json_float(abs_err),
+            "rel_err": json_float(rel_err),
             "tolerance": json_float(self.tolerance),
-            "pass": self.passed,
+            "pass": passed,
             "asserted": True,
         }
 
@@ -127,28 +139,11 @@ def json_float(x: float) -> float | str:
     return x if math.isfinite(x) else str(x)
 
 
-def make_report(
-    name: str,
-    lhs: float,
-    rhs: float,
-    tolerance: float,
-    scale: float = 0.0,
-) -> IdentityReport:
-    """Compare ``lhs`` to ``rhs``; ``scale`` sets a floor for the relative error.
-
-    The floor keeps comparisons meaningful when the true value is an
-    accidental near-zero of a quantity whose natural size is ``scale``.
-    """
-    return IdentityReport(name, lhs, rhs, *compare(lhs, rhs, tolerance, scale), tolerance)
-
-
 def compare(lhs: float, rhs: float, tolerance: float, scale: float = 0.0
             ) -> tuple[float, float, bool]:
-    """``abs_err``, ``rel_err`` and the verdict of ``make_report``, without the report.
-
-    Where no size is positive both sides are 0, and the relative error is
-    the absolute one; a NaN side makes both errors NaN, which fails.
-    """
+    """``abs_err``, ``rel_err`` and the verdict ``abs_err <= tolerance or
+    rel_err <= tolerance``.  Where no size is positive both sides are 0, and
+    the relative error is the absolute one; a NaN side fails."""
     abs_err = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs), scale)
     rel_err = abs_err / denom if denom > 0 else abs_err
@@ -160,19 +155,15 @@ class VariationField:
     """Derivative ``wdot`` of the harmonic map along a Beltrami field.
 
     ``wdot`` is ``periodic``, real and of grid mean zero on the ``n x n``
-    lattice grid.  The affine coefficients from the period conditions are
-    kept for the record; ``affine_b == -conj(affine_c)``, so the affine
-    part ``Re(affine_b z + affine_c zbar)`` is zero.  ``mu_samples`` is
-    the driving field materialized on the same grid, ``gradient`` is
-    ``d wdot / dz`` there, and ``residual`` is the sup norm of the defect
-    of the discrete Poisson equation against a source of sup norm
-    ``source_sup``.
+    lattice grid: the period conditions leave it no affine part.
+    ``mu_samples`` is the driving field materialized on the same grid,
+    ``gradient`` is ``d wdot / dz`` there, and ``residual`` is the sup norm
+    of the defect of the discrete Poisson equation against a source of sup
+    norm ``source_sup``.
     """
 
     base: HarmonicMapTorus
     n: int
-    affine_b: complex
-    affine_c: complex
     periodic: np.ndarray
     mu_samples: np.ndarray
     gradient: np.ndarray
@@ -200,67 +191,64 @@ def solve_variation_field(
     so the affine part is zero and ``wdot`` is the exact spectral solve
     of the Poisson problem, gauged to mean zero.  Raises if the discrete
     source has a nonzero mean (the solvability obstruction) beyond
-    rounding.
+    rounding.  Outside double range the outputs hold inf or NaN, silently.
     """
     if field.tau != tau:
         raise ValueError("field lives on a different torus")
     if n < field.n:
         raise ValueError("solver grid must be at least the field resolution")
-    hmap = build_harmonic_map(tau, curve)
-    mu = field.grid_samples(n)
-    m0 = complex(mu.mean())
-    c = hmap.coeff * m0
+    with np.errstate(all="ignore"):
+        hmap = build_harmonic_map(tau, curve)
+        mu = field.grid_samples(n)
+        m0 = complex(mu.mean())
 
-    # Every transform but the gradient's runs in place in ``work``, the one
-    # complex buffer the solve owns, so about 3.5 complex grids are live at
-    # the peak, the outputs included; ``grid_dz`` would copy ``mu - m0``
-    # into a fourth.  The in-place products keep the symbol or scalar
-    # first: numpy's complex multiply is not bitwise commutative.
-    #
-    # The Laplacian symbol dz * dzbar = -(pi / Im tau)^2 |k - tau j|^2 is
-    # real, with dzbar = -conj(dz) bitwise; the complex product's imaginary
-    # part is rounding noise.
-    dz = dz_multiplier(tau, n)
-    work = np.conj(dz)
-    np.negative(work, out=work)
-    np.multiply(dz, work, out=work)
-    symbol = work.real.copy()
+        # Every transform but the gradient's runs in place in ``work``, the
+        # one complex buffer the solve owns, so about 3.5 complex grids are
+        # live at the peak, the outputs included; ``grid_dz`` would copy
+        # ``mu - m0`` into a fourth.  The in-place products keep the symbol
+        # or scalar first: numpy's complex multiply is not bitwise commutative.
+        #
+        # The Laplacian symbol dz * dzbar = -(pi / Im tau)^2 |k - tau j|^2 is
+        # real, with dzbar = -conj(dz) bitwise; the complex product's
+        # imaginary part is rounding noise.
+        dz = dz_multiplier(tau, n)
+        work = np.conj(dz)
+        np.negative(work, out=work)
+        np.multiply(dz, work, out=work)
+        symbol = work.real.copy()
 
-    w_z = hmap.coeff / 2.0
-    np.subtract(mu, m0, out=work)
-    np.fft.fft2(work, out=work)
-    np.multiply(dz, work, out=work)
-    del dz
-    _ifft2_in_place(work)
-    np.multiply(w_z, work, out=work)
-    source = 2.0 * work.real
-    source_sup = float(np.abs(source).max())
+        w_z = hmap.coeff / 2.0
+        np.subtract(mu, m0, out=work)
+        np.fft.fft2(work, out=work)
+        np.multiply(dz, work, out=work)
+        del dz
+        _ifft2_in_place(work)
+        np.multiply(w_z, work, out=work)
+        source = 2.0 * work.real
+        source_sup = float(np.abs(source).max())
 
-    # A real array written into a complex buffer (imaginary part zero)
-    # transforms to the same bits as the real array itself.
-    work[...] = source
-    np.fft.fft2(work, out=work)
-    if abs(work[0, 0]) / n**2 > 1e-12 * max(1.0, source_sup):
-        raise ArithmeticError("source term has nonzero mean; problem is not solvable")
-    with np.errstate(divide="ignore", invalid="ignore"):
+        # A real array written into a complex buffer (imaginary part zero)
+        # transforms to the same bits as the real array itself.
+        work[...] = source
+        np.fft.fft2(work, out=work)
+        if abs(work[0, 0]) / n**2 > 1e-12 * max(1.0, source_sup):
+            raise ArithmeticError("source term has nonzero mean; problem is not solvable")
         np.divide(work, symbol, out=work)
-    work[symbol == 0] = 0.0
-    _ifft2_in_place(work)
-    periodic = work.real - work.real.mean()
+        work[symbol == 0] = 0.0
+        _ifft2_in_place(work)
+        periodic = work.real - work.real.mean()
 
-    work[...] = periodic
-    np.fft.fft2(work, out=work)
-    np.multiply(symbol, work, out=work)
-    del symbol
-    _ifft2_in_place(work)
-    defect = np.subtract(work.real, source, out=source)
-    del work, source
-    residual = float(np.abs(defect, out=defect).max())
-    del defect
-    gradient = grid_dz(periodic, tau)
-    return VariationField(
-        hmap, n, -c.conjugate(), c, periodic, mu, gradient, residual, source_sup
-    )
+        work[...] = periodic
+        np.fft.fft2(work, out=work)
+        np.multiply(symbol, work, out=work)
+        del symbol
+        _ifft2_in_place(work)
+        defect = np.subtract(work.real, source, out=source)
+        del work, source
+        residual = float(np.abs(defect, out=defect).max())
+        del defect
+        gradient = grid_dz(periodic, tau)
+        return VariationField(hmap, n, periodic, mu, gradient, residual, source_sup)
 
 
 def identity_eq11_check(
@@ -271,17 +259,27 @@ def identity_eq11_check(
     With the mass-``4 Im tau`` measure, ``<< |wdot_z|^2 >>`` must equal
     ``<< Re(2 mu w_z wdot_z) >>``; this holds for every deformation
     field, so the residual is a direct accuracy check on the solver.
-    A scale ``|mu|^2 |w_z|^2`` outside double range raises ``OverflowError``.
+    A scale ``|mu|^2 |w_z|^2`` outside double range raises ``OverflowError``,
+    and a ``|w_z|^2`` that underflows ``FloatingPointError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
     w_z = vf.base.coeff / 2.0
     measure = 4.0 * tau.im
     lhs = measure * float(np.mean(np.square(np.abs(vf.gradient))))
     rhs = measure * float(np.mean(2.0 * np.real(vf.mu_samples * w_z * vf.gradient)))
-    scale = measure * field.l2_mean_square() * (abs(w_z) * abs(w_z))
+    scale = measure * field.l2_mean_square() * _w_z_abs_square(vf.base)
     if not math.isfinite(scale):
         raise OverflowError("|mu|^2 |w_z|^2 leaves double range")
-    return make_report(f"eq11[{_field_label(field)},n={n}]", lhs, rhs, 1e-10, scale)
+    return IdentityReport(f"eq11[{_field_label(field)},n={n}]", lhs, rhs, 1e-10, scale)
+
+
+def _w_z_abs_square(hmap: HarmonicMapTorus) -> float:
+    """``|w_z|^2``.  Both sides of an identity scale with it, so an underflow
+    would make them read 0; it raises ``FloatingPointError``."""
+    square = abs(hmap.coeff / 2.0) * abs(hmap.coeff / 2.0)
+    if square < sys.float_info.min:
+        raise FloatingPointError("|w_z|^2 underflowed")
+    return square
 
 
 def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> float:
@@ -344,20 +342,21 @@ def identity_eq15_evaluate(
     ``i mu`` cancel.  For constant fields both sides vanish.  The first
     solve is reduced to its two means before the second one runs, so only
     one solve's grids are live at a time.  A right side outside double
-    range raises ``OverflowError``.
+    range raises ``OverflowError``, and a ``|w_z|^2`` that underflows
+    ``FloatingPointError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
     first = float(np.mean(np.square(np.abs(vf.gradient))))
-    w_z_abs = abs(vf.base.coeff / 2.0)
+    w_z_square = _w_z_abs_square(vf.base)
     mu = vf.mu_samples
     del vf
-    rhs = 4.0 * (w_z_abs * w_z_abs) * float(np.mean(np.square(np.abs(mu - field.mean()))))
+    rhs = 4.0 * w_z_square * float(np.mean(np.square(np.abs(mu - field.mean()))))
     del mu
     if not math.isfinite(rhs):
         raise OverflowError("4 |w_z|^2 mean |mu - mean mu|^2 leaves double range")
     vf = solve_variation_field(tau, curve, field.scaled(1j), n)
     lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
-    return make_report(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
+    return IdentityReport(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
 
 
 def _require_step(h: float) -> None:
@@ -384,7 +383,7 @@ def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex, h: float) -> 
     exact = 4.0 * (stretch * stretch) * ext0
     if not (math.isfinite(second_diff) and math.isfinite(exact)):
         raise OverflowError("extremal length along the stretch line leaves double range")
-    return make_report("teich_bound", second_diff, exact, 1e-6)
+    return IdentityReport("teich_bound", second_diff, exact, 1e-6)
 
 
 def _field_label(field: BeltramiField) -> str:

@@ -332,8 +332,7 @@ KEY_ORDER = [
     ),
     (
         ("solve-field", *TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "16"),
-        ["tau", "curve", "n", "affine_b", "affine_c", "periodic_sup", "gradient_sup",
-         "residual", "source_sup"],
+        ["tau", "curve", "n", "periodic_sup", "gradient_sup", "residual", "source_sup"],
     ),
     (("eq11", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "16"), REPORT_KEYS + ["ratio"]),
     (("eq15", *TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "16"), REPORT_KEYS + ["ratio"]),
@@ -450,6 +449,15 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     ("bound", "--tau", "0+1.3403e154i", "--curve", "0,1", "--mu", "1+0i"),
     ("bound", "--tau", "1e154+1i", "--curve", "0,1", "--mu", "1+0i"),
     ("pair-sum", "--tau", "1e200+1i", "--curve", "1,1", "--mu", "1e-200+0i"),
+    # a report whose sides are NaN, and a solve that overflows, exit 1
+    # with no numpy warning
+    ("eq11", "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
+    ("eq15", "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
+    ("eq11", "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
+    ("eq11", "--tau", "1e200+1i", "--curve", "1,1", "--mu", "1+0i", "--grid", "16"),
+    # a |w_z|^2 that underflows would make both sides 0 and pass vacuously
+    ("eq11", "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
+    ("eq15", "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
 ])
 def test_overflow_exits_1_with_one_line(capsys, argv):
     with warnings.catch_warnings():
@@ -462,10 +470,8 @@ def test_overflow_exits_1_with_one_line(capsys, argv):
 
 
 def test_verify_json_is_strict_when_a_check_fails(capsys, monkeypatch):
-    failed = IdentityReport("pair_sum_scaling_positivity", 4.0, 4.0, math.inf, math.inf,
-                            False, 1e-12)
-    monkeypatch.setattr(cli, "run_suite", lambda seed: SuiteResult(
-        (failed,), seed, 0.1, False))
+    failed = IdentityReport("pair_sum_scaling_positivity", 4.0, math.inf, 1e-12)
+    monkeypatch.setattr(cli, "run_suite", lambda seed: SuiteResult((failed,), seed, 0.1))
     code, out, _ = run(capsys, "verify", "--format", "json")
     assert code == 1
 

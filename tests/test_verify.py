@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from extorus.moduli import CurveClass, Modulus
-from extorus.variation import IdentityReport, make_report
+from extorus.variation import IdentityReport
 from extorus.verify import (
     SuiteResult,
     _rows,
@@ -131,15 +131,17 @@ def test_rows_builds_the_report_worst_of_picks():
         [(0.0, 0.0, 0.0)],
     ]
     for rows in cases:
-        reports = [make_report("", lhs, rhs, tol, scale) for lhs, rhs, scale in rows]
-        assert repr(_rows(rows, tol)) == repr(_worst_of(reports)), rows
+        reports = [IdentityReport("", lhs, rhs, tol, scale) for lhs, rhs, scale in rows]
+        failing = [r for r in reports if not r.passed]
+        expected = failing[0] if failing else max(reports, key=lambda r: r.rel_err)
+        assert repr(_rows(rows, tol)) == repr(expected) == repr(_worst_of(reports)), rows
     assert _rows(cases[0], tol).lhs == 1.0  # a tie goes to the first row
     assert _rows(cases[0] + [(1e-8, 0.0, 0.0)], tol).lhs == 1e-8  # no floor, no pass
     assert _rows(cases[1], tol).lhs == 3.0
     assert _rows(cases[2], tol).lhs == 1.0 and not _rows(cases[2], tol).passed
     # a NaN on either side fails
     assert math.isnan(_rows(cases[3], tol).lhs)
-    assert not make_report("", 1.0, math.nan, tol).passed
+    assert not IdentityReport("", 1.0, math.nan, tol).passed
 
 
 def test_suite_passes_with_defaults():
@@ -199,10 +201,9 @@ def _reject_constant(token):
 
 
 def test_suite_json_is_strict_for_failing_reports():
-    # a failed positivity or maximizer check carries abs_err = inf
-    failed = IdentityReport("kerckhoff_vs_half_hyperbolic", 1.0, -math.inf, math.inf,
-                            math.nan, False, 1e-9)
-    text = SuiteResult((failed,), 42, 0.5, False).to_json_text()
+    # an infinite side gives abs_err = inf and rel_err = inf / inf = nan
+    failed = IdentityReport("kerckhoff_vs_half_hyperbolic", 1.0, -math.inf, 1e-9)
+    text = SuiteResult((failed,), 42, 0.5).to_json_text()
     entry = json.loads(text, parse_constant=_reject_constant)["reports"][0]
     assert (entry["rhs"], entry["abs_err"], entry["rel_err"]) == ("-inf", "inf", "nan")
     assert float(entry["rhs"]) == -math.inf and float(entry["abs_err"]) == math.inf

@@ -44,11 +44,9 @@ from .moduli import (
 )
 from .variation import (
     _require_nonzero,
-    _require_step,
     first_variation,
     identity_eq11_check,
     identity_eq15_evaluate,
-    json_float,
     pair_sum_levi,
     second_variation_constant,
     solve_variation_field,
@@ -111,7 +109,6 @@ _curve = _arg_type(parse_curve)
 _complex = _arg_type(parse_complex)
 _grid = _number(int, _require_grid_size, MAX_GRID)
 _max_pq = _number(int, _require_max_index, MAX_PQ)
-_step = _number(float, _require_step)
 _nonzero = _number(parse_complex, _require_nonzero)
 _unimodular = _number(parse_complex, _require_unimodular)
 
@@ -143,11 +140,6 @@ def _range(text: str) -> tuple[float, float, float]:
         raise argparse.ArgumentTypeError(f"range needs finite lo, hi and step, got {text!r}")
     if step <= 0 or hi < lo:
         raise argparse.ArgumentTypeError("range needs step > 0 and hi >= lo")
-    count = _range_count(spec)
-    if count > MAX_SWEEP_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"range {text!r} has {count} points; a sweep writes at most {MAX_SWEEP_POINTS}"
-        )
     return spec
 
 
@@ -198,16 +190,6 @@ def _field_from_args(args: argparse.Namespace) -> BeltramiField:
     return catalog_field(args.tau, args.mu_fn, args.grid)
 
 
-def _report_payload(report) -> dict:
-    # to_json writes a non-finite side as a string, which _run does not check
-    if not all(math.isfinite(v) for v in (report.lhs, report.rhs, report.scale)):
-        raise OverflowError("a compared value is outside double range")
-    data = report.to_json()
-    if report.rhs != 0.0:
-        data["ratio"] = json_float(report.lhs / report.rhs)
-    return data
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False)
 
@@ -245,17 +227,25 @@ def _emit(text: str | Iterable[str], out: str | None) -> int:
     return 0
 
 
+def _one_row(a: argparse.Namespace, payload: dict) -> tuple[str, int]:
+    """``payload`` as JSON or CSV text, and exit code 0.  Every float in it
+    must be finite: one outside double range raises ``OverflowError``."""
+    if any(isinstance(v, float) and not math.isfinite(v) for v in payload.values()):
+        raise OverflowError("a result is outside double range")
+    return (_csv_text(payload) if a.format == "csv" else _json_text(payload)), 0
+
+
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its help, its flags, the ``--format`` values it writes,
-    and ``run``, which returns the one payload dict the subcommand writes
-    (``sweep`` and ``verify`` write rows or a table and return an exit code).
+    and ``run``, which returns the text the subcommand writes (one string,
+    or its pieces in order) and the exit code once that text is written.
     """
 
     help: str
     flags: tuple[Callable[[argparse.ArgumentParser], None], ...]
     formats: tuple[str, ...]
-    run: Callable[[argparse.Namespace], dict | int]
+    run: Callable[[argparse.Namespace], tuple[str | Iterable[str], int]]
 
 
 COMMANDS: dict[str, Command] = {}
@@ -275,31 +265,43 @@ def _command(name: str, help_text: str, flags: tuple, formats: tuple[str, ...] =
     return register
 
 
-def _point(a: argparse.Namespace, **values) -> dict:
-    """The one payload head: ``tau`` and ``curve``, then ``values``."""
-    return {"tau": format_complex(a.tau.value), "curve": format_curve(a.curve), **values}
+def _report_row(a: argparse.Namespace, report, **values) -> tuple[str, int]:
+    """``_one_row`` of the report's JSON keys holding its own floats (``to_json``
+    writes a non-finite one as a string), ``ratio`` where ``rhs`` is nonzero,
+    then ``values``."""
+    data = {**report.to_json(), "lhs": report.lhs, "rhs": report.rhs,
+            "abs_err": report.abs_err, "rel_err": report.rel_err}
+    if report.rhs != 0.0:
+        data["ratio"] = report.lhs / report.rhs
+    return _one_row(a, {**data, **values})
+
+
+def _point(a: argparse.Namespace, **values) -> tuple[str, int]:
+    """``_one_row`` of the one payload head, ``tau`` and ``curve``, then ``values``."""
+    return _one_row(a, {"tau": format_complex(a.tau.value), "curve": format_curve(a.curve),
+                        **values})
 
 
 @_command("ext", "extremal length and annulus modulus of a curve class", _POINT)
-def _ext(a: argparse.Namespace) -> dict:
+def _ext(a: argparse.Namespace) -> tuple[str, int]:
     return _point(
         a, ext=extremal_length(a.tau, a.curve), cylinder_modulus=cylinder_modulus(a.tau, a.curve)
     )
 
 
 @_command("levi", "mixed second derivative of extremal length at tau", _POINT)
-def _levi(a: argparse.Namespace) -> dict:
+def _levi(a: argparse.Namespace) -> tuple[str, int]:
     return _point(a, levi=levi_form(a.tau, a.curve))
 
 
 @_command("vary1", "first variation of extremal length along a field", _FIELD)
-def _vary1(a: argparse.Namespace) -> dict:
+def _vary1(a: argparse.Namespace) -> tuple[str, int]:
     mu = format_complex(a.mu) if a.mu is not None else a.mu_fn
     return _point(a, mu=mu, first_variation=first_variation(a.tau, a.curve, _field_from_args(a)))
 
 
 @_command("vary2", "second variation along a constant field", (*_POINT, _MU))
-def _vary2(a: argparse.Namespace) -> dict:
+def _vary2(a: argparse.Namespace) -> tuple[str, int]:
     second = second_variation_constant(a.tau, a.curve, a.mu)
     return _point(a, mu=format_complex(a.mu), second_variation=second)
 
@@ -307,13 +309,13 @@ def _vary2(a: argparse.Namespace) -> dict:
 @_command("pair-sum", "second variations along mu and i*mu, summed", (
     *_POINT, _arg("--mu", type=_nonzero, required=True, help="nonzero constant field, a+bi form"),
 ))
-def _pair_sum(a: argparse.Namespace) -> dict:
+def _pair_sum(a: argparse.Namespace) -> tuple[str, int]:
     ps = pair_sum_levi(a.tau, a.curve, a.mu)
     return _point(a, mu=format_complex(a.mu), pair_sum=ps, positive=ps > 0.0)
 
 
 @_command("solve-field", "derivative of the harmonic map along a field", _FIELD)
-def _solve_field(a: argparse.Namespace) -> dict:
+def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
     vf = solve_variation_field(a.tau, a.curve, _field_from_args(a), a.grid)
     return _point(
         a,
@@ -326,13 +328,13 @@ def _solve_field(a: argparse.Namespace) -> dict:
 
 
 @_command("eq11", "integration-by-parts check on the solved derivative", _FIELD)
-def _eq11(a: argparse.Namespace) -> dict:
-    return _report_payload(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid))
+def _eq11(a: argparse.Namespace) -> tuple[str, int]:
+    return _report_row(a, identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid))
 
 
 @_command("eq15", "paired-direction gradient identity on the solved derivative", _FIELD)
-def _eq15(a: argparse.Namespace) -> dict:
-    return _report_payload(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid))
+def _eq15(a: argparse.Namespace) -> tuple[str, int]:
+    return _report_row(a, identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid))
 
 
 @_command("distance", "stretch-factor distance between two moduli", (
@@ -341,10 +343,10 @@ def _eq15(a: argparse.Namespace) -> dict:
     _arg("--max-pq", type=_max_pq, default=50,
          help=f"curve search bound |p|,|q| <= N, N in [1, {MAX_PQ}] (default 50)"),
 ))
-def _distance(a: argparse.Namespace) -> dict:
+def _distance(a: argparse.Namespace) -> tuple[str, int]:
     kd = kerckhoff_distance(a.tau, a.tau2, a.max_pq)
     hyp = hyperbolic_distance(a.tau, a.tau2)
-    return {
+    return _one_row(a, {
         "tau": format_complex(a.tau.value),
         "tau2": format_complex(a.tau2.value),
         "max_pq": a.max_pq,
@@ -352,18 +354,16 @@ def _distance(a: argparse.Namespace) -> dict:
         "maximizer": format_curve(kd.maximizer),
         "hyperbolic": hyp,
         "half_hyperbolic": 0.5 * hyp,
-    }
+    })
 
 
 @_command("bound", "second difference of extremal length along a unit stretch line", (
     *_POINT,
     _arg("--mu", type=_unimodular, required=True, help="direction with |mu| = 1"),
-    _arg("--step", type=_step, default=1e-3,
-         help="second-difference step, in (0, 1e-2] (default 1e-3)"),
 ))
-def _bound(a: argparse.Namespace) -> dict:
-    report = teich_bound_check(a.tau, a.curve, a.mu, a.step)
-    return {**_report_payload(report), "ext": extremal_length(a.tau, a.curve)}
+def _bound(a: argparse.Namespace) -> tuple[str, int]:
+    report = teich_bound_check(a.tau, a.curve, a.mu)
+    return _report_row(a, report, ext=extremal_length(a.tau, a.curve))
 
 
 _SWEEP_KEYS = ("re", "im", "ext", "levi")
@@ -409,34 +409,28 @@ def _sweep_csv(chunks: Iterable[list[float]]) -> Iterator[str]:
     _arg("--re", type=_range, required=True, help="real range lo:hi:step"),
     _arg("--im", type=_im_range, required=True, help="imaginary range lo:hi:step, lo > 1e-12"),
 ))
-def _sweep(args: argparse.Namespace) -> int:
+def _sweep(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     points = _range_count(args.re) * _range_count(args.im)
     if points > MAX_SWEEP_POINTS:
         print(f"extorus sweep: error: --re and --im give {points} points; "
               f"a sweep writes at most {MAX_SWEEP_POINTS}", file=sys.stderr)
-        return 2
+        raise SystemExit(2)
     res = _range_values(args.re)
     ims = _range_values(args.im)
     ext, levi = _closed_forms_on_grid(args.curve, res, ims)
     chunks = _sweep_rows(res, ims, ext, levi)
-    return _emit(_sweep_json(chunks) if args.format == "json" else _sweep_csv(chunks), args.out)
+    return (_sweep_json(chunks) if args.format == "json" else _sweep_csv(chunks)), 0
 
 
 @_command("verify", "run the full cross-check suite", (
     _arg("--seed", type=_seed, default=42, help="sampling seed, integer >= 0 (default 42)"),
 ), formats=("json",))
-def _verify(args: argparse.Namespace) -> int:
+def _verify(args: argparse.Namespace) -> tuple[str, int]:
+    """The table on stdout by default, JSON with ``--format json`` or in a file."""
     result = run_suite(args.seed)
-    if args.out is not None:
-        code = _emit(result.to_json_text(), args.out)
-        if code != 0:
-            return code
-        print(format_table(result))
-    elif args.format == "json":
-        print(result.to_json_text())
-    else:
-        print(format_table(result))
-    return 0 if result.all_passed else 1
+    as_json = args.format == "json" or args.out is not None
+    text = result.to_json_text() if as_json else format_table(result)
+    return text, 0 if result.all_passed else 1
 
 
 def build_parser() -> _Parser:
@@ -444,6 +438,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         sub = subs.add_parser(name, help=cmd.help)
+        sub.set_defaults(run=cmd.run)
         sub.add_argument("--out", help="write the result to this path instead of stdout")
         sub.add_argument(
             "--format",
@@ -456,25 +451,14 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run(args: argparse.Namespace) -> int:
-    run = COMMANDS[args.command].run
-    if args.command in ("sweep", "verify"):
-        return run(args)
-    payload = run(args)
-    if any(isinstance(v, float) and not math.isfinite(v) for v in payload.values()):
-        raise OverflowError("a result is outside double range")
-    text = _csv_text(payload) if args.format == "csv" else _json_text(payload)
-    return _emit(text, args.out)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Parse ``argv``, run its subcommand and write the result; returns the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        text, code = args.run(args)
+        return _emit(text, args.out) or code
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return _run(args)
     except OverflowError:
         print("extorus: input is outside double range: a result overflowed", file=sys.stderr)
         return 1

@@ -359,22 +359,17 @@ def identity_eq15_evaluate(
     return IdentityReport(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
 
 
-def _require_step(h: float) -> None:
-    if not 0.0 < h <= 1e-2:
-        raise ValueError("step must lie in (0, 1e-2]")
-
-
-def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex, h: float) -> IdentityReport:
+def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex) -> IdentityReport:
     """Second difference of extremal length along the unit stretch line in
     the unimodular direction ``m``, against its exact value.
 
     At arc-length parameter ``s`` along the line the even part of
     extremal length is ``cosh(2s) Ext``, so the second difference with
-    step ``h`` is exactly ``4 (sinh h / h)^2 Ext``: the second derivative
-    ``4 Ext`` plus the ``O(h^2)`` error of the difference.  A side outside
-    double range raises ``OverflowError``.
+    step ``h = 1e-3`` is exactly ``4 (sinh h / h)^2 Ext``: the second
+    derivative ``4 Ext`` plus the ``O(h^2)`` error of the difference.  A
+    side outside double range raises ``OverflowError``.
     """
-    _require_step(h)
+    h = 1e-3
     ext0 = extremal_length(tau, curve)
     plus = extremal_length(teich_geodesic_constant(tau, m, h), curve)
     minus = extremal_length(teich_geodesic_constant(tau, m, -h), curve)

@@ -9,9 +9,9 @@ its output must satisfy.  ``run_suite`` executes a fixed sequence of
 checks on one seeded random stream and reports one line per check.  A
 check that samples draws all its rows before it computes any, each
 distribution in one vectorized draw, and builds a report only for the
-row it reports.  Each check writes its tolerance, and its difference
-step if it has one, once, as a literal; the tolerance is reported in
-its row.
+row it reports.  Each oracle writes its difference step once, as a
+literal in its body, and each check writes its tolerance once, at the
+check; the tolerance is reported in its row.
 
 Relative errors are floored at the natural scale of the quantity being
 differentiated (for a first variation along ``m`` that scale is
@@ -88,34 +88,35 @@ class SuiteResult:
         return json.dumps(self.to_json(), indent=2, allow_nan=False)
 
 
-def fd_first_variation(tau: Modulus, curve: CurveClass, m: complex, h: float) -> float:
+def fd_first_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
     """Centered difference of extremal length along the constant-field path."""
-    if not (h > 0 and abs(m) * h < 0.5):
-        raise ValueError("need h > 0 with |m| h < 0.5")
+    h = 1e-4
+    if not abs(m) * h < 0.5:
+        raise ValueError(f"need |m| h < 0.5 with h = {h:g}")
     plus = extremal_length(modulus_path_constant(tau, m, h), curve)
     minus = extremal_length(modulus_path_constant(tau, m, -h), curve)
     return (plus - minus) / (2.0 * h)
 
 
-def fd_second_variation(tau: Modulus, curve: CurveClass, m: complex, h: float) -> float:
+def fd_second_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
     """Second centered difference along the constant-field path."""
-    if not (h > 0 and abs(m) * h < 0.5):
-        raise ValueError("need h > 0 with |m| h < 0.5")
+    h = 1e-3
+    if not abs(m) * h < 0.5:
+        raise ValueError(f"need |m| h < 0.5 with h = {h:g}")
     plus = extremal_length(modulus_path_constant(tau, m, h), curve)
     mid = extremal_length(tau, curve)
     minus = extremal_length(modulus_path_constant(tau, m, -h), curve)
     return (plus - 2.0 * mid + minus) / (h * h)
 
 
-def fd_levi_form(tau: Modulus, curve: CurveClass, h: float) -> float:
+def fd_levi_form(tau: Modulus, curve: CurveClass) -> float:
     """Quarter of the five-point Laplacian of extremal length in ``tau``.
 
     The Laplacian of a function of ``tau`` is four times its mixed
     ``tau, tau-bar`` derivative, so this is a formula-free oracle for
     ``levi_form``.
     """
-    if not 0.0 < h <= 1e-3:
-        raise ValueError("step must lie in (0, 1e-3]")
+    h = 1e-4
     if tau.im <= 2.0 * h:
         raise ValueError("tau too close to the boundary for this step")
     x, y = tau.re, tau.im
@@ -235,7 +236,7 @@ def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = first_variation(tau, curve, constant(tau, m))
-        fd = fd_first_variation(tau, curve, m, 1e-4)
+        fd = fd_first_variation(tau, curve, m)
         rows.append((closed, fd, abs(m) * extremal_length(tau, curve)))
     return _rows(rows, 1e-6)
 
@@ -244,7 +245,7 @@ def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = second_variation_constant(tau, curve, m)
-        fd = fd_second_variation(tau, curve, m, 1e-3)
+        fd = fd_second_variation(tau, curve, m)
         rows.append((closed, fd, abs(m) * abs(m) * extremal_length(tau, curve)))
     rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
     return _rows(rows, 1e-5)
@@ -291,7 +292,7 @@ def _levi_vs_fd(rng: np.random.Generator) -> IdentityReport:
         for re in np.linspace(-1.0, 1.0, 10):
             for im in np.linspace(0.3, 3.0, 10):
                 tau = Modulus(float(re), float(im))
-                rows.append((levi_form(tau, curve), fd_levi_form(tau, curve, 1e-4), 0.0))
+                rows.append((levi_form(tau, curve), fd_levi_form(tau, curve), 0.0))
     return _rows(rows, 1e-6)
 
 
@@ -306,7 +307,7 @@ def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
 def _stretch_floor(rng: np.random.Generator) -> IdentityReport:
     units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
     return _worst_of([
-        teich_bound_check(tau, curve, m, 1e-3)
+        teich_bound_check(tau, curve, m)
         for tau, curve in _draws(rng, 50)
         for m in units
     ])

@@ -106,7 +106,7 @@ def test_ac03_first_variation_matches_finite_differences():
         for tau, curve, m in draws:
             assert abs(m) <= 0.5
             closed = first_variation(tau, curve, constant(tau, m))
-            fd = fd_first_variation(tau, curve, m, 1e-4)
+            fd = fd_first_variation(tau, curve, m)
             scale = max(abs(closed), abs(fd), abs(m) * extremal_length(tau, curve))
             worst = max(worst, abs(closed - fd) / scale)
         assert worst <= 1e-6, worst
@@ -124,7 +124,7 @@ def test_ac04_second_variation_matches_finite_differences():
         draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
         for tau, curve, m in draws:
             closed = second_variation_constant(tau, curve, m)
-            fd = fd_second_variation(tau, curve, m, 1e-3)
+            fd = fd_second_variation(tau, curve, m)
             scale = max(abs(closed), abs(fd), abs(m) ** 2 * extremal_length(tau, curve))
             worst = max(worst, abs(closed - fd) / scale)
         assert worst <= 1e-5, worst
@@ -193,7 +193,7 @@ def test_ac06_levi_form_positivity_and_pair_sum():
                 for im in np.linspace(0.3, 3.0, 10):
                     tau = Modulus(float(re), float(im))
                     closed = levi_form(tau, curve)
-                    fd = fd_levi_form(tau, curve, 1e-4)
+                    fd = fd_levi_form(tau, curve)
                     worst = max(worst, abs(closed - fd) / max(closed, fd))
         assert worst <= 1e-6, worst
 
@@ -256,10 +256,10 @@ def test_ac08_convexity_floor_along_stretch_lines():
                 )
                 second_diff = (plus - 2.0 * ext0 + minus) / h**2
                 assert second_diff >= -4.0 * ext0 - 1e-6, (tau, curve, m)
-                report = teich_bound_check(tau, curve, m, h)
+                report = teich_bound_check(tau, curve, m)
                 assert report.passed
         for m in (1.0, 1j):
-            report = teich_bound_check(I, HORIZ, m, h)
+            report = teich_bound_check(I, HORIZ, m)
             assert report.lhs == pytest.approx(4.0, abs=1e-5)
 
 

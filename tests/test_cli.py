@@ -1,6 +1,7 @@
 """Command-line front end: argument validation, payloads, formats, exit codes."""
 
 import csv
+import functools
 import io
 import json
 import math
@@ -273,7 +274,7 @@ def test_sweep_validates_every_block_before_writing(capsys, monkeypatch, re_spec
 def test_sweep_point_cap(capsys):
     assert 1001 * 1001 <= cli.MAX_SWEEP_POINTS
     cap = str(cli.MAX_SWEEP_POINTS)
-    # one range over the cap: refused while parsing, before any allocation
+    # one range over the cap: refused before any allocation
     code, out, err = run(capsys, "sweep", "--curve", "1,0", "--re", "0:1e9:1e-9", "--im", "1:1:1")
     assert (code, out) == (2, "")
     assert "1000000000000000001 points" in err and cap in err
@@ -387,8 +388,8 @@ def test_argument_errors_exit_2(capsys):
         ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "x"),
         ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "0"),
         ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "2001"),
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "1"),
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "nan"),
+        # the step is fixed, so no flag sets it
+        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "1e-3"),
         ("verify", "--format", "csv"),
         ("sweep", "--curve", "1,0", "--re=nan:1:1", "--im", "1:1:1"),
         ("sweep", "--curve", "1,0", "--re", "0:inf:1", "--im", "1:1:1"),
@@ -490,6 +491,52 @@ def test_out_writes_file(tmp_path, capsys):
     assert code == 0
     data = json.loads(target.read_text(encoding="utf-8"))
     assert data["ext"] == 1.0
+
+
+OUT_CASES = {
+    "ext": [TAU_CURVE],
+    "levi": [TAU_CURVE],
+    "vary1": [(*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8")],
+    "vary2": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
+    "pair-sum": [(*TAU_CURVE, "--mu", "0.3-0.2i", "--format", "csv")],
+    "solve-field": [(*TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "8")],
+    "eq11": [(*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8")],
+    "eq15": [(*TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "8")],
+    "distance": [("--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5")],
+    "bound": [(*TAU_CURVE, "--mu", "0.6+0.8i")],
+    "sweep": [("--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1", "--format", fmt)
+              for fmt in ("csv", "json")],
+    "verify": [("--seed", "3", "--format", "json")],
+}
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_out_writes_what_stdout_shows(tmp_path, capsys, monkeypatch, name):
+    # one suite per seed, so both runs report the same elapsed_seconds
+    monkeypatch.setattr(cli, "run_suite", functools.cache(verify.run_suite))
+    for argv in OUT_CASES[name]:
+        code, out, err = run(capsys, name, *argv)
+        assert code == 0, err
+        target = tmp_path / "out"
+        assert run(capsys, name, *argv, "--out", str(target)) == (0, "", "")
+        # stdout adds a final newline where the text has none
+        written = target.read_text(encoding="utf-8")
+        assert out == (written if written.endswith("\n") else written + "\n")
+
+
+def test_verify_out_writes_json(tmp_path, capsys):
+    target = tmp_path / "verify.json"
+    assert run(capsys, "verify", "--seed", "3", "--out", str(target)) == (0, "", "")
+    assert json.loads(target.read_text(encoding="utf-8"))["all_passed"] is True
+
+
+def test_infinite_ratio_exits_1(capsys, monkeypatch):
+    # every float of a one-row payload must be finite, the ratio of its sides too
+    monkeypatch.setattr(cli, "teich_bound_check",
+                        lambda *args: IdentityReport("teich_bound", 1e300, 1e-300, 1e-6))
+    code, out, err = run(capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i")
+    assert (code, out) == (1, "")
+    assert "double range" in err
 
 
 def test_out_unwritable_exits_3(capsys):

@@ -1,17 +1,17 @@
 """Command-line front end.
 
-One subcommand per operation family; numbers go out as JSON (default)
-or CSV, complex values in the same ``a+bi`` form the parsers accept, so
-every emitted value round-trips.  Exit codes: 0 success (for ``verify``,
-all checks passed), 1 computation failure, 2 argument error,
+One subcommand per operation family, each with one output format: the
+one-row commands write JSON, ``sweep`` CSV, and ``verify`` a table (JSON
+with ``--format json`` or ``--out``).  Complex values take the same
+``a+bi`` form the parsers accept, so every emitted value round-trips.
+Exit codes: 0 success, 1 computation failure or a report that does not
+pass (``eq11``, ``eq15``, ``bound``, ``verify``), 2 argument error,
 3 output I/O error.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
@@ -190,23 +190,6 @@ def _field_from_args(args: argparse.Namespace) -> BeltramiField:
     return catalog_field(args.tau, args.mu_fn, args.grid)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, allow_nan=False)
-
-
-def _csv_text(payload: dict) -> str:
-    def cell(v) -> str:
-        if isinstance(v, float):
-            return f"{v:.17g}"
-        return str(v)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(payload))
-    writer.writerow([cell(v) for v in payload.values()])
-    return buf.getvalue()
-
-
 def _emit(text: str | Iterable[str], out: str | None) -> int:
     """Write ``text`` (or its pieces in order) to ``out``, or to stdout ending in a newline."""
     pieces = [text] if isinstance(text, str) else text
@@ -227,31 +210,30 @@ def _emit(text: str | Iterable[str], out: str | None) -> int:
     return 0
 
 
-def _one_row(a: argparse.Namespace, payload: dict) -> tuple[str, int]:
-    """``payload`` as JSON or CSV text, and exit code 0.  Every float in it
+def _one_row(payload: dict, code: int = 0) -> tuple[str, int]:
+    """``payload`` as JSON text, and exit code ``code``.  Every float in it
     must be finite: one outside double range raises ``OverflowError``."""
     if any(isinstance(v, float) and not math.isfinite(v) for v in payload.values()):
         raise OverflowError("a result is outside double range")
-    return (_csv_text(payload) if a.format == "csv" else _json_text(payload)), 0
+    return json.dumps(payload, indent=2, allow_nan=False), code
 
 
 @dataclass(frozen=True)
 class Command:
-    """A subcommand: its help, its flags, the ``--format`` values it writes,
-    and ``run``, which returns the text the subcommand writes (one string,
-    or its pieces in order) and the exit code once that text is written.
+    """A subcommand: its help, its flags, and ``run``, which returns the
+    text the subcommand writes (one string, or its pieces in order) and the
+    exit code once that text is written.
     """
 
     help: str
     flags: tuple[Callable[[argparse.ArgumentParser], None], ...]
-    formats: tuple[str, ...]
     run: Callable[[argparse.Namespace], tuple[str | Iterable[str], int]]
 
 
 COMMANDS: dict[str, Command] = {}
 
 
-def _command(name: str, help_text: str, flags: tuple, formats: tuple[str, ...] = ("json", "csv")):
+def _command(name: str, help_text: str, flags: tuple):
     """Add the decorated function to ``COMMANDS`` as subcommand ``name``.
 
     Its body names the library functions it calls, so each call goes
@@ -259,27 +241,27 @@ def _command(name: str, help_text: str, flags: tuple, formats: tuple[str, ...] =
     """
 
     def register(run):
-        COMMANDS[name] = Command(help_text, flags, formats, run)
+        COMMANDS[name] = Command(help_text, flags, run)
         return run
 
     return register
 
 
-def _report_row(a: argparse.Namespace, report, **values) -> tuple[str, int]:
+def _report_row(report, **values) -> tuple[str, int]:
     """``_one_row`` of the report's JSON keys holding its own floats (``to_json``
     writes a non-finite one as a string), ``ratio`` where ``rhs`` is nonzero,
-    then ``values``."""
+    then ``values``; exit code 1 where the report does not pass."""
     data = {**report.to_json(), "lhs": report.lhs, "rhs": report.rhs,
             "abs_err": report.abs_err, "rel_err": report.rel_err}
     if report.rhs != 0.0:
         data["ratio"] = report.lhs / report.rhs
-    return _one_row(a, {**data, **values})
+    return _one_row({**data, **values}, 0 if report.passed else 1)
 
 
 def _point(a: argparse.Namespace, **values) -> tuple[str, int]:
     """``_one_row`` of the one payload head, ``tau`` and ``curve``, then ``values``."""
-    return _one_row(a, {"tau": format_complex(a.tau.value), "curve": format_curve(a.curve),
-                        **values})
+    return _one_row({"tau": format_complex(a.tau.value), "curve": format_curve(a.curve),
+                     **values})
 
 
 @_command("ext", "extremal length and annulus modulus of a curve class", _POINT)
@@ -294,10 +276,10 @@ def _levi(a: argparse.Namespace) -> tuple[str, int]:
     return _point(a, levi=levi_form(a.tau, a.curve))
 
 
-@_command("vary1", "first variation of extremal length along a field", _FIELD)
+@_command("vary1", "first variation of extremal length along a constant field", (*_POINT, _MU))
 def _vary1(a: argparse.Namespace) -> tuple[str, int]:
-    mu = format_complex(a.mu) if a.mu is not None else a.mu_fn
-    return _point(a, mu=mu, first_variation=first_variation(a.tau, a.curve, _field_from_args(a)))
+    first = first_variation(a.tau, a.curve, constant(a.tau, a.mu))
+    return _point(a, mu=format_complex(a.mu), first_variation=first)
 
 
 @_command("vary2", "second variation along a constant field", (*_POINT, _MU))
@@ -310,8 +292,7 @@ def _vary2(a: argparse.Namespace) -> tuple[str, int]:
     *_POINT, _arg("--mu", type=_nonzero, required=True, help="nonzero constant field, a+bi form"),
 ))
 def _pair_sum(a: argparse.Namespace) -> tuple[str, int]:
-    ps = pair_sum_levi(a.tau, a.curve, a.mu)
-    return _point(a, mu=format_complex(a.mu), pair_sum=ps, positive=ps > 0.0)
+    return _point(a, mu=format_complex(a.mu), pair_sum=pair_sum_levi(a.tau, a.curve, a.mu))
 
 
 @_command("solve-field", "derivative of the harmonic map along a field", _FIELD)
@@ -329,12 +310,12 @@ def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
 
 @_command("eq11", "integration-by-parts check on the solved derivative", _FIELD)
 def _eq11(a: argparse.Namespace) -> tuple[str, int]:
-    return _report_row(a, identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid))
+    return _report_row(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid))
 
 
 @_command("eq15", "paired-direction gradient identity on the solved derivative", _FIELD)
 def _eq15(a: argparse.Namespace) -> tuple[str, int]:
-    return _report_row(a, identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid))
+    return _report_row(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid))
 
 
 @_command("distance", "stretch-factor distance between two moduli", (
@@ -346,7 +327,7 @@ def _eq15(a: argparse.Namespace) -> tuple[str, int]:
 def _distance(a: argparse.Namespace) -> tuple[str, int]:
     kd = kerckhoff_distance(a.tau, a.tau2, a.max_pq)
     hyp = hyperbolic_distance(a.tau, a.tau2)
-    return _one_row(a, {
+    return _one_row({
         "tau": format_complex(a.tau.value),
         "tau2": format_complex(a.tau2.value),
         "max_pq": a.max_pq,
@@ -363,10 +344,7 @@ def _distance(a: argparse.Namespace) -> tuple[str, int]:
 ))
 def _bound(a: argparse.Namespace) -> tuple[str, int]:
     report = teich_bound_check(a.tau, a.curve, a.mu)
-    return _report_row(a, report, ext=extremal_length(a.tau, a.curve))
-
-
-_SWEEP_KEYS = ("re", "im", "ext", "levi")
+    return _report_row(report, ext=extremal_length(a.tau, a.curve))
 
 
 def _sweep_rows(res: np.ndarray, ims: np.ndarray, ext: np.ndarray, levi: np.ndarray
@@ -379,27 +357,9 @@ def _sweep_rows(res: np.ndarray, ims: np.ndarray, ext: np.ndarray, levi: np.ndar
                               ).ravel().tolist()
 
 
-#: One row as ``_json_text`` indents it inside the list.
-_SWEEP_JSON_ROW = "  {\n" + ",\n".join(f'    "{k}": %r' for k in _SWEEP_KEYS) + "\n  }"
-
-
-def _sweep_json(chunks: Iterable[list[float]]) -> Iterator[str]:
-    """``_json_text`` of the list of row dicts, one ``%`` format per chunk.
-
-    ``%r`` is ``float.__repr__``, which is what ``json`` writes for a finite
-    float; every value is finite, as ``_closed_forms_on_grid`` raises otherwise.
-    """
-    yield "[\n"
-    sep = ""
-    for flat in chunks:
-        yield sep + ",\n".join([_SWEEP_JSON_ROW] * (len(flat) // 4)) % tuple(flat)
-        sep = ",\n"
-    yield "\n]"
-
-
 def _sweep_csv(chunks: Iterable[list[float]]) -> Iterator[str]:
     """The CSV text, one ``%`` format per chunk; ``%.17g`` writes what ``f"{v:.17g}"`` does."""
-    yield ",".join(_SWEEP_KEYS) + "\n"
+    yield "re,im,ext,levi\n"
     for flat in chunks:
         yield "%.17g,%.17g,%.17g,%.17g\n" * (len(flat) // 4) % tuple(flat)
 
@@ -418,13 +378,13 @@ def _sweep(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     res = _range_values(args.re)
     ims = _range_values(args.im)
     ext, levi = _closed_forms_on_grid(args.curve, res, ims)
-    chunks = _sweep_rows(res, ims, ext, levi)
-    return (_sweep_json(chunks) if args.format == "json" else _sweep_csv(chunks)), 0
+    return _sweep_csv(_sweep_rows(res, ims, ext, levi)), 0
 
 
 @_command("verify", "run the full cross-check suite", (
     _arg("--seed", type=_seed, default=42, help="sampling seed, integer >= 0 (default 42)"),
-), formats=("json",))
+    _arg("--format", choices=("json",), help="write JSON instead of the table"),
+))
 def _verify(args: argparse.Namespace) -> tuple[str, int]:
     """The table on stdout by default, JSON with ``--format json`` or in a file."""
     result = run_suite(args.seed)
@@ -440,12 +400,6 @@ def build_parser() -> _Parser:
         sub = subs.add_parser(name, help=cmd.help)
         sub.set_defaults(run=cmd.run)
         sub.add_argument("--out", help="write the result to this path instead of stdout")
-        sub.add_argument(
-            "--format",
-            choices=cmd.formats,
-            default=None,
-            help="output format (default json; sweep defaults to csv, verify to a table)",
-        )
         for add in cmd.flags:
             add(sub)
     return parser

@@ -1,8 +1,6 @@
-"""Command-line front end: argument validation, payloads, formats, exit codes."""
+"""Command-line front end: argument validation, payloads, output, exit codes."""
 
-import csv
 import functools
-import io
 import json
 import math
 import os
@@ -58,14 +56,6 @@ def test_vary1_constant_field(capsys):
     assert data["mu"] == "1+0i"
 
 
-def test_vary1_catalog_field(capsys):
-    data = run_json(
-        capsys, "vary1", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis"
-    )
-    assert abs(data["first_variation"]) <= 1e-15
-    assert data["mu"] == "cos2pis"
-
-
 def test_vary2_command(capsys):
     data = run_json(
         capsys, "vary2", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"
@@ -78,7 +68,6 @@ def test_pair_sum_command(capsys):
         capsys, "pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"
     )
     assert data["pair_sum"] == pytest.approx(8.0, abs=1e-13)
-    assert data["positive"] is True
 
 
 def test_solve_field_command(capsys):
@@ -108,6 +97,16 @@ def test_eq11_command(capsys):
     assert data["pass"] is True
     assert data["lhs"] == pytest.approx(2.0, abs=1e-12)
     assert data["ratio"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_failing_report_exits_1_after_printing_it(capsys):
+    # near the imaginary floor eq15 misses its fixed tolerance: the report is
+    # still written, and the exit code says it failed
+    code, out, err = run(capsys, "eq15", "--tau", "0+1e-11i", "--curve", "0,1",
+                         "--mu-fn", "coscos", "--grid", "16")
+    assert (code, err) == (1, "")
+    data = json.loads(out)
+    assert data["pass"] is False and data["rel_err"] > data["tolerance"]
 
 
 def test_eq15_command(capsys):
@@ -168,20 +167,6 @@ def test_sweep_reproducible(capsys):
     assert out1 == out2
 
 
-def test_sweep_json(capsys):
-    code, out, _ = run(
-        capsys,
-        "sweep",
-        "--curve", "1,0",
-        "--re", "0:0:1",
-        "--im", "1:1:1",
-        "--format", "json",
-    )
-    assert code == 0
-    rows = json.loads(out)
-    assert rows == [{"re": 0.0, "im": 1.0, "ext": 1.0, "levi": 0.5}]
-
-
 def _scalar_sweep(curve, re_spec, im_spec):
     """Sweep rows by the scalar closed forms at ``lo + i*step``, im-major."""
 
@@ -220,30 +205,23 @@ def test_sweep_bits_match_scalar_closed_forms(capsys, monkeypatch, curve, re_spe
     assert code == 0, err
     assert out == "\n".join(["re,im,ext,levi"] + [",".join(f"{v:.17g}" for v in row)
                                                   for row in rows]) + "\n"
-    code, out, err = run(capsys, *argv, "--format", "json")
-    assert code == 0, err
-    payload = [dict(zip(("re", "im", "ext", "levi"), row)) for row in rows]
-    assert out == json.dumps(payload, indent=2) + "\n"
 
 
 def test_sweep_out_matches_stdout(tmp_path, capsys):
     argv = ("sweep", "--curve", "2,1", "--re=-1:1:0.25", "--im", "0.5:2:0.25")
-    for fmt in ("csv", "json"):
-        _, out, _ = run(capsys, *argv, "--format", fmt)
-        target = tmp_path / f"sweep.{fmt}"
-        code, printed, _ = run(capsys, *argv, "--format", fmt, "--out", str(target))
-        assert code == 0 and printed == ""
-        # stdout ends the JSON with a newline; the file holds the text alone
-        assert target.read_text(encoding="utf-8") == (out if fmt == "csv" else out[:-1])
+    _, out, _ = run(capsys, *argv)
+    target = tmp_path / "sweep.csv"
+    code, printed, _ = run(capsys, *argv, "--out", str(target))
+    assert code == 0 and printed == ""
+    assert target.read_text(encoding="utf-8") == out
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_working_set_is_one_block(tmp_path, fmt):
+def test_sweep_working_set_is_one_block(tmp_path):
     # the benchmark's 316 x 316 shape: the float64 grids take 1.6 MB and one
     # block of Python floats and text about 1 MB, where formatting the whole
-    # grid at once would take about 20 MB (CSV) and 25 MB (JSON)
+    # grid at once would take about 20 MB
     argv = ["sweep", "--curve", "1,1", "--re=-1:1.004:0.00635", "--im", "0.3:2.304:0.00635",
-            "--format", fmt, "--out", str(tmp_path / "sweep")]
+            "--out", str(tmp_path / "sweep")]
     tracemalloc.start()
     try:
         assert main(argv) == 0
@@ -262,13 +240,12 @@ def test_sweep_validates_every_block_before_writing(capsys, monkeypatch, re_spec
     # one point per block and only the last point overflows: nothing is
     # written, because every block is checked before the first byte
     monkeypatch.setattr(cli, "_SWEEP_CHUNK", 1)
-    for fmt in ("csv", "json"):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(capsys, "sweep", "--curve", "0,1", f"--re={re_spec}",
-                                 f"--im={im_spec}", "--format", fmt)
-        assert (code, out) == (1, "")
-        assert "double range" in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "sweep", "--curve", "0,1", f"--re={re_spec}",
+                             f"--im={im_spec}")
+    assert (code, out) == (1, "")
+    assert "double range" in err
 
 
 def test_sweep_point_cap(capsys):
@@ -325,12 +302,9 @@ TAU_CURVE = ("--tau", "0.5+1.25i", "--curve", "1,1")
 KEY_ORDER = [
     (("ext", *TAU_CURVE), ["tau", "curve", "ext", "cylinder_modulus"]),
     (("levi", *TAU_CURVE), ["tau", "curve", "levi"]),
-    (("vary1", *TAU_CURVE, "--mu-fn", "coscos"), ["tau", "curve", "mu", "first_variation"]),
+    (("vary1", *TAU_CURVE, "--mu", "0.3-0.2i"), ["tau", "curve", "mu", "first_variation"]),
     (("vary2", *TAU_CURVE, "--mu", "0.3-0.2i"), ["tau", "curve", "mu", "second_variation"]),
-    (
-        ("pair-sum", *TAU_CURVE, "--mu", "0.3-0.2i"),
-        ["tau", "curve", "mu", "pair_sum", "positive"],
-    ),
+    (("pair-sum", *TAU_CURVE, "--mu", "0.3-0.2i"), ["tau", "curve", "mu", "pair_sum"]),
     (
         ("solve-field", *TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "16"),
         ["tau", "curve", "n", "periodic_sup", "gradient_sup", "residual", "source_sup"],
@@ -352,15 +326,10 @@ KEY_ORDER = [
 ])
 def test_payload_key_order(capsys, argv, keys):
     assert list(run_json(capsys, *argv)) == keys
-    code, out, err = run(capsys, *argv, "--format", "csv")
-    assert code == 0, err
-    assert out.splitlines()[0] == ",".join(keys)
 
 
 def test_sweep_key_order(capsys):
     argv = ("sweep", "--curve", "1,1", "--re", "0:0.5:0.5", "--im", "1:1:1")
-    rows = run_json(capsys, *argv, "--format", "json")
-    assert [list(row) for row in rows] == [["re", "im", "ext", "levi"]] * 2
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out.splitlines()[0] == "re,im,ext,levi"
@@ -380,9 +349,9 @@ def test_argument_errors_exit_2(capsys):
         ("ext", "--tau", "0+1i"),
         ("ext", "--tau", "0+1i", "--curve", "1,0", "--bogus"),
         ("vary1", "--tau", "0+1i", "--curve", "1,0"),
-        ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--mu-fn", "cos2pis"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--mu-fn", "cos2pis"),
         ("nonsense",),
-        ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "3"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "3"),
         ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "48"),
         ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "4096"),
         ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "x"),
@@ -434,10 +403,10 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     ("sweep", "--curve", "1,1", "--re", "1e200:1e200:1", "--im", "1:1:1"),
     ("sweep", "--curve", "1,2", "--re", "1e308:1e308:1", "--im", "1:1:1"),
     # one-row payloads with a closed form outside double range
-    ("ext", "--tau", "1e308+1e308i", "--curve", "5,7", "--format", "csv"),
+    ("ext", "--tau", "1e308+1e308i", "--curve", "5,7", "--out", os.devnull),
     ("ext", "--tau", "1e308+1e308i", "--curve", "5,7"),
-    ("levi", "--tau", "1e308+1e-6i", "--curve", "5,7", "--format", "csv"),
-    ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e308+1e308i", "--format", "csv"),
+    ("levi", "--tau", "1e308+1e-6i", "--curve", "5,7"),
+    ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e308+1e308i"),
     # a valid nonzero direction whose |mu|^2 underflows: rounding, not a
     # failure of positivity
     ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-200+0i"),
@@ -496,16 +465,15 @@ def test_out_writes_file(tmp_path, capsys):
 OUT_CASES = {
     "ext": [TAU_CURVE],
     "levi": [TAU_CURVE],
-    "vary1": [(*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8")],
+    "vary1": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
     "vary2": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
-    "pair-sum": [(*TAU_CURVE, "--mu", "0.3-0.2i", "--format", "csv")],
+    "pair-sum": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
     "solve-field": [(*TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "8")],
     "eq11": [(*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8")],
     "eq15": [(*TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "8")],
     "distance": [("--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5")],
     "bound": [(*TAU_CURVE, "--mu", "0.6+0.8i")],
-    "sweep": [("--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1", "--format", fmt)
-              for fmt in ("csv", "json")],
+    "sweep": [("--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1")],
     "verify": [("--seed", "3", "--format", "json")],
 }
 
@@ -551,14 +519,19 @@ def test_out_unwritable_exits_3(capsys):
     assert "cannot write" in err
 
 
-def test_csv_format_for_scalar_commands(capsys):
-    code, out, _ = run(
-        capsys, "ext", "--tau", "0+1i", "--curve", "1,0", "--format", "csv"
-    )
-    assert code == 0
-    header, row = list(csv.reader(io.StringIO(out)))
-    assert header == ["tau", "curve", "ext", "cylinder_modulus"]
-    assert row == ["0+1i", "1,0", "1", "1"]
+@pytest.mark.parametrize("argv", [
+    # each command writes one format: only verify takes --format
+    ("ext", "--tau", "0+1i", "--curve", "1,0", "--format", "csv"),
+    ("ext", "--tau", "0+1i", "--curve", "1,0", "--format", "json"),
+    ("sweep", "--curve", "1,0", "--re", "0:0:1", "--im", "1:1:1", "--format", "json"),
+    ("sweep", "--curve", "1,0", "--re", "0:0:1", "--im", "1:1:1", "--format", "csv"),
+    # vary1 reads only the field mean, which is 0 for every catalog field
+    ("vary1", "--tau", "0.3+1.2i", "--curve", "2,1", "--mu-fn", "cos2pis", "--grid", "64"),
+], ids=["ext-csv", "ext-json", "sweep-json", "sweep-csv", "vary1-mu-fn"])
+def test_removed_options_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip()
 
 
 def test_complex_values_round_trip_through_output(capsys):
@@ -574,8 +547,11 @@ def test_help_lists_flags(capsys):
         assert name in out
     code, out, _ = run(capsys, "ext", "--help")
     assert code == 0
-    for flag in ("--tau", "--curve", "--out", "--format"):
+    for flag in ("--tau", "--curve", "--out"):
         assert flag in out
+    assert "--format" not in out
+    code, out, _ = run(capsys, "verify", "--help")
+    assert code == 0 and "--format {json}" in out
 
 
 def test_module_entry_point():

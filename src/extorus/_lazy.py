@@ -1,9 +1,9 @@
 """numpy, loaded on its first attribute access.
 
 The package's modules take ``np`` from here, so a command that computes
-only Python floats (``ext``, ``distance``, ...) never loads numpy.  They
-do not write ``import numpy as np``: on a module in ``sys.modules`` that
-statement reads ``__spec__``, which loads it.
+only Python floats (``ext``, ``distance``, ``sweep``, ...) never loads
+numpy.  They do not write ``import numpy as np``: on a module in
+``sys.modules`` that statement reads ``__spec__``, which loads it.
 """
 
 import importlib.util

@@ -15,7 +15,9 @@ import argparse
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from ._lazy import np
@@ -29,8 +31,10 @@ from .beltrami import (
 )
 from .moduli import (
     MIN_IMAG,
+    CurveClass,
     Modulus,
-    _closed_forms_on_grid,
+    _ext_formula,
+    _levi_formula,
     _require_max_index,
     cylinder_modulus,
     extremal_length,
@@ -62,19 +66,35 @@ MAX_GRID = 2048
 MAX_PQ = 2000
 
 #: Most points one ``sweep`` writes (``--re`` count times ``--im`` count).
-#: As CSV, 1001 x 1001 points take about 3.3 s and 46 MB, and the cap
-#: about 12 s and 95 MB, on a 2-core x86-64 host.
+#: As CSV, 1001 x 1001 points take about 1.9 s and 33 MB, and 2000 x 2000
+#: at the cap about 8 s and 79 MB, on a 2-core x86-64 host.
 MAX_SWEEP_POINTS = 4_000_000
 
-#: Rows ``sweep`` formats at a time: one block's Python floats and text,
-#: about 1 MB.  The float64 result grids (16 B per point) are the only
-#: state kept for the whole grid: every value is computed and checked
-#: before the first byte is written.
+#: Points ``sweep`` computes, checks and formats at a time: one block's
+#: Python floats and text, about 1 MB.  The two ``array('d')`` result
+#: grids (16 B per point) and the two axes are the only state kept for
+#: the whole rectangle: every value is computed and checked before the
+#: first byte is written.
 _SWEEP_CHUNK = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
+    """An argument error exits 2.  argparse reports a missing required flag
+    before an unrecognized one, so the error names the unrecognized flags
+    instead: ``vary1 ... --mu-fn coscos`` is told about ``--mu-fn``, not
+    about the ``--mu`` it lacks."""
+
+    _given: tuple[str, ...] = ()  # the arguments of the last parse
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._given = tuple(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message: str) -> None:
+        unknown = [arg for arg in self._given if arg.startswith("--") and not any(
+            known.startswith(arg.partition("=")[0]) for known in self._option_string_actions)]
+        if unknown and "required" in message:
+            message = f"unrecognized arguments: {' '.join(unknown)}"
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -152,10 +172,15 @@ def _im_range(text: str) -> tuple[float, float, float]:
     return spec
 
 
-def _range_values(spec: tuple[float, float, float]) -> np.ndarray:
-    """The points of a range; ``lo + i*step`` rounds as the scalar expression does."""
+def _range_values(spec: tuple[float, float, float]) -> array:
+    """The points of a range, ``_SWEEP_CHUNK`` at a time; ``lo + i*step`` rounds
+    as the scalar expression does."""
     lo, _, step = spec
-    return lo + np.arange(_range_count(spec)) * step
+    count = _range_count(spec)
+    values = array("d")
+    for start in range(0, count, _SWEEP_CHUNK):
+        values.fromlist([lo + i * step for i in range(start, min(start + _SWEEP_CHUNK, count))])
+    return values
 
 
 def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
@@ -347,21 +372,62 @@ def _bound(a: argparse.Namespace) -> tuple[str, int]:
     return _report_row(report, ext=extremal_length(a.tau, a.curve))
 
 
-def _sweep_rows(res: np.ndarray, ims: np.ndarray, ext: np.ndarray, levi: np.ndarray
-                ) -> Iterator[list[float]]:
-    """The im-major rows ``re, im, ext, levi``, flattened, ``_SWEEP_CHUNK`` rows at a time."""
-    ext, levi = ext.ravel(), levi.ravel()
-    for start in range(0, ext.size, _SWEEP_CHUNK):
-        at = np.arange(start, min(start + _SWEEP_CHUNK, ext.size))
-        yield np.column_stack((res[at % res.size], ims[at // res.size], ext[at], levi[at])
-                              ).ravel().tolist()
+def _sweep_blocks(n_re: int, n_im: int) -> Iterator[tuple[int, int, int, int]]:
+    """Rows ``i0:i1`` and columns ``j0:j1`` of each block of at most ``_SWEEP_CHUNK``
+    points: whole rows where a row fits in one, else one row in pieces."""
+    width = min(n_re, _SWEEP_CHUNK)
+    height = _SWEEP_CHUNK // width
+    for i0 in range(0, n_im, height):
+        for j0 in range(0, n_re, width):
+            yield i0, min(i0 + height, n_im), j0, min(j0 + width, n_re)
 
 
-def _sweep_csv(chunks: Iterable[list[float]]) -> Iterator[str]:
-    """The CSV text, one ``%`` format per chunk; ``%.17g`` writes what ``f"{v:.17g}"`` does."""
+def _each(values: Iterable, count: int) -> Iterable:
+    """Every item of ``values`` ``count`` times over, in order; ``values``
+    itself where ``count`` is 1, so a one-column sweep builds no repeat
+    per point."""
+    return values if count == 1 else chain.from_iterable(map(repeat, values, repeat(count)))
+
+
+def _sweep_grids(curve: CurveClass, res: array, ims: array) -> tuple[array, array]:
+    """``extremal_length`` and ``levi_form`` at every ``res[j] + ims[i] i``, im-major.
+
+    Bit-identical to the scalar functions, whose formulas it evaluates a
+    block at a time; ``p`` and ``q`` enter as floats, which round as the
+    ints do (``int * float`` converts the int first).  A block with a
+    value outside double range raises ``OverflowError``.
+    """
+    p, q = float(curve.p), float(curve.q)
+    ext, levi = array("d"), array("d")
+    for i0, i1, j0, j1 in _sweep_blocks(len(res), len(ims)):
+        block_ims, block_res = ims[i0:i1], res[j0:j1]
+        block_ext = [_ext_formula(p, q, re, im) for im in block_ims for re in block_res]
+        block_levi = [_levi_formula(e, im)
+                      for e, im in zip(block_ext, _each(block_ims, len(block_res)))]
+        if not (all(map(math.isfinite, block_ext)) and all(map(math.isfinite, block_levi))):
+            raise OverflowError(f"extremal length of {curve} leaves double range on the sweep")
+        ext.fromlist(block_ext)
+        levi.fromlist(block_levi)
+    return ext, levi
+
+
+def _sweep_csv(res: array, ims: array, ext: array, levi: array) -> Iterator[str]:
+    """The CSV text, one ``%`` format of ``ext`` and ``levi`` per block; ``%.17g``
+    writes what ``f"{v:.17g}"`` does.
+
+    Each ``re`` string is formatted once per block (once per run where a row
+    fits in a block) into a row template, and each ``im`` string once per
+    row, in place of the template's ``@``, which no number's text holds.
+    """
     yield "re,im,ext,levi\n"
-    for flat in chunks:
-        yield "%.17g,%.17g,%.17g,%.17g\n" * (len(flat) // 4) % tuple(flat)
+    n = len(res)
+    cols = None
+    for i0, i1, j0, j1 in _sweep_blocks(n, len(ims)):
+        if cols != (j0, j1):
+            cols, row = (j0, j1), "%.17g,@,%%.17g,%%.17g\n" * (j1 - j0) % tuple(res[j0:j1])
+        text = "".join([row.replace("@", "%.17g" % im) for im in ims[i0:i1]])
+        start, stop = i0 * n + j0, (i1 - 1) * n + j1
+        yield text % tuple(chain.from_iterable(zip(ext[start:stop], levi[start:stop])))
 
 
 @_command("sweep", "extremal length and Levi form over a rectangle of moduli", (
@@ -377,8 +443,7 @@ def _sweep(args: argparse.Namespace) -> tuple[Iterable[str], int]:
         raise SystemExit(2)
     res = _range_values(args.re)
     ims = _range_values(args.im)
-    ext, levi = _closed_forms_on_grid(args.curve, res, ims)
-    return _sweep_csv(_sweep_rows(res, ims, ext, levi)), 0
+    return _sweep_csv(res, ims, *_sweep_grids(args.curve, res, ims)), 0
 
 
 @_command("verify", "run the full cross-check suite", (

@@ -11,6 +11,7 @@ change-of-marking action of integer unimodular matrices, and two
 distances on the half-plane (hyperbolic and a stretch-factor distance
 computed as a maximum of extremal-length ratios).
 
+Everything here computes on Python floats and never loads numpy.
 Where a square leaves double range, ``extremal_length``, ``levi_form``
 and ``harmonic.energy`` return ``inf`` or ``nan``, which every caller in
 the package checks: the CLI, the sweep, ``teich_bound_check`` and Kerckhoff
@@ -24,8 +25,6 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-
-from ._lazy import np
 
 __all__ = [
     "Modulus",
@@ -132,10 +131,11 @@ def extremal_length(tau: Modulus, curve: CurveClass) -> float:
 def _ext_formula(p, q, re, im):
     """``|p + q tau|^2 / Im tau`` at ``tau = re + im i``, the one copy of the formula.
 
-    Plain operators only, so it takes Python numbers (scalar callers
-    never pay for numpy) or float64 arrays, which broadcast and round
-    alike.  It rounds exactly as the complex holonomy ``p + q tau`` does,
-    because ``q (re + im i)`` rounds to ``q re + (q im) i``.
+    It takes Python numbers: ``extremal_length``, ``levi_form``, the
+    Kerckhoff scoring and the CLI ``sweep``, point by point, all call it.
+    Every square is a multiply, so it rounds exactly as the complex
+    holonomy ``p + q tau`` does, because ``q (re + im i)`` rounds to
+    ``q re + (q im) i``.
     """
     x = p + q * re
     y = q * im
@@ -145,21 +145,6 @@ def _ext_formula(p, q, re, im):
 def _levi_formula(ext, im):
     """Levi form ``Ext / (2 (Im tau)^2)`` from the extremal length ``ext`` at ``Im tau = im``."""
     return ext / (2.0 * im * im)
-
-
-def _closed_forms_on_grid(curve: CurveClass, res: np.ndarray, ims: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-    """``extremal_length`` and ``levi_form`` at every ``res[j] + ims[i] i``, shape ``(ims, res)``.
-
-    Bit-identical to the scalar functions; a value outside double range
-    raises ``OverflowError``.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        ext = _ext_formula(curve.p, curve.q, res, ims[:, None])
-        levi = _levi_formula(ext, ims[:, None])
-    if not (np.isfinite(ext).all() and np.isfinite(levi).all()):
-        raise OverflowError(f"extremal length of {curve} leaves double range on the sweep")
-    return ext, levi
 
 
 def cylinder_modulus(tau: Modulus, curve: CurveClass) -> float:

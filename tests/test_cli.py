@@ -188,11 +188,15 @@ SWEEPS = [
     # Holds re = -0.0007176000000000001, where glibc's pow(1 + re, 2) is
     # one ulp off the product (1 + re) * (1 + re) that both paths compute.
     ("1,1", (-1e-3, -1e-3 + 3000 * 1e-7, 1e-7), (1.0, 1.0, 1.0)),
+    # 3 rows of 4501: at the default block a row spans two blocks
+    ("3,-2", (-2.0, 2.5, 0.001), (0.75, 1.25, 0.25)),
+    # one column of 4991 rows: at the default block a block spans 4096 rows
+    ("1,4", (0.125, 0.125, 1.0), (0.01, 5.0, 0.001)),
 ]
 
 
-@pytest.mark.parametrize("curve,re_spec,im_spec", SWEEPS,
-                         ids=["negative-p", "q-zero", "one-point", "pow-rounding"])
+@pytest.mark.parametrize("curve,re_spec,im_spec", SWEEPS, ids=[
+    "negative-p", "q-zero", "one-point", "pow-rounding", "wide-row", "one-column"])
 # the default block, a block larger than any grid here, and a small one
 @pytest.mark.parametrize("chunk", [1 << 16, cli._SWEEP_CHUNK, 7])
 def test_sweep_bits_match_scalar_closed_forms(capsys, monkeypatch, curve, re_spec, im_spec,
@@ -203,8 +207,10 @@ def test_sweep_bits_match_scalar_closed_forms(capsys, monkeypatch, curve, re_spe
     rows = _scalar_sweep(parse_curve(curve), re_spec, im_spec)
     code, out, err = run(capsys, *argv)
     assert code == 0, err
-    assert out == "\n".join(["re,im,ext,levi"] + [",".join(f"{v:.17g}" for v in row)
-                                                  for row in rows]) + "\n"
+    # compared line by line, so a failure reports its first wrong row quickly
+    assert out.endswith("\n")
+    assert out[:-1].split("\n") == ["re,im,ext,levi"] + [",".join(f"{v:.17g}" for v in row)
+                                                         for row in rows]
 
 
 def test_sweep_out_matches_stdout(tmp_path, capsys):
@@ -534,6 +540,17 @@ def test_removed_options_exit_2(capsys, argv):
     assert err.strip()
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "coscos"), "--mu-fn"),
+    (("sweep", "--curve", "1,0", "--format", "json"), "--format"),
+], ids=["vary1-mu-fn", "sweep-format"])
+def test_unrecognized_flag_is_named_before_a_missing_one(capsys, argv, flag):
+    # argparse checks required flags first; the error names the unknown one
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err and "required" not in err
+
+
 def test_complex_values_round_trip_through_output(capsys):
     data = run_json(capsys, "ext", "--tau", "0.333333333333333314+1.25i", "--curve", "1,0")
     z = parse_complex(data["tau"])
@@ -594,7 +611,7 @@ def _fresh(code: str, *argv: str) -> str:
     (("pair-sum", *_SCALAR, "--mu", "0.3-0.2i"), False),
     (("bound", *_SCALAR, "--mu", "0.6+0.8i"), False),
     (("distance", "--tau", "0+1i", "--tau2", "0.3+2i", "--max-pq", "1000"), False),
-    (("sweep", "--curve", "1,1", "--re", "0:1:0.5", "--im", "1:2:0.5"), True),
+    (("sweep", "--curve", "1,1", "--re", "0:1:0.5", "--im", "1:2:0.5"), False),
     (("solve-field", *_SCALAR, "--mu-fn", "coscos", "--grid", "8"), True),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
 def test_only_array_commands_load_numpy(argv, loads_numpy):

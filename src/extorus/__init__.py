@@ -45,12 +45,6 @@ from .variation import (
     solve_variation_field,
     teich_bound_check,
 )
-from .verify import (
-    SuiteResult,
-    fd_first_variation,
-    fd_levi_form,
-    fd_second_variation,
-    run_suite,
-)
+from .verify import SuiteResult, run_suite
 
 __version__ = "0.1.0"

@@ -78,7 +78,8 @@ def dz_multiplier(tau: Modulus, n: int) -> np.ndarray:
     k = _frequencies(n)[None, :]
     mult = np.subtract(k, tau.value.conjugate() * j)
     np.multiply(np.pi, mult, out=mult)
-    np.divide(mult, tau.im, out=mult)
+    # the bits of dividing by Im tau: numpy divides by (im, 0) as (re + im * 0) * (1 / im)
+    np.multiply(mult, 1.0 / tau.im, out=mult)
     return _zero_nyquist(mult)
 
 

@@ -363,7 +363,7 @@ def _distance(a: argparse.Namespace) -> tuple[str, int]:
     })
 
 
-@_command("bound", "second difference of extremal length along a unit stretch line", (
+@_command("bound", "even part of extremal length along a unit stretch line vs Ext", (
     *_POINT,
     _arg("--mu", type=_unimodular, required=True, help="direction with |mu| = 1"),
 ))

@@ -24,8 +24,8 @@ From these pieces:
 * grid checks of two integral identities the solver's output must
   satisfy for every field: an integration-by-parts identity, and a
   paired-direction identity whose right side depends on the field alone;
-* a second-difference check of extremal length along unit stretch
-  lines against its exact value.
+* a check of extremal length along unit stretch lines: its even part
+  is exactly ``Ext``.
 
 Measure convention: ``<< f >> = 4 Im tau * (grid mean of f)``, the
 normalization under which the energy of the harmonic map equals the
@@ -45,7 +45,6 @@ from .beltrami import (
     dz_multiplier,
     grid_dz,
     pair_hopf,
-    teich_geodesic_constant,
 )
 from .harmonic import HarmonicMapTorus, build_harmonic_map, hopf
 from .moduli import CurveClass, Modulus, extremal_length, format_complex
@@ -360,25 +359,15 @@ def identity_eq15_evaluate(
 
 
 def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex) -> IdentityReport:
-    """Second difference of extremal length along the unit stretch line in
-    the unimodular direction ``m``, against its exact value.
+    """The even part of extremal length along the unit stretch line in the
+    unimodular direction ``m``, which is exactly ``Ext`` (``verify``'s oracle),
+    against ``Ext``.  A side outside double range raises ``OverflowError``."""
+    from .verify import _stretch_even_part  # verify imports this module
 
-    At arc-length parameter ``s`` along the line the even part of
-    extremal length is ``cosh(2s) Ext``, so the second difference with
-    step ``h = 1e-3`` is exactly ``4 (sinh h / h)^2 Ext``: the second
-    derivative ``4 Ext`` plus the ``O(h^2)`` error of the difference.  A
-    side outside double range raises ``OverflowError``.
-    """
-    h = 1e-3
-    ext0 = extremal_length(tau, curve)
-    plus = extremal_length(teich_geodesic_constant(tau, m, h), curve)
-    minus = extremal_length(teich_geodesic_constant(tau, m, -h), curve)
-    second_diff = (plus - 2.0 * ext0 + minus) / (h * h)
-    stretch = math.sinh(h) / h
-    exact = 4.0 * (stretch * stretch) * ext0
-    if not (math.isfinite(second_diff) and math.isfinite(exact)):
+    even, ext0 = _stretch_even_part(tau, curve, m), extremal_length(tau, curve)
+    if not (math.isfinite(even) and math.isfinite(ext0)):
         raise OverflowError("extremal length along the stretch line leaves double range")
-    return IdentityReport("teich_bound", second_diff, exact, 1e-6)
+    return IdentityReport("teich_bound", even, ext0, 1e-13)
 
 
 def _field_label(field: BeltramiField) -> str:

@@ -1,23 +1,21 @@
 """Independent cross-checks for every closed-form formula in the package.
 
-Each derivative formula is compared against a finite-difference oracle
-that knows nothing about the formula: first and second variations are
-differenced along the explicit constant-field modulus paths, and the
-complex Hessian of extremal length is differenced directly in the
-half-plane.  The spectral solver is checked through integral identities
-its output must satisfy.  ``run_suite`` executes a fixed sequence of
-checks on one seeded random stream and reports one line per check.  A
-check that samples draws all its rows before it computes any, each
-distribution in one vectorized draw, and builds a report only for the
-row it reports.  Each oracle writes its difference step once, as a
-literal in its body, and each check writes its tolerance once, at the
-check; the tolerance is reported in its row.
+Each derivative formula is compared against an oracle that knows nothing
+about the formula: it reads extremal length at finite points of the
+explicit paths, where it is an exact function of the step.  The spectral
+solver is checked through integral identities its output must satisfy.
+``run_suite`` executes a fixed sequence of checks on one seeded random
+stream and reports one line per check.  A check that samples draws all
+its rows before it computes any, each distribution in one vectorized
+draw, and builds a report only for the row it reports.  Each oracle
+writes its step once, as a literal in its body, and each check writes
+its tolerance once, at the check; the tolerance is reported in its row.
 
 Relative errors are floored at the natural scale of the quantity being
-differentiated (for a first variation along ``m`` that scale is
-``|m| Ext``): a direction can be accidentally orthogonal to the
-gradient, making the raw relative error of a near-zero value
-meaningless, while the scaled error is seed-stable.
+compared (for a first variation along ``m`` that scale is ``|m| Ext``):
+a direction can be accidentally orthogonal to the gradient, making the
+raw relative error of a near-zero value meaningless, while the scaled
+error is seed-stable.
 """
 
 from __future__ import annotations
@@ -28,7 +26,8 @@ import time
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .beltrami import constant, catalog_field, modulus_path_constant, FIELD_CATALOG
+from .beltrami import (FIELD_CATALOG, BeltramiField, catalog_field, constant,
+                       modulus_path_constant, teich_geodesic_constant)
 from .harmonic import build_harmonic_map, energy, hopf
 from .moduli import (
     CurveClass,
@@ -49,14 +48,10 @@ from .variation import (
     identity_eq15_evaluate,
     pair_sum_levi,
     second_variation_constant,
-    teich_bound_check,
 )
 
 __all__ = [
     "SuiteResult",
-    "fd_first_variation",
-    "fd_second_variation",
-    "fd_levi_form",
     "sample_moduli",
     "sample_curves",
     "sample_directions",
@@ -88,46 +83,47 @@ class SuiteResult:
         return json.dumps(self.to_json(), indent=2, allow_nan=False)
 
 
-def fd_first_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
-    """Centered difference of extremal length along the constant-field path."""
-    h = 1e-4
-    if not abs(m) * h < 0.5:
-        raise ValueError(f"need |m| h < 0.5 with h = {h:g}")
-    plus = extremal_length(modulus_path_constant(tau, m, h), curve)
-    minus = extremal_length(modulus_path_constant(tau, m, -h), curve)
-    return (plus - minus) / (2.0 * h)
+def _stretch_ends(tau: Modulus, curve: CurveClass, u: complex, s: float) -> tuple[float, float]:
+    """Extremal length at arc lengths ``s`` and ``-s`` of the unit stretch line
+    through ``tau`` in the unimodular direction ``u``: exactly
+    ``Ext cosh 2s + B sinh 2s``, with ``2 B`` the first variation along ``u``."""
+    return (extremal_length(teich_geodesic_constant(tau, u, s), curve),
+            extremal_length(teich_geodesic_constant(tau, u, -s), curve))
 
 
-def fd_second_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
-    """Second centered difference along the constant-field path."""
-    h = 1e-3
-    if not abs(m) * h < 0.5:
-        raise ValueError(f"need |m| h < 0.5 with h = {h:g}")
-    plus = extremal_length(modulus_path_constant(tau, m, h), curve)
-    mid = extremal_length(tau, curve)
-    minus = extremal_length(modulus_path_constant(tau, m, -h), curve)
-    return (plus - 2.0 * mid + minus) / (h * h)
+def _stretch_odd_part(tau: Modulus, curve: CurveClass, m: complex) -> float:
+    """``|m| (E(s) - E(-s)) / sinh 2s`` at ``s = 0.3``: the first variation along ``m``."""
+    s, r = 0.3, abs(m)
+    plus, minus = _stretch_ends(tau, curve, m / r, s)
+    return r * (plus - minus) / math.sinh(2.0 * s)
 
 
-def fd_levi_form(tau: Modulus, curve: CurveClass) -> float:
-    """Quarter of the five-point Laplacian of extremal length in ``tau``.
+def _stretch_even_part(tau: Modulus, curve: CurveClass, u: complex) -> float:
+    """``(E(s) + E(-s)) / (2 cosh 2s)`` at ``s = 0.5``: exactly ``Ext``."""
+    s = 0.5
+    plus, minus = _stretch_ends(tau, curve, u, s)
+    return (plus + minus) / (2.0 * math.cosh(2.0 * s))
 
-    The Laplacian of a function of ``tau`` is four times its mixed
-    ``tau, tau-bar`` derivative, so this is a formula-free oracle for
-    ``levi_form``.
-    """
-    h = 1e-4
-    if tau.im <= 2.0 * h:
-        raise ValueError("tau too close to the boundary for this step")
-    x, y = tau.re, tau.im
 
-    def e(re: float, im: float) -> float:
-        return extremal_length(Modulus(re, im), curve)
+def _path_second_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
+    """``4 Ext (G - Ext) / (t^2 (G + Ext))`` at ``|t m| = 0.5``, ``G`` the even part
+    of extremal length along the constant-field path ``m``: ``Ext(t) (1 - t^2 |m|^2)``
+    is exactly ``Ext + a t + |m|^2 Ext t^2``, so this is ``4 |m|^2 Ext``."""
+    t = 0.5 / abs(m)
+    ext = extremal_length(tau, curve)
+    even = 0.5 * (extremal_length(modulus_path_constant(tau, m, t), curve)
+                  + extremal_length(modulus_path_constant(tau, m, -t), curve))
+    return 4.0 * ext * (even - ext) / (t * t * (even + ext))
 
-    lap = (
-        e(x + h, y) + e(x - h, y) + e(x, y + h) + e(x, y - h) - 4.0 * e(x, y)
-    ) / (h * h)
-    return 0.25 * lap
+
+def _path_levi_form(tau: Modulus, curve: CurveClass) -> float:
+    """``(d2(1) + d2(i)) / (16 (Im tau)^2)``, ``d2`` the path second variation:
+    the fields 1 and ``i`` move ``tau`` at chart speed ``2 Im tau`` in orthogonal
+    directions with opposite accelerations, so the sum is ``4 (Im tau)^2``
+    times the Laplacian ``4 levi_form``."""
+    y = tau.im
+    return (_path_second_variation(tau, curve, 1.0)
+            + _path_second_variation(tau, curve, 1j)) / (16.0 * y * y)
 
 
 def sample_moduli(rng: np.random.Generator, count: int) -> list[Modulus]:
@@ -152,11 +148,12 @@ def sample_curves(rng: np.random.Generator, count: int) -> list[CurveClass]:
 def sample_directions(rng: np.random.Generator, count: int) -> list[complex]:
     """Draw ``count`` deformation directions with modulus in ``[0.05, 0.5)``.
 
-    The lower cutoff keeps finite-difference comparisons above the
-    rounding floor: second differences of size ``|m|^2`` drown in the
-    ``eps / h^2`` noise when ``|m|`` is tiny.  The angle goes through
-    ``math.cos`` and ``math.sin`` row by row: numpy's SIMD loops for them
-    may round differently from one CPU to another.
+    The exact oracles need no lower cutoff, since each scales its step to
+    ``|m|``; the range stays because the checks after the first one that
+    draws directions read the same stream, so a new range would move their
+    rows.  The angle goes through ``math.cos`` and ``math.sin`` row by row:
+    numpy's SIMD loops for them may round differently from one CPU to
+    another.
     """
     polar = rng.uniform((0.05, 0.0), (0.5, 2.0 * math.pi), (count, 2)).tolist()
     return [r * complex(math.cos(theta), math.sin(theta)) for r, theta in polar]
@@ -213,12 +210,15 @@ def _harmonic_energy(rng: np.random.Generator) -> IdentityReport:
 
 
 def _hopf_axis(rng: np.random.Generator) -> IdentityReport:
-    """The Hopf differential times the squared holonomy is real and non-positive."""
+    """The Hopf differential times the squared holonomy is real and non-positive,
+    and its norm ``4 Im tau |hopf|`` is the extremal length (Hubbard–Masur)."""
     rows = []
     for tau, curve in _draws(rng, 1000):
         w = curve.holonomy(tau)
-        v = hopf(build_harmonic_map(tau, curve)) * (w * w)
+        phi = hopf(build_harmonic_map(tau, curve))
+        v = phi * (w * w)
         rows.append((max(abs(v.imag), max(0.0, v.real)), 0.0, max(1.0, abs(v))))
+        rows.append((4.0 * tau.im * abs(phi), extremal_length(tau, curve), 0.0))
     return _rows(rows, 1e-13)
 
 
@@ -233,31 +233,39 @@ def _remarking(rng: np.random.Generator) -> IdentityReport:
 
 
 def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
+    """The first variation along ``m`` is the stretch line's odd part, and
+    ``hypot`` of those along ``m`` and ``i m`` is ``2 |m| Ext``."""
     rows = []
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = first_variation(tau, curve, constant(tau, m))
-        fd = fd_first_variation(tau, curve, m)
-        rows.append((closed, fd, abs(m) * extremal_length(tau, curve)))
-    return _rows(rows, 1e-6)
+        turned = first_variation(tau, curve, constant(tau, 1j * m))
+        size = abs(m) * extremal_length(tau, curve)
+        rows.append((closed, _stretch_odd_part(tau, curve, m), size))
+        rows.append((math.hypot(closed, turned), 2.0 * size, 0.0))
+    return _rows(rows, 1e-13)
 
 
 def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
     rows = []
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = second_variation_constant(tau, curve, m)
-        fd = fd_second_variation(tau, curve, m)
-        rows.append((closed, fd, abs(m) * abs(m) * extremal_length(tau, curve)))
+        oracle = _path_second_variation(tau, curve, m)
+        rows.append((closed, oracle, abs(m) * abs(m) * extremal_length(tau, curve)))
     rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
-    return _rows(rows, 1e-5)
+    return _rows(rows, 1e-13)
 
 
 def _eq11_fields(rng: np.random.Generator) -> IdentityReport:
-    return _worst_of([
-        identity_eq11_check(tau, curve, catalog_field(tau, nm, n), n)
-        for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1))]
-        for nm in sorted(FIELD_CATALOG)
-        for n in (32, 64, 128)
-    ])
+    """Both tori share each catalog grid, whose samples depend on the name and
+    ``n`` alone; one grid is live at a time, and the rows keep torus-major order."""
+    bases = [(_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1))]
+    by_grid = []
+    for nm in sorted(FIELD_CATALOG):
+        for n in (32, 64, 128):
+            grid = catalog_field(_ANCHOR, nm, n).samples
+            by_grid.append([identity_eq11_check(tau, curve, BeltramiField(tau, n, samples=grid), n)
+                            for tau, curve in bases])
+    return _worst_of([report for per_torus in zip(*by_grid) for report in per_torus])
 
 
 def _pairing_on_constants(rng: np.random.Generator) -> IdentityReport:
@@ -292,8 +300,8 @@ def _levi_vs_fd(rng: np.random.Generator) -> IdentityReport:
         for re in np.linspace(-1.0, 1.0, 10):
             for im in np.linspace(0.3, 3.0, 10):
                 tau = Modulus(float(re), float(im))
-                rows.append((levi_form(tau, curve), fd_levi_form(tau, curve), 0.0))
-    return _rows(rows, 1e-6)
+                rows.append((levi_form(tau, curve), _path_levi_form(tau, curve), 0.0))
+    return _rows(rows, 1e-13)
 
 
 def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
@@ -305,12 +313,16 @@ def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
 
 
 def _stretch_floor(rng: np.random.Generator) -> IdentityReport:
+    """The even part of extremal length along each unit stretch line is Ext,
+    and the line runs at unit Teichmüller speed, hyperbolic speed 2."""
     units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
-    return _worst_of([
-        teich_bound_check(tau, curve, m)
-        for tau, curve in _draws(rng, 50)
-        for m in units
-    ])
+    rows = []
+    for tau, curve in _draws(rng, 50):
+        ext = extremal_length(tau, curve)
+        for u in units:
+            rows.append((_stretch_even_part(tau, curve, u), ext, 0.0))
+            rows.append((hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0))
+    return _rows(rows, 1e-13)
 
 
 def _kerckhoff_vs_hyperbolic(rng: np.random.Generator) -> IdentityReport:

@@ -39,9 +39,9 @@ from extorus.variation import (
     teich_bound_check,
 )
 from extorus.verify import (
-    fd_first_variation,
-    fd_levi_form,
-    fd_second_variation,
+    _path_levi_form,
+    _path_second_variation,
+    _stretch_odd_part,
     run_suite,
     sample_curves,
     sample_directions,
@@ -97,7 +97,8 @@ def test_ac02_energy_realizes_extremal_length():
 def test_ac03_first_variation_matches_finite_differences():
     with criterion(
         "AC03",
-        "closed-form d/dt ext vs centered FD at h=1e-4, rel <= 1e-6, 200 samples",
+        "closed-form d/dt ext vs the stretch line's odd part at s=0.3, rel <= 1e-13, "
+        "200 samples",
         1.0,
     ):
         rng = np.random.default_rng(103)
@@ -106,17 +107,17 @@ def test_ac03_first_variation_matches_finite_differences():
         for tau, curve, m in draws:
             assert abs(m) <= 0.5
             closed = first_variation(tau, curve, constant(tau, m))
-            fd = fd_first_variation(tau, curve, m)
-            scale = max(abs(closed), abs(fd), abs(m) * extremal_length(tau, curve))
-            worst = max(worst, abs(closed - fd) / scale)
-        assert worst <= 1e-6, worst
+            odd = _stretch_odd_part(tau, curve, m)
+            scale = max(abs(closed), abs(odd), abs(m) * extremal_length(tau, curve))
+            worst = max(worst, abs(closed - odd) / scale)
+        assert worst <= 1e-13, worst
 
 
 def test_ac04_second_variation_matches_finite_differences():
     with criterion(
         "AC04",
-        "closed-form d2/dt2 ext vs second difference at h=1e-3, rel <= 1e-5, "
-        "200 samples plus exact anchors",
+        "closed-form d2/dt2 ext vs the constant path's even part at |t m|=0.5, "
+        "rel <= 1e-13, 200 samples plus exact anchors",
         2.0,
     ):
         rng = np.random.default_rng(104)
@@ -124,10 +125,10 @@ def test_ac04_second_variation_matches_finite_differences():
         draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
         for tau, curve, m in draws:
             closed = second_variation_constant(tau, curve, m)
-            fd = fd_second_variation(tau, curve, m)
-            scale = max(abs(closed), abs(fd), abs(m) ** 2 * extremal_length(tau, curve))
-            worst = max(worst, abs(closed - fd) / scale)
-        assert worst <= 1e-5, worst
+            oracle = _path_second_variation(tau, curve, m)
+            scale = max(abs(closed), abs(oracle), abs(m) ** 2 * extremal_length(tau, curve))
+            worst = max(worst, abs(closed - oracle) / scale)
+        assert worst <= 1e-13, worst
         # the stretch and shear profiles through tau = i both curve at 4
         assert second_variation_constant(I, HORIZ, 1.0) == pytest.approx(
             4.0, abs=1e-12
@@ -173,7 +174,8 @@ def test_ac06_levi_form_positivity_and_pair_sum():
     with criterion(
         "AC06",
         "pair sum positive on 1000 samples, |m|^2 scaling <= 1e-10, anchor 8.0, "
-        "levi vs FD <= 1e-6 on a 10x10 grid, pair-sum/levi ratio constant",
+        "levi vs the paths' second variations <= 1e-13 on a 10x10 grid, "
+        "pair-sum/levi ratio constant",
         5.0,
     ):
         rng = np.random.default_rng(106)
@@ -193,9 +195,9 @@ def test_ac06_levi_form_positivity_and_pair_sum():
                 for im in np.linspace(0.3, 3.0, 10):
                     tau = Modulus(float(re), float(im))
                     closed = levi_form(tau, curve)
-                    fd = fd_levi_form(tau, curve)
-                    worst = max(worst, abs(closed - fd) / max(closed, fd))
-        assert worst <= 1e-6, worst
+                    oracle = _path_levi_form(tau, curve)
+                    worst = max(worst, abs(closed - oracle) / max(closed, oracle))
+        assert worst <= 1e-13, worst
 
         # the unit stretch moves tau at chart speed 2 Im(tau); dividing the
         # pair sum by levi * (2 Im tau)^2 leaves the same constant everywhere
@@ -230,8 +232,8 @@ def test_ac07_paired_gradient_identity_evaluator():
 def test_ac08_convexity_floor_along_stretch_lines():
     with criterion(
         "AC08",
-        "second difference along stretch lines >= -4 ext - 1e-6, 16 directions "
-        "x 50 samples, anchors near 4",
+        "second difference along stretch lines >= -4 ext - 1e-6 and even part = ext, "
+        "16 directions x 50 samples, anchors at ext = 1",
         2.0,
     ):
         rng = np.random.default_rng(108)
@@ -260,7 +262,7 @@ def test_ac08_convexity_floor_along_stretch_lines():
                 assert report.passed
         for m in (1.0, 1j):
             report = teich_bound_check(I, HORIZ, m)
-            assert report.lhs == pytest.approx(4.0, abs=1e-5)
+            assert report.lhs == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ac09_kerckhoff_distance_matches_half_hyperbolic():

@@ -104,6 +104,21 @@ def test_multipliers_zero_nyquist_row():
     assert np.all(mult[:, 4] == 0.0)
 
 
+@pytest.mark.parametrize("tau", [I, SKEW, Modulus(0.3, 1e-11), Modulus(-2.5, 1e150),
+                                 Modulus(2.9, 0.0013), Modulus(-1.1, 731.0)])
+def test_dz_multiplier_keeps_the_bits_of_the_complex_division(tau):
+    # the symbol as it was built with np.divide(mult, Im tau): a complex
+    # division by (Im tau, 0), which numpy computes as (re + im 0) (1 / Im tau)
+    for n in (8, 32, 128):
+        j = np.fft.fftfreq(n, d=1.0 / n)[:, None]
+        k = np.fft.fftfreq(n, d=1.0 / n)[None, :]
+        divided = np.subtract(k, tau.value.conjugate() * j)
+        np.multiply(np.pi, divided, out=divided)
+        np.divide(divided, tau.im, out=divided)
+        divided[n // 2, :] = divided[:, n // 2] = 0.0
+        assert np.array_equal(dz_multiplier(tau, n).view(np.uint64), divided.view(np.uint64))
+
+
 def test_constant_field_basics():
     field = constant(I, 0.3 - 0.4j)
     assert field.is_constant

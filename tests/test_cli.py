@@ -135,9 +135,9 @@ def test_bound_command(capsys):
     data = run_json(
         capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"
     )
-    assert data["pass"] is True
-    assert data["lhs"] == pytest.approx(4.0, abs=1e-5)
-    assert data["ext"] == 1.0
+    assert data["pass"] is True and data["tolerance"] == 1e-13
+    assert data["lhs"] == pytest.approx(1.0, abs=1e-15)
+    assert data["rhs"] == data["ext"] == 1.0
 
 
 def test_sweep_csv(capsys):

@@ -29,8 +29,8 @@ from extorus.variation import (
     teich_bound_check,
 )
 from extorus.verify import (
-    fd_first_variation,
-    fd_second_variation,
+    _path_second_variation,
+    _stretch_odd_part,
     sample_curves,
     sample_directions,
     sample_moduli,
@@ -91,9 +91,9 @@ def test_first_variation_matches_finite_differences():
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
         closed = first_variation(tau, curve, constant(tau, m))
-        fd = fd_first_variation(tau, curve, m)
+        odd = _stretch_odd_part(tau, curve, m)
         scale = abs(m) * extremal_length(tau, curve)
-        assert abs(closed - fd) <= 1e-6 * max(abs(closed), abs(fd), scale)
+        assert abs(closed - odd) <= 1e-13 * max(abs(closed), abs(odd), scale)
 
 
 def test_constant_field_variation_vanishes():
@@ -280,9 +280,9 @@ def test_second_variation_matches_finite_differences():
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
         closed = second_variation_constant(tau, curve, m)
-        fd = fd_second_variation(tau, curve, m)
+        oracle = _path_second_variation(tau, curve, m)
         scale = abs(m) ** 2 * extremal_length(tau, curve)
-        assert abs(closed - fd) <= 1e-5 * max(abs(closed), abs(fd), scale)
+        assert abs(closed - oracle) <= 1e-13 * max(abs(closed), abs(oracle), scale)
 
 
 def test_pair_sum_values_and_scaling():
@@ -342,8 +342,8 @@ def test_squares_past_double_range_raise():
 
 def test_pair_sum_matches_paired_finite_differences():
     tau, curve, m = Modulus(0.0, 2.0), HORIZ, 1.0
-    fd = fd_second_variation(tau, curve, m) + fd_second_variation(tau, curve, m * 1j)
-    assert pair_sum_levi(tau, curve, m) == pytest.approx(fd, abs=1e-5)
+    paired = _path_second_variation(tau, curve, m) + _path_second_variation(tau, curve, m * 1j)
+    assert pair_sum_levi(tau, curve, m) == pytest.approx(paired, abs=1e-14)
 
 
 def test_pair_sum_to_levi_ratio_is_constant():
@@ -382,11 +382,10 @@ def test_teich_bound_anchor_values():
     for m in (1.0, 1j):
         report = teich_bound_check(I, HORIZ, m)
         assert report.name == "teich_bound"
-        assert report.passed
-        # Ext = 1 at (i, (1,0)); the exact second difference is 4 (sinh h / h)^2
-        assert report.rhs == 4.0 * (math.sinh(1e-3) / 1e-3) ** 2
-        assert report.rhs == pytest.approx(4.0 + 4e-6 / 3.0, abs=1e-12)
-        assert report.abs_err <= 1e-9
+        assert report.passed and report.tolerance == 1e-13
+        # Ext = 1 at (i, (1,0)), and the even part of the stretch profile is Ext
+        assert report.rhs == 1.0
+        assert report.abs_err <= 1e-15
 
 
 def test_teich_bound_holds_at_random_points():

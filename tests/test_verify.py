@@ -1,9 +1,11 @@
-"""Finite-difference oracles and the cross-check suite."""
+"""Exact oracles and the cross-check suite."""
 
 import dataclasses
 import importlib
+import inspect
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,11 +14,12 @@ from extorus.moduli import CurveClass, Modulus
 from extorus.variation import IdentityReport
 from extorus.verify import (
     SuiteResult,
+    _path_levi_form,
+    _path_second_variation,
     _rows,
+    _stretch_even_part,
+    _stretch_odd_part,
     _worst_of,
-    fd_first_variation,
-    fd_levi_form,
-    fd_second_variation,
     format_table,
     run_suite,
     sample_curves,
@@ -46,32 +49,31 @@ SUITE_CHECKS = [
 ]
 
 
-def test_fd_first_variation_anchors():
-    assert fd_first_variation(I, HORIZ, 1.0) == pytest.approx(2.0, abs=1e-7)
-    assert fd_first_variation(I, HORIZ, 1j) == pytest.approx(0.0, abs=1e-7)
-    assert fd_first_variation(I, CurveClass(0, 1), 1.0) == pytest.approx(
-        -2.0, abs=1e-7
-    )
+def test_stretch_odd_part_anchors():
+    assert _stretch_odd_part(I, HORIZ, 1.0) == pytest.approx(2.0, abs=1e-15)
+    assert _stretch_odd_part(I, HORIZ, 1j) == 0.0
+    assert _stretch_odd_part(I, CurveClass(0, 1), 1.0) == pytest.approx(-2.0, abs=1e-15)
 
 
-def test_fd_second_variation_anchors():
-    assert fd_second_variation(I, HORIZ, 1.0) == pytest.approx(4.0, abs=1e-5)
-    assert fd_second_variation(I, HORIZ, 1j) == pytest.approx(4.0, abs=1e-5)
+def test_path_second_variation_anchors():
+    assert _path_second_variation(I, HORIZ, 1.0) == pytest.approx(4.0, abs=1e-14)
+    assert _path_second_variation(I, HORIZ, 1j) == pytest.approx(4.0, abs=1e-14)
 
 
-def test_fd_levi_form_anchors():
-    assert fd_levi_form(I, HORIZ) == pytest.approx(0.5, abs=1e-6)
-    assert fd_levi_form(Modulus(0.0, 2.0), HORIZ) == pytest.approx(
-        0.0625, abs=1e-6
-    )
-    assert fd_levi_form(I, CurveClass(1, 1)) == pytest.approx(1.0, abs=1e-6)
+def test_path_levi_form_anchors():
+    assert _path_levi_form(I, HORIZ) == pytest.approx(0.5, abs=1e-15)
+    assert _path_levi_form(Modulus(0.0, 2.0), HORIZ) == pytest.approx(0.0625, abs=1e-16)
+    assert _path_levi_form(I, CurveClass(1, 1)) == pytest.approx(1.0, abs=1e-15)
 
 
-def test_fd_preconditions():
-    with pytest.raises(ValueError, match="h < 0.5"):
-        fd_first_variation(I, HORIZ, 6000.0)
-    with pytest.raises(ValueError, match="boundary"):
-        fd_levi_form(Modulus(0.0, 1.5e-4), HORIZ)
+def test_oracles_answer_where_a_difference_step_did_not():
+    # a step of 1e-4 needed |m| < 5000 and Im tau > 2e-4; the exact oracles
+    # scale their step to the direction and need neither
+    assert _path_second_variation(I, HORIZ, 6000.0) == pytest.approx(4.0 * 6000.0**2, rel=1e-14)
+    assert _stretch_odd_part(I, HORIZ, 6000.0) == pytest.approx(12000.0, rel=1e-14)
+    near = Modulus(0.0, 1.5e-4)  # levi_form is Ext / (2 (Im tau)^2) = 1 / (2 Im tau^3)
+    assert _path_levi_form(near, HORIZ) == pytest.approx(0.5 / 1.5e-4**3, rel=1e-14)
+    assert _stretch_even_part(near, HORIZ, 1j) == pytest.approx(1.0 / 1.5e-4, rel=1e-14)
 
 
 SAMPLERS = (sample_moduli, sample_curves, sample_directions)
@@ -241,7 +243,7 @@ WRONG_ANSWERS = [
     ("pair_sum_scaling_positivity", "verify.pair_sum_levi",
      lambda f: lambda tau, curve, m: f(tau, curve, m) * (1 + 1e-4 * abs(m))),
     # the two exact pair-sum checks hold to rounding: a relative error
-    # far below any finite-difference tolerance must fail them
+    # of 1e-11 or 1e-9 must fail them
     ("pair_sum_scaling_positivity", "verify.pair_sum_levi", _scaled(1 + 1e-11)),
     ("levi_fd", "verify.levi_form",
      lambda f: lambda tau, curve: f(tau, curve) * (1 + 1e-4 * tau.im)),
@@ -250,7 +252,7 @@ WRONG_ANSWERS = [
     ("pair_sum_levi_ratio", "verify.pair_sum_levi", _scaled(1 + 1e-9)),
     # pair_sum_levi sums two of these: it comes out 1 + 1e-4 times too large
     ("pair_sum_levi_ratio", "variation.second_variation_constant", _scaled(1 + 1e-4)),
-    ("teich_lower_bound", "variation.teich_geodesic_constant",
+    ("teich_lower_bound", "verify.teich_geodesic_constant",
      lambda f: lambda tau, m, t: f(tau, m, t * (1 + 1e-4))),
     ("kerckhoff_vs_half_hyperbolic", "verify.kerckhoff_distance",
      _field_changed("value", lambda v: v * (1 + 1e-4))),
@@ -280,3 +282,79 @@ def test_non_positive_pair_sum_stops_the_suite(monkeypatch):
                         lambda tau, curve, m: -1.0)
     with pytest.raises(ArithmeticError, match="positive"):
         run_suite(seed=42)
+
+
+# Each check backed by an exact oracle, and each row such a check gained,
+# fails on an error of 1e-11, a hundred times its tolerance.
+OFF_BY_1E_11 = [
+    ("hopf_direction", "verify.hopf", _scaled(1 + 1e-11)),
+    ("first_variation_fd", "verify.first_variation", _scaled(1 + 1e-11)),
+    ("second_variation_fd", "verify.second_variation_constant", _scaled(1 + 1e-11)),
+    ("levi_fd", "verify.levi_form", _scaled(1 + 1e-11)),
+    ("teich_lower_bound", "verify.teich_geodesic_constant",
+     lambda f: lambda tau, m, t: f(tau, m, t * (1 + 1e-11))),
+    ("teich_lower_bound", "verify.hyperbolic_distance", _scaled(1 + 1e-11)),
+]
+
+
+@pytest.mark.parametrize("check,target,wrong", OFF_BY_1E_11,
+                         ids=[f"{c}-{t}" for c, t, _ in OFF_BY_1E_11])
+def test_each_exact_check_fails_on_a_1e_11_error(monkeypatch, check, target, wrong):
+    test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong)
+
+
+def _rebind(monkeypatch, module_name, attr, wrong):
+    """Replace ``extorus.<module_name>.<attr>`` by ``wrong(original)`` under
+    every name an ``extorus`` module binds it to."""
+    original = getattr(importlib.import_module(f"extorus.{module_name}"), attr)
+    replacement = wrong(original)
+    for name, module in list(sys.modules.items()):
+        if name == "extorus" or name.startswith("extorus."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
+@pytest.mark.parametrize("module_name,attr", [
+    ("variation", "first_variation"),
+    ("harmonic", "hopf"),
+    ("beltrami", "pair_hopf"),
+    ("variation", "second_variation_constant"),
+    ("moduli", "levi_form"),
+])
+def test_a_1e_12_error_turns_the_suite_red(monkeypatch, module_name, attr):
+    _rebind(monkeypatch, module_name, attr, _scaled(1 + 1e-12))
+    assert not run_suite(seed=42).all_passed
+
+
+#: What the oracles may call: extremal length at points of the two paths,
+#: and the hyperbolic distance.
+ORACLE_REACH = {"extremal_length", "modulus_path_constant", "teich_geodesic_constant",
+                "hyperbolic_distance"}
+
+ORACLE_CALLS = [
+    (_stretch_odd_part, (Modulus(0.3, 1.1), CurveClass(2, 1), 0.3 - 0.4j)),
+    (_stretch_even_part, (Modulus(0.3, 1.1), CurveClass(2, 1), 0.6 + 0.8j)),
+    (_path_second_variation, (Modulus(-0.7, 0.4), CurveClass(1, -3), 0.2j)),
+    (_path_levi_form, (Modulus(0.9, 2.5), CurveClass(3, 2))),
+]
+
+
+def _raises(f):
+    def call(*args, **kwargs):
+        raise AssertionError(f"an oracle reached {f.__module__}.{f.__name__}")
+
+    return call
+
+
+def test_oracles_are_independent(monkeypatch):
+    expected = [oracle(*args) for oracle, args in ORACLE_CALLS]
+    for module_name in ("moduli", "beltrami", "harmonic", "variation"):
+        module = importlib.import_module(f"extorus.{module_name}")
+        for attr, value in list(vars(module).items()):
+            if (inspect.isfunction(value) and value.__module__ == module.__name__
+                    and not attr.startswith("_") and attr not in ORACLE_REACH):
+                _rebind(monkeypatch, module_name, attr, _raises)
+    with pytest.raises(AssertionError, match="reached"):  # the replacements took
+        importlib.import_module("extorus.variation").first_variation(I, HORIZ, None)
+    assert [oracle(*args) for oracle, args in ORACLE_CALLS] == expected

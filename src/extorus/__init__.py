@@ -43,8 +43,7 @@ from .variation import (
     pair_sum_levi,
     second_variation_constant,
     solve_variation_field,
-    teich_bound_check,
 )
-from .verify import SuiteResult, run_suite
+from .verify import SuiteResult, run_suite, teich_bound_check
 
 __version__ = "0.1.0"

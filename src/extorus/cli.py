@@ -54,9 +54,8 @@ from .variation import (
     pair_sum_levi,
     second_variation_constant,
     solve_variation_field,
-    teich_bound_check,
 )
-from .verify import format_table, run_suite
+from .verify import format_table, run_suite, teich_bound_check
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
 #: square of ``--grid``; at its limit a run takes at most about 3.5 s and

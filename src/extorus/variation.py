@@ -23,9 +23,7 @@ From these pieces:
   length over the moduli space;
 * grid checks of two integral identities the solver's output must
   satisfy for every field: an integration-by-parts identity, and a
-  paired-direction identity whose right side depends on the field alone;
-* a check of extremal length along unit stretch lines: its even part
-  is exactly ``Ext``.
+  paired-direction identity whose right side depends on the field alone.
 
 Measure convention: ``<< f >> = 4 Im tau * (grid mean of f)``, the
 normalization under which the energy of the harmonic map equals the
@@ -47,7 +45,7 @@ from .beltrami import (
     pair_hopf,
 )
 from .harmonic import HarmonicMapTorus, build_harmonic_map, hopf
-from .moduli import CurveClass, Modulus, extremal_length, format_complex
+from .moduli import CurveClass, Modulus, format_complex
 
 __all__ = [
     "IdentityReport",
@@ -58,7 +56,6 @@ __all__ = [
     "second_variation_constant",
     "pair_sum_levi",
     "identity_eq15_evaluate",
-    "teich_bound_check",
 ]
 
 
@@ -356,18 +353,6 @@ def identity_eq15_evaluate(
     vf = solve_variation_field(tau, curve, field.scaled(1j), n)
     lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
     return IdentityReport(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
-
-
-def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex) -> IdentityReport:
-    """The even part of extremal length along the unit stretch line in the
-    unimodular direction ``m``, which is exactly ``Ext`` (``verify``'s oracle),
-    against ``Ext``.  A side outside double range raises ``OverflowError``."""
-    from .verify import _stretch_even_part  # verify imports this module
-
-    even, ext0 = _stretch_even_part(tau, curve, m), extremal_length(tau, curve)
-    if not (math.isfinite(even) and math.isfinite(ext0)):
-        raise OverflowError("extremal length along the stretch line leaves double range")
-    return IdentityReport("teich_bound", even, ext0, 1e-13)
 
 
 def _field_label(field: BeltramiField) -> str:

@@ -1,15 +1,15 @@
 """Independent cross-checks for every closed-form formula in the package.
 
-Each derivative formula is compared against an oracle that knows nothing
-about the formula: it reads extremal length at finite points of the
-explicit paths, where it is an exact function of the step.  The spectral
-solver is checked through integral identities its output must satisfy.
-``run_suite`` executes a fixed sequence of checks on one seeded random
-stream and reports one line per check.  A check that samples draws all
-its rows before it computes any, each distribution in one vectorized
-draw, and builds a report only for the row it reports.  Each oracle
-writes its step once, as a literal in its body, and each check writes
-its tolerance once, at the check; the tolerance is reported in its row.
+Each derivative formula is compared against an oracle of ``oracles``,
+which knows nothing about the formula: it reads extremal length at
+finite points of the explicit paths, where it is an exact function of
+the step.  The spectral solver is checked through integral identities
+its output must satisfy.  ``run_suite`` executes a fixed sequence of
+checks on one seeded random stream and reports one line per check.  A
+check that samples draws all its rows before it computes any, each
+distribution in one vectorized draw, and builds a report only for the
+row it reports.  Each check writes its tolerance once, at the check;
+the tolerance is reported in its row.
 
 Relative errors are floored at the natural scale of the quantity being
 compared (for a first variation along ``m`` that scale is ``|m| Ext``):
@@ -26,8 +26,7 @@ import time
 from dataclasses import dataclass, replace
 
 from ._lazy import np
-from .beltrami import (FIELD_CATALOG, BeltramiField, catalog_field, constant,
-                       modulus_path_constant, teich_geodesic_constant)
+from .beltrami import FIELD_CATALOG, BeltramiField, catalog_field, constant, teich_geodesic_constant
 from .harmonic import build_harmonic_map, energy, hopf
 from .moduli import (
     CurveClass,
@@ -40,6 +39,7 @@ from .moduli import (
     kerckhoff_distance,
     levi_form,
 )
+from .oracles import _path_levi_form, _path_second_variation, _stretch_even_part, _stretch_odd_part
 from .variation import (
     IdentityReport,
     compare,
@@ -58,6 +58,7 @@ __all__ = [
     "sample_mapping_class",
     "run_suite",
     "format_table",
+    "teich_bound_check",
 ]
 
 
@@ -81,49 +82,6 @@ class SuiteResult:
 
     def to_json_text(self) -> str:
         return json.dumps(self.to_json(), indent=2, allow_nan=False)
-
-
-def _stretch_ends(tau: Modulus, curve: CurveClass, u: complex, s: float) -> tuple[float, float]:
-    """Extremal length at arc lengths ``s`` and ``-s`` of the unit stretch line
-    through ``tau`` in the unimodular direction ``u``: exactly
-    ``Ext cosh 2s + B sinh 2s``, with ``2 B`` the first variation along ``u``."""
-    return (extremal_length(teich_geodesic_constant(tau, u, s), curve),
-            extremal_length(teich_geodesic_constant(tau, u, -s), curve))
-
-
-def _stretch_odd_part(tau: Modulus, curve: CurveClass, m: complex) -> float:
-    """``|m| (E(s) - E(-s)) / sinh 2s`` at ``s = 0.3``: the first variation along ``m``."""
-    s, r = 0.3, abs(m)
-    plus, minus = _stretch_ends(tau, curve, m / r, s)
-    return r * (plus - minus) / math.sinh(2.0 * s)
-
-
-def _stretch_even_part(tau: Modulus, curve: CurveClass, u: complex) -> float:
-    """``(E(s) + E(-s)) / (2 cosh 2s)`` at ``s = 0.5``: exactly ``Ext``."""
-    s = 0.5
-    plus, minus = _stretch_ends(tau, curve, u, s)
-    return (plus + minus) / (2.0 * math.cosh(2.0 * s))
-
-
-def _path_second_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
-    """``4 Ext (G - Ext) / (t^2 (G + Ext))`` at ``|t m| = 0.5``, ``G`` the even part
-    of extremal length along the constant-field path ``m``: ``Ext(t) (1 - t^2 |m|^2)``
-    is exactly ``Ext + a t + |m|^2 Ext t^2``, so this is ``4 |m|^2 Ext``."""
-    t = 0.5 / abs(m)
-    ext = extremal_length(tau, curve)
-    even = 0.5 * (extremal_length(modulus_path_constant(tau, m, t), curve)
-                  + extremal_length(modulus_path_constant(tau, m, -t), curve))
-    return 4.0 * ext * (even - ext) / (t * t * (even + ext))
-
-
-def _path_levi_form(tau: Modulus, curve: CurveClass) -> float:
-    """``(d2(1) + d2(i)) / (16 (Im tau)^2)``, ``d2`` the path second variation:
-    the fields 1 and ``i`` move ``tau`` at chart speed ``2 Im tau`` in orthogonal
-    directions with opposite accelerations, so the sum is ``4 (Im tau)^2``
-    times the Laplacian ``4 levi_form``."""
-    y = tau.im
-    return (_path_second_variation(tau, curve, 1.0)
-            + _path_second_variation(tau, curve, 1j)) / (16.0 * y * y)
 
 
 def sample_moduli(rng: np.random.Generator, count: int) -> list[Modulus]:
@@ -312,17 +270,28 @@ def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
                   for tau, curve in _draws(rng, 100)], 1e-12)
 
 
+def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex) -> IdentityReport:
+    """The even part of extremal length along the unit stretch line in the
+    unimodular direction ``m``, which is exactly ``Ext`` (the oracle
+    ``_stretch_even_part``), against ``Ext``.  A side outside double range
+    raises ``OverflowError``."""
+    even, ext0 = _stretch_even_part(tau, curve, m), extremal_length(tau, curve)
+    if not (math.isfinite(even) and math.isfinite(ext0)):
+        raise OverflowError("extremal length along the stretch line leaves double range")
+    return IdentityReport("teich_bound", even, ext0, 1e-13)
+
+
 def _stretch_floor(rng: np.random.Generator) -> IdentityReport:
-    """The even part of extremal length along each unit stretch line is Ext,
-    and the line runs at unit Teichmüller speed, hyperbolic speed 2."""
+    """``teich_bound_check`` along each unit stretch line, and the line runs
+    at unit Teichmüller speed, hyperbolic speed 2."""
     units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
     rows = []
     for tau, curve in _draws(rng, 50):
-        ext = extremal_length(tau, curve)
         for u in units:
-            rows.append((_stretch_even_part(tau, curve, u), ext, 0.0))
+            bound = teich_bound_check(tau, curve, u)
+            rows.append((bound.lhs, bound.rhs, bound.scale))
             rows.append((hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0))
-    return _rows(rows, 1e-13)
+    return _rows(rows, bound.tolerance)
 
 
 def _kerckhoff_vs_hyperbolic(rng: np.random.Generator) -> IdentityReport:

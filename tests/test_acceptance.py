@@ -36,16 +36,14 @@ from extorus.variation import (
     second_variation_constant,
     solve_variation_field,
     solver_residual_bound,
-    teich_bound_check,
 )
+from extorus.oracles import _path_levi_form, _path_second_variation, _stretch_odd_part
 from extorus.verify import (
-    _path_levi_form,
-    _path_second_variation,
-    _stretch_odd_part,
     run_suite,
     sample_curves,
     sample_directions,
     sample_moduli,
+    teich_bound_check,
 )
 
 I = Modulus(0.0, 1.0)

@@ -623,7 +623,7 @@ def test_importing_the_cli_imports_every_module_but_not_numpy():
     out = _fresh('import sys, extorus.cli; print("numpy._core" in sys.modules, *sys.modules)')
     numpy_loaded, *modules = out.split()
     assert numpy_loaded == "False"
-    for name in ("moduli", "harmonic", "beltrami", "variation", "verify"):
+    for name in ("moduli", "harmonic", "beltrami", "variation", "oracles", "verify"):
         assert f"extorus.{name}" in modules
 
 

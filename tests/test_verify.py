@@ -1,24 +1,29 @@
 """Exact oracles and the cross-check suite."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import json
 import math
+import pathlib
 import sys
 
 import numpy as np
 import pytest
 
+import extorus
 from extorus.moduli import CurveClass, Modulus
 from extorus.variation import IdentityReport
-from extorus.verify import (
-    SuiteResult,
+from extorus.oracles import (
     _path_levi_form,
     _path_second_variation,
-    _rows,
     _stretch_even_part,
     _stretch_odd_part,
+)
+from extorus.verify import (
+    SuiteResult,
+    _rows,
     _worst_of,
     format_table,
     run_suite,
@@ -261,15 +266,43 @@ WRONG_ANSWERS = [
 ]
 
 
+#: Targets replaced under every name a module binds them to: ``verify`` and
+#: the oracles both walk the stretch line.
+EVERY_BINDING = {"verify.teich_geodesic_constant"}
+
+
+def _rebind(monkeypatch, module_name, attr, wrong):
+    """Replace ``extorus.<module_name>.<attr>`` by ``wrong(original)`` under
+    every name an ``extorus`` module binds it to."""
+    original = getattr(importlib.import_module(f"extorus.{module_name}"), attr)
+    replacement = wrong(original)
+    for name, module in list(sys.modules.items()):
+        if name == "extorus" or name.startswith("extorus."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 @pytest.mark.parametrize("check,target,wrong", WRONG_ANSWERS,
                          ids=[f"{c}-{t}" for c, t, _ in WRONG_ANSWERS])
 def test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong):
     module_name, attr = target.split(".")
-    module = importlib.import_module(f"extorus.{module_name}")
-    monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+    if target in EVERY_BINDING:
+        _rebind(monkeypatch, module_name, attr, wrong)
+    else:
+        module = importlib.import_module(f"extorus.{module_name}")
+        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
     result = run_suite(seed=42)
     assert not {r.name: r for r in result.reports}[check].passed
     assert not result.all_passed
+
+
+def test_a_wrong_stretch_line_reaches_the_oracle(monkeypatch):
+    # the first failing row of teich_lower_bound is an even part (rhs Ext), not a distance
+    _rebind(monkeypatch, "beltrami", "teich_geodesic_constant",
+            lambda f: lambda tau, m, t: f(tau, m, t * (1 + 1e-4)))
+    report = {r.name: r for r in run_suite(seed=42).reports}["teich_lower_bound"]
+    assert (report.lhs, report.rhs) == pytest.approx((5.313738, 5.313334), abs=1e-6)
 
 
 def test_asserted_checks_all_have_a_wrong_answer():
@@ -303,18 +336,6 @@ def test_each_exact_check_fails_on_a_1e_11_error(monkeypatch, check, target, wro
     test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong)
 
 
-def _rebind(monkeypatch, module_name, attr, wrong):
-    """Replace ``extorus.<module_name>.<attr>`` by ``wrong(original)`` under
-    every name an ``extorus`` module binds it to."""
-    original = getattr(importlib.import_module(f"extorus.{module_name}"), attr)
-    replacement = wrong(original)
-    for name, module in list(sys.modules.items()):
-        if name == "extorus" or name.startswith("extorus."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, replacement)
-
-
 @pytest.mark.parametrize("module_name,attr", [
     ("variation", "first_variation"),
     ("harmonic", "hopf"),
@@ -327,10 +348,11 @@ def test_a_1e_12_error_turns_the_suite_red(monkeypatch, module_name, attr):
     assert not run_suite(seed=42).all_passed
 
 
-#: What the oracles may call: extremal length at points of the two paths,
-#: and the hyperbolic distance.
-ORACLE_REACH = {"extremal_length", "modulus_path_constant", "teich_geodesic_constant",
-                "hyperbolic_distance"}
+#: All that ``oracles`` may import: ``math``, the torus types, and extremal
+#: length with the two paths it is read along.
+ORACLE_REACH = {"math", "extorus.moduli.Modulus", "extorus.moduli.CurveClass",
+                "extorus.moduli.extremal_length", "extorus.beltrami.modulus_path_constant",
+                "extorus.beltrami.teich_geodesic_constant"}
 
 ORACLE_CALLS = [
     (_stretch_odd_part, (Modulus(0.3, 1.1), CurveClass(2, 1), 0.3 - 0.4j)),
@@ -349,12 +371,46 @@ def _raises(f):
 
 def test_oracles_are_independent(monkeypatch):
     expected = [oracle(*args) for oracle, args in ORACLE_CALLS]
-    for module_name in ("moduli", "beltrami", "harmonic", "variation"):
+    reach = {name.rpartition(".")[2] for name in ORACLE_REACH}
+    for module_name in ("moduli", "beltrami", "harmonic", "variation", "verify"):
         module = importlib.import_module(f"extorus.{module_name}")
         for attr, value in list(vars(module).items()):
             if (inspect.isfunction(value) and value.__module__ == module.__name__
-                    and not attr.startswith("_") and attr not in ORACLE_REACH):
+                    and not attr.startswith("_") and attr not in reach):
                 _rebind(monkeypatch, module_name, attr, _raises)
     with pytest.raises(AssertionError, match="reached"):  # the replacements took
         importlib.import_module("extorus.variation").first_variation(I, HORIZ, None)
     assert [oracle(*args) for oracle, args in ORACLE_CALLS] == expected
+
+
+PACKAGE = pathlib.Path(extorus.__file__).parent
+
+
+def _imported(path):
+    """Every name an import statement of ``path`` reads, in function bodies too,
+    as an absolute dotted name: ``from .moduli import Modulus`` reads
+    ``extorus.moduli.Modulus``, and ``from . import verify`` ``extorus.verify``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level <= 1, "the package is flat"
+            base = ".".join(filter(None, ("extorus" if node.level else None, node.module)))
+            names |= {f"{base}.{alias.name}" for alias in node.names}
+    return names
+
+
+def test_oracles_import_only_their_reach():
+    imported = _imported(PACKAGE / "oracles.py")
+    assert imported and imported <= ORACLE_REACH, imported - ORACLE_REACH
+
+
+def test_no_library_module_imports_verify():
+    def reads_verify(path):
+        return any(name == "extorus.verify" or name.startswith("extorus.verify.")
+                   for name in _imported(path))
+
+    assert reads_verify(PACKAGE / "cli.py")  # the scan sees an import of verify
+    importers = {path.name for path in PACKAGE.glob("*.py") if reads_verify(path)}
+    assert importers <= {"cli.py", "__init__.py"}, importers

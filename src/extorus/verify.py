@@ -6,10 +6,9 @@ finite points of the explicit paths, where it is an exact function of
 the step.  The spectral solver is checked through integral identities
 its output must satisfy.  ``run_suite`` executes a fixed sequence of
 checks on one seeded random stream and reports one line per check.  A
-check that samples draws all its rows before it computes any, each
-distribution in one vectorized draw, and builds a report only for the
-row it reports.  Each check writes its tolerance once, at the check;
-the tolerance is reported in its row.
+check that samples draws all its rows before it computes any, and
+builds a report only for the row it reports.  Each check writes its
+tolerance once, at the check; the tolerance is reported in its row.
 
 Relative errors are floored at the natural scale of the quantity being
 compared (for a first variation along ``m`` that scale is ``|m| Ext``):
@@ -22,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import time
 from dataclasses import dataclass, replace
 
@@ -84,52 +84,65 @@ class SuiteResult:
         return json.dumps(self.to_json(), indent=2, allow_nan=False)
 
 
-def sample_moduli(rng: np.random.Generator, count: int) -> list[Modulus]:
+def _uniform(rng: random.Random, lo: float, hi: float) -> float:
+    """A float in ``[lo, hi)``, up to rounding at ``hi``."""
+    return lo + (hi - lo) * rng.random()
+
+
+def _below(rng: random.Random, k: int) -> int:
+    """An integer in ``[0, k)``: ``int(k u) < k`` for every ``u < 1``, and
+    each value's probability is within ``2**-49`` of ``1 / k``."""
+    return int(k * rng.random())
+
+
+def sample_moduli(rng: random.Random, count: int) -> list[Modulus]:
     """Draw ``count`` moduli with ``Re in [-1, 1)`` and ``Im in [0.3, 3)``."""
-    points = rng.uniform((-1.0, 0.3), (1.0, 3.0), (count, 2)).tolist()
-    return [Modulus(re, im) for re, im in points]
+    return [Modulus(_uniform(rng, -1.0, 1.0), _uniform(rng, 0.3, 3.0)) for _ in range(count)]
 
 
-def sample_curves(rng: np.random.Generator, count: int) -> list[CurveClass]:
+def sample_curves(rng: random.Random, count: int) -> list[CurveClass]:
     """Draw ``count`` primitive classes with ``|p|, |q| <= 5``.
 
-    Each round draws the pairs still missing and keeps the primitive
-    ones, so every kept pair is uniform over the primitive pairs.
+    Pairs are drawn until ``count`` primitive ones are kept, so every kept
+    pair is uniform over the primitive pairs.
     """
-    kept = np.empty((0, 2), dtype=np.int64)
-    while len(kept) < count:
-        pairs = rng.integers(-5, 6, (count - len(kept), 2))
-        kept = np.concatenate((kept, pairs[np.gcd(pairs[:, 0], pairs[:, 1]) == 1]))
-    return [CurveClass(p, q) for p, q in kept.tolist()]
+    curves = []
+    while len(curves) < count:
+        p, q = _below(rng, 11) - 5, _below(rng, 11) - 5
+        if math.gcd(p, q) == 1:
+            curves.append(CurveClass(p, q))
+    return curves
 
 
-def sample_directions(rng: np.random.Generator, count: int) -> list[complex]:
+def sample_directions(rng: random.Random, count: int) -> list[complex]:
     """Draw ``count`` deformation directions with modulus in ``[0.05, 0.5)``.
 
     The exact oracles need no lower cutoff, since each scales its step to
     ``|m|``; the range stays because the checks after the first one that
     draws directions read the same stream, so a new range would move their
-    rows.  The angle goes through ``math.cos`` and ``math.sin`` row by row:
-    numpy's SIMD loops for them may round differently from one CPU to
-    another.
+    rows.
     """
-    polar = rng.uniform((0.05, 0.0), (0.5, 2.0 * math.pi), (count, 2)).tolist()
-    return [r * complex(math.cos(theta), math.sin(theta)) for r, theta in polar]
+    directions = []
+    for _ in range(count):
+        r, theta = _uniform(rng, 0.05, 0.5), _uniform(rng, 0.0, 2.0 * math.pi)
+        directions.append(r * complex(math.cos(theta), math.sin(theta)))
+    return directions
 
 
-#: The twist, its inverse, the flip and its inverse.
-_GENERATORS = ([[1, 1], [0, 1]], [[1, -1], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]])
+#: The twist, its inverse, the flip and its inverse, each as ``a, b, c, d``.
+_GENERATORS = ((1, 1, 0, 1), (1, -1, 0, 1), (0, -1, 1, 0), (0, 1, -1, 0))
 
 
-def sample_mapping_class(rng: np.random.Generator) -> MappingClass:
+def sample_mapping_class(rng: random.Random) -> MappingClass:
     """Random word of 1 to 6 letters in the twist and flip generators."""
-    mat = np.eye(2, dtype=int)
-    for _ in range(int(rng.integers(1, 7))):
-        mat = mat @ _GENERATORS[int(rng.integers(0, 4))]
-    return MappingClass(int(mat[0, 0]), int(mat[0, 1]), int(mat[1, 0]), int(mat[1, 1]))
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(1 + _below(rng, 6)):
+        e, f, g, h = _GENERATORS[_below(rng, 4)]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return MappingClass(a, b, c, d)
 
 
-def _draws(rng: np.random.Generator, count: int) -> list[tuple[Modulus, CurveClass]]:
+def _draws(rng: random.Random, count: int) -> list[tuple[Modulus, CurveClass]]:
     """``count`` pairs ``tau, curve``: all the moduli are drawn first, then all the curves."""
     return list(zip(sample_moduli(rng, count), sample_curves(rng, count)))
 
@@ -157,17 +170,17 @@ _ANCHOR = Modulus(0.0, 1.0)
 _HORIZ = CurveClass(1, 0)
 
 
-def _reciprocity(rng: np.random.Generator) -> IdentityReport:
+def _reciprocity(rng: random.Random) -> IdentityReport:
     return _rows([(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)
                   for tau, curve in _draws(rng, 1000)], 1e-14)
 
 
-def _harmonic_energy(rng: np.random.Generator) -> IdentityReport:
+def _harmonic_energy(rng: random.Random) -> IdentityReport:
     return _rows([(energy(build_harmonic_map(tau, curve)), extremal_length(tau, curve), 0.0)
                   for tau, curve in _draws(rng, 1000)], 1e-13)
 
 
-def _hopf_axis(rng: np.random.Generator) -> IdentityReport:
+def _hopf_axis(rng: random.Random) -> IdentityReport:
     """The Hopf differential times the squared holonomy is real and non-positive,
     and its norm ``4 Im tau |hopf|`` is the extremal length (Hubbard–Masur)."""
     rows = []
@@ -180,7 +193,7 @@ def _hopf_axis(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, 1e-13)
 
 
-def _remarking(rng: np.random.Generator) -> IdentityReport:
+def _remarking(rng: random.Random) -> IdentityReport:
     draws = _draws(rng, 100)
     marks = [sample_mapping_class(rng) for _ in draws]
     rows = []
@@ -190,7 +203,7 @@ def _remarking(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, 1e-12)
 
 
-def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
+def _first_vs_fd(rng: random.Random) -> IdentityReport:
     """The first variation along ``m`` is the stretch line's odd part, and
     ``hypot`` of those along ``m`` and ``i m`` is ``2 |m| Ext``."""
     rows = []
@@ -203,7 +216,7 @@ def _first_vs_fd(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, 1e-13)
 
 
-def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
+def _second_vs_fd(rng: random.Random) -> IdentityReport:
     rows = []
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = second_variation_constant(tau, curve, m)
@@ -213,7 +226,7 @@ def _second_vs_fd(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, 1e-13)
 
 
-def _eq11_fields(rng: np.random.Generator) -> IdentityReport:
+def _eq11_fields(rng: random.Random) -> IdentityReport:
     """Both tori share each catalog grid, whose samples depend on the name and
     ``n`` alone; one grid is live at a time, and the rows keep torus-major order."""
     bases = [(_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1))]
@@ -226,7 +239,7 @@ def _eq11_fields(rng: np.random.Generator) -> IdentityReport:
     return _worst_of([report for per_torus in zip(*by_grid) for report in per_torus])
 
 
-def _pairing_on_constants(rng: np.random.Generator) -> IdentityReport:
+def _pairing_on_constants(rng: random.Random) -> IdentityReport:
     return _worst_of([
         identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
         for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
@@ -234,12 +247,12 @@ def _pairing_on_constants(rng: np.random.Generator) -> IdentityReport:
     ])
 
 
-def _pairing_on_grid_field(rng: np.random.Generator) -> IdentityReport:
+def _pairing_on_grid_field(rng: random.Random) -> IdentityReport:
     field = catalog_field(_ANCHOR, "cos2pis", 64)
     return identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64)
 
 
-def _pair_sum_scaling(rng: np.random.Generator) -> IdentityReport:
+def _pair_sum_scaling(rng: random.Random) -> IdentityReport:
     """The paired sum along ``m`` is ``8 |m|^2 Ext``.
 
     Positivity needs no row of its own: ``pair_sum_levi`` raises
@@ -252,7 +265,7 @@ def _pair_sum_scaling(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, 1e-12)
 
 
-def _levi_vs_fd(rng: np.random.Generator) -> IdentityReport:
+def _levi_vs_fd(rng: random.Random) -> IdentityReport:
     rows = []
     for curve in (_HORIZ, CurveClass(0, 1), CurveClass(1, 1)):
         for re in np.linspace(-1.0, 1.0, 10):
@@ -262,7 +275,7 @@ def _levi_vs_fd(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, 1e-13)
 
 
-def _pair_sum_over_levi(rng: np.random.Generator) -> IdentityReport:
+def _pair_sum_over_levi(rng: random.Random) -> IdentityReport:
     """The paired sum along 1 is ``4 levi_form`` times the squared chart
     speed ``4 (Im tau)^2`` of the unit stretch."""
     return _rows([(pair_sum_levi(tau, curve, 1.0)
@@ -281,7 +294,7 @@ def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex) -> IdentityRe
     return IdentityReport("teich_bound", even, ext0, 1e-13)
 
 
-def _stretch_floor(rng: np.random.Generator) -> IdentityReport:
+def _stretch_floor(rng: random.Random) -> IdentityReport:
     """``teich_bound_check`` along each unit stretch line, and the line runs
     at unit Teichmüller speed, hyperbolic speed 2."""
     units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
@@ -294,14 +307,15 @@ def _stretch_floor(rng: np.random.Generator) -> IdentityReport:
     return _rows(rows, bound.tolerance)
 
 
-def _kerckhoff_vs_hyperbolic(rng: np.random.Generator) -> IdentityReport:
+def _kerckhoff_vs_hyperbolic(rng: random.Random) -> IdentityReport:
     """On vertical segments the stretch-factor distance is half the hyperbolic
     distance; at ``i, 2i`` the maximizing curve must be ``0,1``, which the
     last two rows compare."""
     anchor_kd = kerckhoff_distance(_ANCHOR, Modulus(0.0, 2.0), 50)
     rows = [(anchor_kd.value, 0.5 * hyperbolic_distance(_ANCHOR, Modulus(0.0, 2.0)), 0.0)]
-    eighths = rng.integers(-8, 9, 50).tolist()
-    segments = rng.uniform((math.log(0.3), 0.01, 0.0), (math.log(3.0), 2.0, 1.0), (50, 3)).tolist()
+    eighths = [_below(rng, 17) - 8 for _ in range(50)]
+    segments = [(_uniform(rng, math.log(0.3), math.log(3.0)), _uniform(rng, 0.01, 2.0), rng.random())
+                for _ in range(50)]
     for k, (log_y1, length, coin) in zip(eighths, segments):
         y1 = math.exp(log_y1)
         delta = length * (1.0 if coin < 0.5 else -1.0)
@@ -331,8 +345,16 @@ _SUITE = (
 
 
 def run_suite(seed: int = 42) -> SuiteResult:
-    """Run the checks of ``_SUITE`` in order on one ``default_rng(seed)`` stream."""
-    rng = np.random.default_rng(seed)
+    """Run the checks of ``_SUITE`` in order on one ``random.Random(seed)`` stream.
+
+    Every draw is built from ``random()``, whose sequence for a seed Python
+    keeps from one version to the next, so a seed replays the same report.
+    ``random.Random`` seeds from ``abs(seed)`` and takes floats, so a
+    negative or non-integer seed raises ``ValueError``.
+    """
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    rng = random.Random(seed)
     start = time.perf_counter()
     reports = tuple(replace(check(rng), name=name) for name, check in _SUITE)
     return SuiteResult(reports, seed, time.perf_counter() - start)

@@ -6,6 +6,7 @@ verdict) and enforces the stated runtime budget.
 """
 
 import math
+import random
 import time
 from contextlib import contextmanager
 
@@ -71,7 +72,7 @@ def test_ac01_extremal_length_reciprocal_to_cylinder_modulus():
     with criterion(
         "AC01", "ext * cylinder_modulus = 1, rel <= 1e-14, 1000 samples", 1.0
     ):
-        rng = np.random.default_rng(101)
+        rng = random.Random(101)
         worst = 0.0
         for tau, curve in zip(sample_moduli(rng, 1000), sample_curves(rng, 1000)):
             prod = extremal_length(tau, curve) * cylinder_modulus(tau, curve)
@@ -83,7 +84,7 @@ def test_ac02_energy_realizes_extremal_length():
     with criterion(
         "AC02", "harmonic map energy = ext, rel <= 1e-13, 1000 samples", 1.0
     ):
-        rng = np.random.default_rng(102)
+        rng = random.Random(102)
         worst = 0.0
         for tau, curve in zip(sample_moduli(rng, 1000), sample_curves(rng, 1000)):
             ext = extremal_length(tau, curve)
@@ -99,7 +100,7 @@ def test_ac03_first_variation_matches_finite_differences():
         "200 samples",
         1.0,
     ):
-        rng = np.random.default_rng(103)
+        rng = random.Random(103)
         worst = 0.0
         draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
         for tau, curve, m in draws:
@@ -118,7 +119,7 @@ def test_ac04_second_variation_matches_finite_differences():
         "rel <= 1e-13, 200 samples plus exact anchors",
         2.0,
     ):
-        rng = np.random.default_rng(104)
+        rng = random.Random(104)
         worst = 0.0
         draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
         for tau, curve, m in draws:
@@ -176,7 +177,7 @@ def test_ac06_levi_form_positivity_and_pair_sum():
         "pair-sum/levi ratio constant",
         5.0,
     ):
-        rng = np.random.default_rng(106)
+        rng = random.Random(106)
         count = 1000
         draws = zip(sample_moduli(rng, count), sample_curves(rng, count),
                     sample_directions(rng, count))
@@ -234,7 +235,7 @@ def test_ac08_convexity_floor_along_stretch_lines():
         "16 directions x 50 samples, anchors at ext = 1",
         2.0,
     ):
-        rng = np.random.default_rng(108)
+        rng = random.Random(108)
         h = 1e-3
         for tau, curve in zip(sample_moduli(rng, 50), sample_curves(rng, 50)):
             ext0 = extremal_length(tau, curve)

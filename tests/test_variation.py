@@ -2,6 +2,7 @@
 the map derivative, and the identity checks built on it."""
 
 import math
+import random
 import tracemalloc
 import warnings
 
@@ -86,7 +87,7 @@ def test_first_variation_values():
 
 
 def test_first_variation_matches_finite_differences():
-    rng = np.random.default_rng(21)
+    rng = random.Random(21)
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
         closed = first_variation(tau, curve, constant(tau, m))
@@ -111,11 +112,11 @@ def test_constant_field_variation_vanishes():
 def test_affine_part_cancels_for_fields_with_a_mean():
     # the period conditions pin b = -conj(c), so Re(b z + c zbar) = 0: the
     # mean of a field leaves its solve as it is, up to rounding
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     names = sorted(FIELD_CATALOG)
     for tau, curve in zip(sample_moduli(rng, 200), sample_curves(rng, 200)):
-        m = complex(*rng.uniform(-0.5, 0.5, 2))
-        mode = 0.1 * catalog_field(tau, names[rng.integers(len(names))], 8).samples
+        m = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        mode = 0.1 * catalog_field(tau, names[rng.randrange(len(names))], 8).samples
         with_mean = solve_variation_field(tau, curve, BeltramiField(tau, 8, samples=m + mode), 8)
         without = solve_variation_field(tau, curve, BeltramiField(tau, 8, samples=mode), 8)
         for attr in ("periodic", "gradient"):
@@ -258,7 +259,7 @@ def test_second_variation_values():
         2.0, abs=1e-14
     )
     # the closed form collapses to 4 |m|^2 Ext
-    rng = np.random.default_rng(23)
+    rng = random.Random(23)
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
         sv = second_variation_constant(tau, curve, m)
@@ -275,7 +276,7 @@ def test_second_variation_keeps_its_digits_at_tiny_extremal_length():
 
 
 def test_second_variation_matches_finite_differences():
-    rng = np.random.default_rng(24)
+    rng = random.Random(24)
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
         closed = second_variation_constant(tau, curve, m)
@@ -289,7 +290,7 @@ def test_pair_sum_values_and_scaling():
     assert pair_sum_levi(Modulus(0.0, 2.0), HORIZ, 1.0) == pytest.approx(
         4.0, abs=1e-13
     )
-    rng = np.random.default_rng(25)
+    rng = random.Random(25)
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
         ps = pair_sum_levi(tau, curve, m)
@@ -348,7 +349,7 @@ def test_pair_sum_matches_paired_finite_differences():
 def test_pair_sum_to_levi_ratio_is_constant():
     # dividing out the squared chart velocity 4 y^2 of the unit stretch
     # leaves the same constant at every point and class
-    rng = np.random.default_rng(26)
+    rng = random.Random(26)
     ratios = []
     for tau, curve in zip(sample_moduli(rng, 50), sample_curves(rng, 50)):
         velocity_sq = 4.0 * tau.im**2
@@ -388,7 +389,7 @@ def test_teich_bound_anchor_values():
 
 
 def test_teich_bound_holds_at_random_points():
-    rng = np.random.default_rng(27)
+    rng = random.Random(27)
     for tau, curve in zip(sample_moduli(rng, 25), sample_curves(rng, 25)):
         for k in range(8):
             m = complex(math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))

@@ -6,14 +6,16 @@ import importlib
 import inspect
 import json
 import math
+import os
 import pathlib
+import random
+import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import extorus
-from extorus.moduli import CurveClass, Modulus
+from extorus.moduli import CurveClass, MappingClass, Modulus, extremal_length
 from extorus.variation import IdentityReport
 from extorus.oracles import (
     _path_levi_form,
@@ -86,13 +88,13 @@ SAMPLERS = (sample_moduli, sample_curves, sample_directions)
 
 @pytest.mark.parametrize("count", [0, 1, 7, 1000])
 def test_samplers_draw_exactly_count(count):
-    rng = np.random.default_rng(30)
+    rng = random.Random(30)
     for sample in SAMPLERS:
         assert len(sample(rng, count)) == count
 
 
 def test_samplers_stay_in_range():
-    rng = np.random.default_rng(31)
+    rng = random.Random(31)
     moduli = sample_moduli(rng, 20_000)
     assert all(-1.0 <= tau.re < 1.0 and 0.3 <= tau.im < 3.0 for tau in moduli)
     directions = sample_directions(rng, 20_000)
@@ -111,10 +113,43 @@ def test_samplers_stay_in_range():
 
 def test_samplers_repeat_for_a_seed():
     def draw():
-        rng = np.random.default_rng(32)
+        rng = random.Random(32)
         return [sample(rng, 500) for sample in SAMPLERS]
 
     assert draw() == draw()
+
+
+def test_samplers_draw_a_pinned_stream():
+    # every draw is built from random(), whose sequence for a seed Python
+    # keeps across versions, so these hold on every Python and numpy
+    assert sample_moduli(random.Random(0), 2) == [
+        Modulus(0.6888437030500962, 2.3464768879388167),
+        Modulus(-0.15885683833831, 0.9990752257910012),
+    ]
+    assert sample_curves(random.Random(0), 4) == [
+        CurveClass(4, 3), CurveClass(1, 3), CurveClass(0, 1), CurveClass(-3, 2)]
+    assert sample_directions(random.Random(0), 2) == [
+        0.02148151086108811 - 0.42945290933312197j, -0.013397516083672614 + 0.2388818112732599j]
+    assert sample_mapping_class(random.Random(0)) == MappingClass(1, 1, 1, 2)
+    assert sample_mapping_class(random.Random(1)) == MappingClass(0, 1, -1, 0)
+
+
+@pytest.mark.parametrize("seed", [-5, -1, 5.0, 0.5, "5"])
+def test_suite_refuses_a_negative_or_non_integer_seed(seed):
+    # random.Random would replay abs(seed) for a negative seed and hash the rest
+    with pytest.raises(ValueError, match="non-negative integer"):
+        run_suite(seed)
+
+
+def test_suite_does_not_load_numpy_random():
+    # a fresh interpreter: the tests themselves load numpy.random
+    code = ("import sys\nfrom extorus.verify import run_suite\n"
+            "assert run_suite(0).all_passed\nprint(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
+    src = str(pathlib.Path(extorus.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_rows_builds_the_report_worst_of_picks():
@@ -301,8 +336,17 @@ def test_a_wrong_stretch_line_reaches_the_oracle(monkeypatch):
     # the first failing row of teich_lower_bound is an even part (rhs Ext), not a distance
     _rebind(monkeypatch, "beltrami", "teich_geodesic_constant",
             lambda f: lambda tau, m, t: f(tau, m, t * (1 + 1e-4)))
+    verify = importlib.import_module("extorus.verify")
+    original, draws = verify._draws, []  # the last call of _draws is teich_lower_bound's
+
+    def recorded(rng, count):
+        draws.append(original(rng, count))
+        return draws[-1]
+
+    monkeypatch.setattr(verify, "_draws", recorded)
     report = {r.name: r for r in run_suite(seed=42).reports}["teich_lower_bound"]
-    assert (report.lhs, report.rhs) == pytest.approx((5.313738, 5.313334), abs=1e-6)
+    assert (report.lhs, report.rhs) == pytest.approx((32.548909, 32.546430), abs=1e-6)
+    assert report.rhs in {extremal_length(tau, curve) for tau, curve in draws[-1]}
 
 
 def test_asserted_checks_all_have_a_wrong_answer():

@@ -62,10 +62,8 @@ def _frequencies(n: int) -> np.ndarray:
 
 
 def _zero_nyquist(mult: np.ndarray) -> np.ndarray:
-    n = mult.shape[0]
-    if n % 2 == 0:
-        mult[n // 2, :] = 0.0
-        mult[:, n // 2] = 0.0
+    half = mult.shape[0] // 2
+    mult[half, :] = mult[:, half] = 0.0
     return mult
 
 
@@ -73,6 +71,7 @@ def dz_multiplier(tau: Modulus, n: int) -> np.ndarray:
     """Fourier symbol of ``d/dz`` on the ``n x n`` lattice grid.
 
     The value is ``pi (k - conj(tau) j) / Im tau``, built in one buffer.
+    ``n`` is a power of two >= 4, so row and column ``n // 2`` are Nyquist.
     """
     j = _frequencies(n)[:, None]
     k = _frequencies(n)[None, :]
@@ -137,7 +136,8 @@ class BeltramiField:
                 raise ValueError("field value must be finite")
         else:
             _require_grid_size(self.n)
-            arr = np.ascontiguousarray(self.samples, dtype=complex)
+            # a view, so the caller's own array stays writable
+            arr = np.ascontiguousarray(self.samples, dtype=complex).view()
             if arr.shape != (self.n, self.n):
                 raise ValueError(f"samples must be {self.n} x {self.n}")
             if not np.all(np.isfinite(arr.view(float))):
@@ -258,8 +258,8 @@ def teich_geodesic_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     return modulus_path_constant(tau, m, math.tanh(t))
 
 
-def pair_hopf(field: BeltramiField, phi: complex, tau: Modulus) -> complex:
-    """Pairing ``<mu, phi>`` with the measure normalized to mass ``4 Im tau``.
+def pair_hopf(field: BeltramiField, phi: complex, tau: Modulus) -> float:
+    """Pairing ``Re <mu, phi>`` with the measure normalized to mass ``4 Im tau``.
 
     ``phi`` is the ``dz^2`` coefficient that ``harmonic.hopf`` returns.
     Constant fields pair through their value; grid fields through their
@@ -269,4 +269,4 @@ def pair_hopf(field: BeltramiField, phi: complex, tau: Modulus) -> complex:
     """
     if field.tau != tau:
         raise ValueError("field and differential live on different tori")
-    return 4.0 * tau.im * field.mean() * phi
+    return (4.0 * tau.im * field.mean() * phi).real

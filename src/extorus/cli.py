@@ -1,12 +1,12 @@
 """Command-line front end.
 
-One subcommand per operation family, each with one output format: the
-one-row commands write JSON, ``sweep`` CSV, and ``verify`` a table (JSON
-with ``--format json`` or ``--out``).  Complex values take the same
+One subcommand per operation family, each with one output format on
+stdout: the one-row commands write JSON, ``sweep`` CSV, and ``verify`` a
+table (JSON with ``--format json``).  Complex values take the same
 ``a+bi`` form the parsers accept, so every emitted value round-trips.
 Exit codes: 0 success, 1 computation failure or a report that does not
 pass (``eq11``, ``eq15``, ``bound``, ``verify``), 2 argument error,
-3 output I/O error.
+3 stdout I/O error.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from array import array
 from dataclasses import dataclass
@@ -55,7 +56,7 @@ from .variation import (
     second_variation_constant,
     solve_variation_field,
 )
-from .verify import format_table, run_suite, teich_bound_check
+from .verify import _require_seed, format_table, run_suite, teich_bound_check
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
 #: square of ``--grid``; at its limit a run takes at most about 3.5 s and
@@ -130,14 +131,7 @@ _grid = _number(int, _require_grid_size, MAX_GRID)
 _max_pq = _number(int, _require_max_index, MAX_PQ)
 _nonzero = _number(parse_complex, _require_nonzero)
 _unimodular = _number(parse_complex, _require_unimodular)
-
-
-def _require_non_negative(value: int) -> None:
-    if value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value}")
-
-
-_seed = _number(int, _require_non_negative)
+_seed = _number(int, _require_seed)
 
 
 def _range_count(spec: tuple[float, float, float]) -> float:
@@ -214,24 +208,14 @@ def _field_from_args(args: argparse.Namespace) -> BeltramiField:
     return catalog_field(args.tau, args.mu_fn, args.grid)
 
 
-def _emit(text: str | Iterable[str], out: str | None) -> int:
-    """Write ``text`` (or its pieces in order) to ``out``, or to stdout ending in a newline."""
-    pieces = [text] if isinstance(text, str) else text
-    if out is None:
-        last = ""
-        for last in pieces:
-            sys.stdout.write(last)
-        if not last.endswith("\n"):
-            sys.stdout.write("\n")
-        return 0
-    try:
-        with open(out, "w", encoding="utf-8") as fh:
-            for piece in pieces:
-                fh.write(piece)
-    except OSError as exc:
-        print(f"extorus: cannot write {out}: {exc}", file=sys.stderr)
-        return 3
-    return 0
+def _emit(text: str | Iterable[str]) -> None:
+    """Write ``text`` (or its pieces in order) to stdout, ending in a newline, and flush."""
+    last = ""
+    for last in [text] if isinstance(text, str) else text:
+        sys.stdout.write(last)
+    if not last.endswith("\n"):
+        sys.stdout.write("\n")
+    sys.stdout.flush()
 
 
 def _one_row(payload: dict, code: int = 0) -> tuple[str, int]:
@@ -450,10 +434,8 @@ def _sweep(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     _arg("--format", choices=("json",), help="write JSON instead of the table"),
 ))
 def _verify(args: argparse.Namespace) -> tuple[str, int]:
-    """The table on stdout by default, JSON with ``--format json`` or in a file."""
     result = run_suite(args.seed)
-    as_json = args.format == "json" or args.out is not None
-    text = result.to_json_text() if as_json else format_table(result)
+    text = result.to_json_text() if args.format == "json" else format_table(result)
     return text, 0 if result.all_passed else 1
 
 
@@ -463,7 +445,6 @@ def build_parser() -> _Parser:
     for name, cmd in COMMANDS.items():
         sub = subs.add_parser(name, help=cmd.help)
         sub.set_defaults(run=cmd.run)
-        sub.add_argument("--out", help="write the result to this path instead of stdout")
         for add in cmd.flags:
             add(sub)
     return parser
@@ -474,7 +455,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         text, code = args.run(args)
-        return _emit(text, args.out) or code
+        _emit(text)
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     except OverflowError:
@@ -492,7 +474,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    if code == 3:  # stdout failed: its flush at exit goes to devnull, not fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

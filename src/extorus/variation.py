@@ -174,7 +174,7 @@ def first_variation(tau: Modulus, curve: CurveClass, field: BeltramiField) -> fl
     Hopf differential of the linear map is constant.
     """
     phi = hopf(build_harmonic_map(tau, curve))
-    return -2.0 * pair_hopf(field, phi, tau).real
+    return -2.0 * pair_hopf(field, phi, tau)
 
 
 def solve_variation_field(

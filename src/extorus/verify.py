@@ -161,11 +161,6 @@ def _rows(rows: list[tuple[float, float, float]], tolerance: float) -> IdentityR
     return IdentityReport("", lhs, rhs, tolerance, scale)
 
 
-def _worst_of(reports: list[IdentityReport]) -> IdentityReport:
-    """``_rows`` over reports that share a tolerance."""
-    return _rows([(r.lhs, r.rhs, r.scale) for r in reports], reports[0].tolerance)
-
-
 _ANCHOR = Modulus(0.0, 1.0)
 _HORIZ = CurveClass(1, 0)
 
@@ -236,15 +231,14 @@ def _eq11_fields(rng: random.Random) -> IdentityReport:
             grid = catalog_field(_ANCHOR, nm, n).samples
             by_grid.append([identity_eq11_check(tau, curve, BeltramiField(tau, n, samples=grid), n)
                             for tau, curve in bases])
-    return _worst_of([report for per_torus in zip(*by_grid) for report in per_torus])
+    return _rows([(r.lhs, r.rhs, r.scale) for per_torus in zip(*by_grid) for r in per_torus], 1e-12)
 
 
 def _pairing_on_constants(rng: random.Random) -> IdentityReport:
-    return _worst_of([
-        identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
-        for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
-        for m in (1.0, 0.5j, 0.3 - 0.2j)
-    ])
+    reports = [identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
+               for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
+               for m in (1.0, 0.5j, 0.3 - 0.2j)]
+    return _rows([(r.lhs, r.rhs, r.scale) for r in reports], 1e-12)
 
 
 def _pairing_on_grid_field(rng: random.Random) -> IdentityReport:
@@ -344,6 +338,11 @@ _SUITE = (
 )
 
 
+def _require_seed(seed: int) -> None:
+    if not isinstance(seed, int) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def run_suite(seed: int = 42) -> SuiteResult:
     """Run the checks of ``_SUITE`` in order on one ``random.Random(seed)`` stream.
 
@@ -352,8 +351,7 @@ def run_suite(seed: int = 42) -> SuiteResult:
     ``random.Random`` seeds from ``abs(seed)`` and takes floats, so a
     negative or non-integer seed raises ``ValueError``.
     """
-    if not isinstance(seed, int) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _require_seed(seed)
     rng = random.Random(seed)
     start = time.perf_counter()
     reports = tuple(replace(check(rng), name=name) for name, check in _SUITE)

@@ -150,6 +150,14 @@ def test_field_samples_are_read_only():
         field.samples[0, 0] = 1.0
 
 
+def test_field_leaves_the_callers_array_writable():
+    a = np.zeros((8, 8), dtype=complex)
+    field = BeltramiField(I, 8, samples=a)
+    assert not field.samples.flags.writeable
+    assert a.flags.writeable
+    assert np.shares_memory(field.samples, a)  # a read-only view, not a copy
+
+
 def test_roots_of_unity_column():
     field = catalog_field(I, "exp2pis", 4)
     col = field.samples[:, 0]
@@ -286,7 +294,7 @@ def test_teich_geodesic_composes_with_transported_direction():
 def test_pair_hopf_values():
     phi = hopf(build_harmonic_map(I, CurveClass(1, 0)))
     assert pair_hopf(constant(I, 1.0), phi, I) == -1.0
-    assert pair_hopf(constant(I, 1j), phi, I) == -1j
+    assert pair_hopf(constant(I, 1j), phi, I) == 0.0  # the real part of -1j
     tau2 = Modulus(0.0, 2.0)
     phi2 = hopf(build_harmonic_map(tau2, CurveClass(1, 0)))
     assert pair_hopf(constant(tau2, 1.0), phi2, tau2) == -0.5

@@ -1,6 +1,5 @@
 """Command-line front end: argument validation, payloads, output, exit codes."""
 
-import functools
 import json
 import math
 import os
@@ -213,27 +212,19 @@ def test_sweep_bits_match_scalar_closed_forms(capsys, monkeypatch, curve, re_spe
                                                          for row in rows]
 
 
-def test_sweep_out_matches_stdout(tmp_path, capsys):
-    argv = ("sweep", "--curve", "2,1", "--re=-1:1:0.25", "--im", "0.5:2:0.25")
-    _, out, _ = run(capsys, *argv)
-    target = tmp_path / "sweep.csv"
-    code, printed, _ = run(capsys, *argv, "--out", str(target))
-    assert code == 0 and printed == ""
-    assert target.read_text(encoding="utf-8") == out
-
-
-def test_sweep_working_set_is_one_block(tmp_path):
+def test_sweep_working_set_is_one_block(tmp_path, monkeypatch):
     # the benchmark's 316 x 316 shape: the float64 grids take 1.6 MB and one
     # block of Python floats and text about 1 MB, where formatting the whole
     # grid at once would take about 20 MB
-    argv = ["sweep", "--curve", "1,1", "--re=-1:1.004:0.00635", "--im", "0.3:2.304:0.00635",
-            "--out", str(tmp_path / "sweep")]
-    tracemalloc.start()
-    try:
-        assert main(argv) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    argv = ["sweep", "--curve", "1,1", "--re=-1:1.004:0.00635", "--im", "0.3:2.304:0.00635"]
+    with open(tmp_path / "sweep", "w", encoding="utf-8") as fh:
+        monkeypatch.setattr(sys, "stdout", fh)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak <= 8e6
     assert (tmp_path / "sweep").read_text(encoding="utf-8").count("\n") >= 316 * 316
 
@@ -409,7 +400,7 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     ("sweep", "--curve", "1,1", "--re", "1e200:1e200:1", "--im", "1:1:1"),
     ("sweep", "--curve", "1,2", "--re", "1e308:1e308:1", "--im", "1:1:1"),
     # one-row payloads with a closed form outside double range
-    ("ext", "--tau", "1e308+1e308i", "--curve", "5,7", "--out", os.devnull),
+    ("vary2", "--tau", "1e308+1e308i", "--curve", "5,7", "--mu", "1+0i"),
     ("ext", "--tau", "1e308+1e308i", "--curve", "5,7"),
     ("levi", "--tau", "1e308+1e-6i", "--curve", "5,7"),
     ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e308+1e308i"),
@@ -458,50 +449,71 @@ def test_verify_json_is_strict_when_a_check_fails(capsys, monkeypatch):
     assert data["reports"][0]["abs_err"] == "inf"
 
 
-def test_out_writes_file(tmp_path, capsys):
-    target = tmp_path / "result.json"
-    code, out, _ = run(
-        capsys, "ext", "--tau", "0+1i", "--curve", "1,0", "--out", str(target)
-    )
-    assert code == 0
-    data = json.loads(target.read_text(encoding="utf-8"))
-    assert data["ext"] == 1.0
-
-
-OUT_CASES = {
-    "ext": [TAU_CURVE],
-    "levi": [TAU_CURVE],
-    "vary1": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
-    "vary2": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
-    "pair-sum": [(*TAU_CURVE, "--mu", "0.3-0.2i")],
-    "solve-field": [(*TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "8")],
-    "eq11": [(*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8")],
-    "eq15": [(*TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "8")],
-    "distance": [("--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5")],
-    "bound": [(*TAU_CURVE, "--mu", "0.6+0.8i")],
-    "sweep": [("--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1")],
-    "verify": [("--seed", "3", "--format", "json")],
+#: Arguments each subcommand runs on.
+VALID_ARGV = {
+    "ext": TAU_CURVE,
+    "levi": TAU_CURVE,
+    "vary1": (*TAU_CURVE, "--mu", "0.3-0.2i"),
+    "vary2": (*TAU_CURVE, "--mu", "0.3-0.2i"),
+    "pair-sum": (*TAU_CURVE, "--mu", "0.3-0.2i"),
+    "solve-field": (*TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "8"),
+    "eq11": (*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8"),
+    "eq15": (*TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "8"),
+    "distance": ("--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5"),
+    "bound": (*TAU_CURVE, "--mu", "0.6+0.8i"),
+    "sweep": ("--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1"),
+    "verify": ("--seed", "3", "--format", "json"),
 }
 
 
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
-def test_out_writes_what_stdout_shows(tmp_path, capsys, monkeypatch, name):
-    # one suite per seed, so both runs report the same elapsed_seconds
-    monkeypatch.setattr(cli, "run_suite", functools.cache(verify.run_suite))
-    for argv in OUT_CASES[name]:
-        code, out, err = run(capsys, name, *argv)
-        assert code == 0, err
-        target = tmp_path / "out"
-        assert run(capsys, name, *argv, "--out", str(target)) == (0, "", "")
-        # stdout adds a final newline where the text has none
-        written = target.read_text(encoding="utf-8")
-        assert out == (written if written.endswith("\n") else written + "\n")
+def test_out_is_refused(tmp_path, capsys, name):
+    # every command writes to stdout; a file is a shell redirection
+    target = tmp_path / "out"
+    code, out, err = run(capsys, name, *VALID_ARGV[name], "--out", str(target))
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --out" in err
+    assert not target.exists()
 
 
-def test_verify_out_writes_json(tmp_path, capsys):
-    target = tmp_path / "verify.json"
-    assert run(capsys, "verify", "--seed", "3", "--out", str(target)) == (0, "", "")
-    assert json.loads(target.read_text(encoding="utf-8"))["all_passed"] is True
+class _FailingStdout:
+    """A stdout whose ``write`` (or only its ``flush``, as a full buffered
+    stream's) raises ``OSError``."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def write(self, text):
+        if self.method == "write":
+            raise OSError(28, "No space left on device")
+        return len(text)
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("method", ["write", "flush"])
+@pytest.mark.parametrize("name", ["ext", "sweep"])  # one text, and one in pieces
+def test_stdout_error_exits_3_with_one_line(capsys, monkeypatch, name, method):
+    monkeypatch.setattr(sys, "stdout", _FailingStdout(method))
+    code = main([name, *VALID_ARGV[name]])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.splitlines()) == 1 and "No space left on device" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stdout_exits_3_from_the_entry_point():
+    # block-buffered, a short payload reaches the device only at the flush,
+    # and the interpreter's flush at exit must not fail a second time
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "extorus.cli", "ext", "--tau", "0+1i", "--curve", "1,0"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and "No space left on device" in proc.stderr
 
 
 def test_infinite_ratio_exits_1(capsys, monkeypatch):
@@ -511,18 +523,6 @@ def test_infinite_ratio_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i")
     assert (code, out) == (1, "")
     assert "double range" in err
-
-
-def test_out_unwritable_exits_3(capsys):
-    code, _, err = run(
-        capsys,
-        "ext",
-        "--tau", "0+1i",
-        "--curve", "1,0",
-        "--out", "/nonexistent-dir/out.json",
-    )
-    assert code == 3
-    assert "cannot write" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,9 +564,9 @@ def test_help_lists_flags(capsys):
         assert name in out
     code, out, _ = run(capsys, "ext", "--help")
     assert code == 0
-    for flag in ("--tau", "--curve", "--out"):
+    for flag in ("--tau", "--curve"):
         assert flag in out
-    assert "--format" not in out
+    assert "--format" not in out and "--out" not in out
     code, out, _ = run(capsys, "verify", "--help")
     assert code == 0 and "--format {json}" in out
 

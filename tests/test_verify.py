@@ -26,7 +26,6 @@ from extorus.oracles import (
 from extorus.verify import (
     SuiteResult,
     _rows,
-    _worst_of,
     format_table,
     run_suite,
     sample_curves,
@@ -170,7 +169,7 @@ def test_rows_builds_the_report_worst_of_picks():
         reports = [IdentityReport("", lhs, rhs, tol, scale) for lhs, rhs, scale in rows]
         failing = [r for r in reports if not r.passed]
         expected = failing[0] if failing else max(reports, key=lambda r: r.rel_err)
-        assert repr(_rows(rows, tol)) == repr(expected) == repr(_worst_of(reports)), rows
+        assert repr(_rows(rows, tol)) == repr(expected), rows
     assert _rows(cases[0], tol).lhs == 1.0  # a tie goes to the first row
     assert _rows(cases[0] + [(1e-8, 0.0, 0.0)], tol).lhs == 1e-8  # no floor, no pass
     assert _rows(cases[1], tol).lhs == 3.0
@@ -362,8 +361,10 @@ def test_non_positive_pair_sum_stops_the_suite(monkeypatch):
 
 
 # Each check backed by an exact oracle, and each row such a check gained,
-# fails on an error of 1e-11, a hundred times its tolerance.
+# fails on an error of 1e-11, ten to a hundred times its tolerance.
 OFF_BY_1E_11 = [
+    ("eq11_catalog", "variation.solve_variation_field",
+     _field_changed("gradient", lambda g: g * (1 + 1e-11))),
     ("hopf_direction", "verify.hopf", _scaled(1 + 1e-11)),
     ("first_variation_fd", "verify.first_variation", _scaled(1 + 1e-11)),
     ("second_variation_fd", "verify.second_variation_constant", _scaled(1 + 1e-11)),

@@ -28,10 +28,8 @@ from .beltrami import (
     BeltramiField,
     FIELD_CATALOG,
     catalog_field,
-    constant,
     from_function,
     modulus_path_constant,
-    pair_hopf,
     teich_geodesic_constant,
 )
 from .variation import (

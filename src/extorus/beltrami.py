@@ -14,8 +14,9 @@ symbol is built here; ``d/dzbar`` is its negated conjugate, bitwise.
 The Nyquist row and column carry no usable phase information on a real
 grid and are dropped by the symbol.
 
-A constant field ``m`` deforms the torus through an explicit family of
-affine stretches: ``z -> z + t m zbar`` sends the lattice ``Z + tau Z``
+A constant field is a complex number ``m``: the closed forms take it
+as one.  It deforms the torus through an explicit family of affine
+stretches: ``z -> z + t m zbar`` sends the lattice ``Z + tau Z``
 to a lattice of modulus ``(tau + t m conj(tau)) / (1 + t m)``.  Running
 that path at speed ``tanh`` traces the unit-speed extremal stretch line
 when ``|m| = 1``.
@@ -32,7 +33,6 @@ from .moduli import Modulus
 
 __all__ = [
     "BeltramiField",
-    "constant",
     "from_function",
     "catalog_field",
     "FIELD_CATALOG",
@@ -41,7 +41,6 @@ __all__ = [
     "grid_dz",
     "modulus_path_constant",
     "teich_geodesic_constant",
-    "pair_hopf",
 ]
 
 
@@ -113,67 +112,43 @@ def grid_dz(samples: np.ndarray, tau: Modulus) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BeltramiField:
-    """A complex field on the torus of modulus ``tau``.
+    """A complex field on the torus of modulus ``tau``: an ``n x n`` grid
+    of samples in lattice coordinates.
 
-    Either ``value`` is set (spatially constant field, ``n == 1``) or
-    ``samples`` is an ``n x n`` complex grid in lattice coordinates.
-    Constant fields answer every query in closed form and are the only
-    harmonic ones constructed here.
+    The field keeps a read-only copy of ``samples``, so no write to the
+    caller's array reaches it past the finiteness check.
     """
 
     tau: Modulus
     n: int
-    samples: np.ndarray | None = None
-    value: complex | None = None
+    samples: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.samples is None) == (self.value is None):
-            raise ValueError("exactly one of samples/value must be given")
-        if self.value is not None:
-            if self.n != 1:
-                raise ValueError("constant fields use n = 1")
-            if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
-                raise ValueError("field value must be finite")
-        else:
-            _require_grid_size(self.n)
-            # a view, so the caller's own array stays writable
-            arr = np.ascontiguousarray(self.samples, dtype=complex).view()
-            if arr.shape != (self.n, self.n):
-                raise ValueError(f"samples must be {self.n} x {self.n}")
-            if not np.all(np.isfinite(arr.view(float))):
-                raise ValueError("field samples must be finite")
-            arr.flags.writeable = False
-            object.__setattr__(self, "samples", arr)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.value is not None
+        _require_grid_size(self.n)
+        arr = np.array(self.samples, dtype=complex)
+        if arr.shape != (self.n, self.n):
+            raise ValueError(f"samples must be {self.n} x {self.n}")
+        if not np.all(np.isfinite(arr.view(float))):
+            raise ValueError("field samples must be finite")
+        arr.flags.writeable = False
+        object.__setattr__(self, "samples", arr)
 
     def mean(self) -> complex:
-        if self.is_constant:
-            return self.value
         return complex(self.samples.mean())
 
     def l2_mean_square(self) -> float:
         """Grid mean of ``|mu|^2``."""
-        if self.is_constant:
-            return abs(self.value) * abs(self.value)
         return float(np.mean(np.square(np.abs(self.samples))))
 
     def scaled(self, factor: complex) -> "BeltramiField":
-        if self.is_constant:
-            return BeltramiField(self.tau, 1, value=self.value * factor)
         return BeltramiField(self.tau, self.n, samples=self.samples * factor)
 
     def grid_samples(self, n: int) -> np.ndarray:
         """Materialize the field on an ``n x n`` grid, ``n >= self.n``.
 
-        Grid fields are resampled by trigonometric interpolation, which
-        reproduces band-limited fields exactly.
+        Trigonometric interpolation reproduces band-limited fields exactly.
         """
         _require_grid_size(n)
-        if self.is_constant:
-            return np.full((n, n), complex(self.value))
         if n == self.n:
             return self.samples
         if n < self.n:
@@ -184,10 +159,6 @@ class BeltramiField:
         out[np.ix_(idx, idx)] = spec
         _ifft2_in_place(out)
         return np.multiply(out, n**2, out=out)
-
-
-def constant(tau: Modulus, m: complex) -> BeltramiField:
-    return BeltramiField(tau, 1, value=complex(m))
 
 
 def from_function(
@@ -256,17 +227,3 @@ def teich_geodesic_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     """
     _require_unimodular(m)
     return modulus_path_constant(tau, m, math.tanh(t))
-
-
-def pair_hopf(field: BeltramiField, phi: complex, tau: Modulus) -> float:
-    """Pairing ``Re <mu, phi>`` with the measure normalized to mass ``4 Im tau``.
-
-    ``phi`` is the ``dz^2`` coefficient that ``harmonic.hopf`` returns.
-    Constant fields pair through their value; grid fields through their
-    grid mean, which is the exact pairing for the constant part and the
-    trapezoid-exact one for band-limited remainders (they integrate to
-    zero).  The field must live on the torus being paired.
-    """
-    if field.tau != tau:
-        raise ValueError("field and differential live on different tori")
-    return (4.0 * tau.im * field.mean() * phi).real

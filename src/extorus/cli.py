@@ -22,14 +22,7 @@ from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from ._lazy import np
-from .beltrami import (
-    BeltramiField,
-    FIELD_CATALOG,
-    _require_grid_size,
-    _require_unimodular,
-    catalog_field,
-    constant,
-)
+from .beltrami import FIELD_CATALOG, _require_grid_size, _require_unimodular, catalog_field
 from .moduli import (
     MIN_IMAG,
     CurveClass,
@@ -180,32 +173,16 @@ def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
     return lambda sub: sub.add_argument(*names, **kwargs)
 
 
-def _field_flags(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--mu", type=_complex, help="constant deformation field, a+bi form")
-    group.add_argument(
-        "--mu-fn",
-        choices=sorted(FIELD_CATALOG),
-        help="named deformation field from the catalog",
-    )
-    sub.add_argument(
-        "--grid",
-        type=_grid,
-        default=64,
-        help=f"samples per side for grid fields, power of two in [4, {MAX_GRID}] (default 64)",
-    )
-
-
 _CURVE = _arg("--curve", type=_curve, required=True, help="curve class, p,q integers")
 _POINT = (_arg("--tau", type=_tau, required=True, help="modulus, a+bi with b > 0"), _CURVE)
-_FIELD = (*_POINT, _field_flags)
+_FIELD = (
+    *_POINT,
+    _arg("--mu-fn", choices=sorted(FIELD_CATALOG), required=True,
+         help="named deformation field from the catalog"),
+    _arg("--grid", type=_grid, default=64,
+         help=f"samples per side, power of two in [4, {MAX_GRID}] (default 64)"),
+)
 _MU = _arg("--mu", type=_complex, required=True, help="constant field, a+bi form")
-
-
-def _field_from_args(args: argparse.Namespace) -> BeltramiField:
-    if args.mu is not None:
-        return constant(args.tau, args.mu)
-    return catalog_field(args.tau, args.mu_fn, args.grid)
 
 
 def _emit(text: str | Iterable[str]) -> None:
@@ -286,7 +263,7 @@ def _levi(a: argparse.Namespace) -> tuple[str, int]:
 
 @_command("vary1", "first variation of extremal length along a constant field", (*_POINT, _MU))
 def _vary1(a: argparse.Namespace) -> tuple[str, int]:
-    first = first_variation(a.tau, a.curve, constant(a.tau, a.mu))
+    first = first_variation(a.tau, a.curve, a.mu)
     return _point(a, mu=format_complex(a.mu), first_variation=first)
 
 
@@ -305,7 +282,8 @@ def _pair_sum(a: argparse.Namespace) -> tuple[str, int]:
 
 @_command("solve-field", "derivative of the harmonic map along a field", _FIELD)
 def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
-    vf = solve_variation_field(a.tau, a.curve, _field_from_args(a), a.grid)
+    field = catalog_field(a.tau, a.mu_fn, a.grid)
+    vf = solve_variation_field(a.tau, a.curve, field, a.grid)
     return _point(
         a,
         n=vf.n,
@@ -318,12 +296,14 @@ def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
 
 @_command("eq11", "integration-by-parts check on the solved derivative", _FIELD)
 def _eq11(a: argparse.Namespace) -> tuple[str, int]:
-    return _report_row(identity_eq11_check(a.tau, a.curve, _field_from_args(a), a.grid))
+    field = catalog_field(a.tau, a.mu_fn, a.grid)
+    return _report_row(identity_eq11_check(a.tau, a.curve, field, a.grid))
 
 
 @_command("eq15", "paired-direction gradient identity on the solved derivative", _FIELD)
 def _eq15(a: argparse.Namespace) -> tuple[str, int]:
-    return _report_row(identity_eq15_evaluate(a.tau, a.curve, _field_from_args(a), a.grid))
+    field = catalog_field(a.tau, a.mu_fn, a.grid)
+    return _report_row(identity_eq15_evaluate(a.tau, a.curve, field, a.grid))
 
 
 @_command("distance", "stretch-factor distance between two moduli", (

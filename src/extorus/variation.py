@@ -16,7 +16,8 @@ constant to ``P`` never changes a derivative).
 
 From these pieces:
 
-* first variation of extremal length: ``-2 Re <mu, Hopf>``;
+* first variation of extremal length along a constant field ``m``:
+  ``-2 Re <m, Hopf>``;
 * second variation along a constant field: closed form in ``(a, m)``;
 * the paired sum of second variations along ``m`` and ``i m``, the
   quantity whose positivity expresses plurisubharmonicity of extremal
@@ -37,15 +38,9 @@ import sys
 from dataclasses import dataclass
 
 from ._lazy import np
-from .beltrami import (
-    BeltramiField,
-    _ifft2_in_place,
-    dz_multiplier,
-    grid_dz,
-    pair_hopf,
-)
+from .beltrami import BeltramiField, _ifft2_in_place, dz_multiplier, grid_dz
 from .harmonic import HarmonicMapTorus, build_harmonic_map, hopf
-from .moduli import CurveClass, Modulus, format_complex
+from .moduli import CurveClass, Modulus
 
 __all__ = [
     "IdentityReport",
@@ -167,14 +162,15 @@ class VariationField:
     source_sup: float
 
 
-def first_variation(tau: Modulus, curve: CurveClass, field: BeltramiField) -> float:
-    """``d/dt Ext`` at ``t = 0`` along the path generated by ``field``.
+def first_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
+    """``d/dt Ext`` at ``t = 0`` along the constant field ``m``.
 
-    Equals ``-2 Re <mu, Hopf>``; only the field mean enters, because the
-    Hopf differential of the linear map is constant.
+    Equals ``-2 Re <m, Hopf>``, the pairing taken with the measure of mass
+    ``4 Im tau``.  A grid field moves the length through its mean alone,
+    because the Hopf differential of the linear map is constant.
     """
     phi = hopf(build_harmonic_map(tau, curve))
-    return -2.0 * pair_hopf(field, phi, tau)
+    return -2.0 * (4.0 * tau.im * complex(m) * phi).real
 
 
 def solve_variation_field(
@@ -266,7 +262,7 @@ def identity_eq11_check(
     scale = measure * field.l2_mean_square() * _w_z_abs_square(vf.base)
     if not math.isfinite(scale):
         raise OverflowError("|mu|^2 |w_z|^2 leaves double range")
-    return IdentityReport(f"eq11[{_field_label(field)},n={n}]", lhs, rhs, 1e-10, scale)
+    return IdentityReport(f"eq11[grid{field.n},n={n}]", lhs, rhs, 1e-10, scale)
 
 
 def _w_z_abs_square(hmap: HarmonicMapTorus) -> float:
@@ -335,9 +331,9 @@ def identity_eq15_evaluate(
     of ``mu``, ``wdot_z = w_z B[mu~] + conj(w_z) conj(mu~)`` (``wdot``
     has no affine part) for a Fourier symbol ``B`` of modulus
     one off the Nyquist row and column, so the cross terms of ``mu`` and
-    ``i mu`` cancel.  For constant fields both sides vanish.  The first
-    solve is reduced to its two means before the second one runs, so only
-    one solve's grids are live at a time.  A right side outside double
+    ``i mu`` cancel.  A constant added to ``mu`` moves neither side.  The
+    first solve is reduced to its two means before the second one runs, so
+    only one solve's grids are live at a time.  A right side outside double
     range raises ``OverflowError``, and a ``|w_z|^2`` that underflows
     ``FloatingPointError``.
     """
@@ -352,10 +348,4 @@ def identity_eq15_evaluate(
         raise OverflowError("4 |w_z|^2 mean |mu - mean mu|^2 leaves double range")
     vf = solve_variation_field(tau, curve, field.scaled(1j), n)
     lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
-    return IdentityReport(f"eq15[{_field_label(field)},n={n}]", lhs, rhs, 1e-12)
-
-
-def _field_label(field: BeltramiField) -> str:
-    if field.is_constant:
-        return format_complex(field.value)
-    return f"grid{field.n}"
+    return IdentityReport(f"eq15[grid{field.n},n={n}]", lhs, rhs, 1e-12)

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 from extorus.beltrami import (
+    BeltramiField,
     catalog_field,
-    constant,
     lattice_grid,
     FIELD_CATALOG,
 )
@@ -105,7 +105,7 @@ def test_ac03_first_variation_matches_finite_differences():
         draws = zip(sample_moduli(rng, 200), sample_curves(rng, 200), sample_directions(rng, 200))
         for tau, curve, m in draws:
             assert abs(m) <= 0.5
-            closed = first_variation(tau, curve, constant(tau, m))
+            closed = first_variation(tau, curve, m)
             odd = _stretch_odd_part(tau, curve, m)
             scale = max(abs(closed), abs(odd), abs(m) * extremal_length(tau, curve))
             worst = max(worst, abs(closed - odd) / scale)
@@ -213,15 +213,16 @@ def test_ac06_levi_form_positivity_and_pair_sum():
 def test_ac07_paired_gradient_identity_evaluator():
     with criterion(
         "AC07",
-        "paired identity: constants assert 0 = 0 at 1e-12; cosine case asserts "
-        "0.5 = 0.5 within 1e-15",
+        "paired identity: constants pass with a left side of exactly 0; cosine case "
+        "asserts 0.5 = 0.5 within 1e-15",
         2.0,
     ):
         for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
             for m in (1.0, 0.5j, 0.3 - 0.2j):
-                report = identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
+                field = BeltramiField(tau, 8, samples=np.full((8, 8), m))
+                report = identity_eq15_evaluate(tau, curve, field, 8)
                 assert report.passed
-                assert abs(report.lhs) <= 1e-12 and report.rhs == 0.0
+                assert report.lhs == 0.0
         report = identity_eq15_evaluate(I, HORIZ, catalog_field(I, "cos2pis", 64), 64)
         assert report.passed
         assert report.lhs == pytest.approx(0.5, abs=1e-15)

@@ -11,16 +11,13 @@ from extorus.beltrami import (
     BeltramiField,
     _ifft2_in_place,
     catalog_field,
-    constant,
     dz_multiplier,
     from_function,
     grid_dz,
     lattice_grid,
     modulus_path_constant,
-    pair_hopf,
     teich_geodesic_constant,
 )
-from extorus.harmonic import build_harmonic_map, hopf
 from extorus.moduli import CurveClass, Modulus, extremal_length
 
 I = Modulus(0.0, 1.0)
@@ -120,28 +117,20 @@ def test_dz_multiplier_keeps_the_bits_of_the_complex_division(tau):
 
 
 def test_constant_field_basics():
-    field = constant(I, 0.3 - 0.4j)
-    assert field.is_constant
-    assert field.n == 1
+    # a constant field is a grid like any other; 16 equal samples sum exactly
+    field = BeltramiField(I, 4, samples=np.full((4, 4), 0.3 - 0.4j))
     assert field.mean() == 0.3 - 0.4j
     assert field.l2_mean_square() == pytest.approx(0.25, rel=1e-15)
+    assert np.allclose(field.grid_samples(16), 0.3 - 0.4j, rtol=0.0, atol=1e-15)
 
 
 def test_field_construction_validation():
-    with pytest.raises(ValueError, match="exactly one"):
-        BeltramiField(I, 1)
-    with pytest.raises(ValueError, match="exactly one"):
-        BeltramiField(I, 4, samples=np.zeros((4, 4), dtype=complex), value=1j)
-    with pytest.raises(ValueError, match="n = 1"):
-        BeltramiField(I, 4, value=1j)
     with pytest.raises(ValueError, match="power of two"):
         BeltramiField(I, 3, samples=np.zeros((3, 3), dtype=complex))
     with pytest.raises(ValueError, match="must be 4 x 4"):
         BeltramiField(I, 4, samples=np.zeros((4, 8), dtype=complex))
     with pytest.raises(ValueError, match="finite"):
         BeltramiField(I, 4, samples=np.full((4, 4), np.nan + 0j))
-    with pytest.raises(ValueError, match="finite"):
-        constant(I, complex(math.inf, 0.0))
 
 
 def test_field_samples_are_read_only():
@@ -155,7 +144,16 @@ def test_field_leaves_the_callers_array_writable():
     field = BeltramiField(I, 8, samples=a)
     assert not field.samples.flags.writeable
     assert a.flags.writeable
-    assert np.shares_memory(field.samples, a)  # a read-only view, not a copy
+    assert not np.shares_memory(field.samples, a)  # a read-only copy, not a view
+
+
+def test_a_write_to_the_callers_array_does_not_reach_the_field():
+    # the finiteness check holds for the field's whole life
+    a = np.zeros((8, 8), dtype=complex)
+    field = BeltramiField(I, 8, samples=a)
+    a[3, 5] = np.nan
+    assert np.all(np.isfinite(field.samples))
+    assert field.mean() == 0j and field.l2_mean_square() == 0.0
 
 
 def test_roots_of_unity_column():
@@ -168,7 +166,6 @@ def test_roots_of_unity_column():
 
 def test_grid_field_statistics():
     field = catalog_field(I, "cos2pis", 64)
-    assert not field.is_constant
     assert abs(field.mean()) <= 1e-15
     assert np.abs(field.samples).max() == pytest.approx(1.0, rel=1e-15)
     assert field.l2_mean_square() == pytest.approx(0.5, rel=1e-14)
@@ -202,16 +199,14 @@ def test_grid_samples_resampling():
     assert coarse.grid_samples(8) is coarse.samples
     with pytest.raises(ValueError, match="below the native resolution"):
         coarse.grid_samples(4)
-    c = constant(I, 1.5j)
-    assert np.all(c.grid_samples(4) == 1.5j)
 
 
 def test_scaled():
     field = catalog_field(I, "sin2pis", 16)
     doubled = field.scaled(2j)
     assert np.allclose(doubled.samples, 2j * field.samples, atol=0.0)
-    c = constant(I, 0.5).scaled(-1j)
-    assert c.value == -0.5j
+    c = BeltramiField(I, 4, samples=np.full((4, 4), 0.5)).scaled(-1j)
+    assert np.all(c.samples == -0.5j)
 
 
 def test_modulus_path_values():
@@ -289,24 +284,6 @@ def test_teich_geodesic_composes_with_transported_direction():
     end = teich_geodesic_constant(mid, m2, t2)
     direct = teich_geodesic_constant(I, m, t1 + t2)
     assert abs(end.value - direct.value) <= 1e-12
-
-
-def test_pair_hopf_values():
-    phi = hopf(build_harmonic_map(I, CurveClass(1, 0)))
-    assert pair_hopf(constant(I, 1.0), phi, I) == -1.0
-    assert pair_hopf(constant(I, 1j), phi, I) == 0.0  # the real part of -1j
-    tau2 = Modulus(0.0, 2.0)
-    phi2 = hopf(build_harmonic_map(tau2, CurveClass(1, 0)))
-    assert pair_hopf(constant(tau2, 1.0), phi2, tau2) == -0.5
-    # mean-zero fields pair to zero
-    field = catalog_field(I, "cos2pis", 32)
-    assert abs(pair_hopf(field, phi, I)) <= 1e-14
-
-
-def test_pair_hopf_rejects_mismatched_torus():
-    phi = hopf(build_harmonic_map(I, CurveClass(1, 0)))
-    with pytest.raises(ValueError, match="different tori"):
-        pair_hopf(constant(SKEW, 1.0), phi, I)
 
 
 def test_from_function_broadcasts():

@@ -308,7 +308,6 @@ KEY_ORDER = [
     ),
     (("eq11", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "16"), REPORT_KEYS + ["ratio"]),
     (("eq15", *TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "16"), REPORT_KEYS + ["ratio"]),
-    (("eq15", *TAU_CURVE, "--mu", "0.3-0.2i"), REPORT_KEYS),
     (
         ("distance", "--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5"),
         ["tau", "tau2", "max_pq", "kerckhoff", "maximizer", "hyperbolic", "half_hyperbolic"],
@@ -319,7 +318,7 @@ KEY_ORDER = [
 
 @pytest.mark.parametrize("argv,keys", KEY_ORDER, ids=[
     "ext", "levi", "vary1", "vary2", "pair-sum", "solve-field", "eq11", "eq15-grid",
-    "eq15-constant", "distance", "bound",
+    "distance", "bound",
 ])
 def test_payload_key_order(capsys, argv, keys):
     assert list(run_json(capsys, *argv)) == keys
@@ -346,12 +345,12 @@ def test_argument_errors_exit_2(capsys):
         ("ext", "--tau", "0+1i"),
         ("ext", "--tau", "0+1i", "--curve", "1,0", "--bogus"),
         ("vary1", "--tau", "0+1i", "--curve", "1,0"),
-        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--mu-fn", "cos2pis"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--grid", "16"),
         ("nonsense",),
         ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "3"),
-        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "48"),
-        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "4096"),
-        ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--grid", "x"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "48"),
+        ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "4096"),
+        ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "x"),
         ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "0"),
         ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "2001"),
         # the step is fixed, so no flag sets it
@@ -421,7 +420,7 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     ("eq11", "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
     ("eq15", "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
     ("eq11", "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
-    ("eq11", "--tau", "1e200+1i", "--curve", "1,1", "--mu", "1+0i", "--grid", "16"),
+    ("eq15", "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
     # a |w_z|^2 that underflows would make both sides 0 and pass vacuously
     ("eq11", "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
     ("eq15", "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
@@ -533,7 +532,12 @@ def test_infinite_ratio_exits_1(capsys, monkeypatch):
     ("sweep", "--curve", "1,0", "--re", "0:0:1", "--im", "1:1:1", "--format", "csv"),
     # vary1 reads only the field mean, which is 0 for every catalog field
     ("vary1", "--tau", "0.3+1.2i", "--curve", "2,1", "--mu-fn", "cos2pis", "--grid", "64"),
-], ids=["ext-csv", "ext-json", "sweep-json", "sweep-csv", "vary1-mu-fn"])
+    # on a constant field d/dz vanishes: the grid commands' outputs would all be 0
+    ("solve-field", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
+    ("eq11", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
+    ("eq15", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
+], ids=["ext-csv", "ext-json", "sweep-json", "sweep-csv", "vary1-mu-fn", "solve-field-mu",
+        "eq11-mu", "eq15-mu"])
 def test_removed_options_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")

@@ -13,7 +13,6 @@ from extorus.beltrami import (
     FIELD_CATALOG,
     BeltramiField,
     catalog_field,
-    constant,
     grid_dz,
     lattice_grid,
 )
@@ -79,18 +78,19 @@ def test_identity_report_json():
 
 
 def test_first_variation_values():
-    assert first_variation(I, HORIZ, constant(I, 1.0)) == 2.0
-    assert first_variation(I, HORIZ, constant(I, 1j)) == 0.0
-    assert first_variation(I, CurveClass(0, 1), constant(I, 1.0)) == -2.0
-    # mean-zero fields do not move the length to first order
-    assert abs(first_variation(I, HORIZ, catalog_field(I, "cos2pis", 32))) <= 1e-15
+    assert first_variation(I, HORIZ, 1.0) == 2.0
+    assert first_variation(I, HORIZ, 1j) == 0.0
+    assert first_variation(I, CurveClass(0, 1), 1.0) == -2.0
+    assert first_variation(Modulus(0.0, 2.0), HORIZ, 1.0) == 1.0
+    # a field moves the length through its mean: mean-zero fields not at all
+    assert abs(first_variation(I, HORIZ, catalog_field(I, "cos2pis", 32).mean())) <= 1e-15
 
 
 def test_first_variation_matches_finite_differences():
     rng = random.Random(21)
     draws = zip(sample_moduli(rng, 100), sample_curves(rng, 100), sample_directions(rng, 100))
     for tau, curve, m in draws:
-        closed = first_variation(tau, curve, constant(tau, m))
+        closed = first_variation(tau, curve, m)
         odd = _stretch_odd_part(tau, curve, m)
         scale = abs(m) * extremal_length(tau, curve)
         assert abs(closed - odd) <= 1e-13 * max(abs(closed), abs(odd), scale)
@@ -103,10 +103,13 @@ def test_constant_field_variation_vanishes():
         (I, HORIZ, 1j),
         (SKEW, CurveClass(2, 1), 0.3 - 0.2j),
     ]:
-        vf = solve_variation_field(tau, curve, constant(tau, m), 16)
+        field = BeltramiField(tau, 16, samples=np.full((16, 16), m))
+        vf = solve_variation_field(tau, curve, field, 16)
         assert np.max(np.abs(vf.periodic)) == 0.0
         assert np.max(np.abs(vf.gradient)) == 0.0
         assert vf.residual == 0.0
+        report = identity_eq11_check(tau, curve, field, 16)
+        assert report.lhs == report.rhs == 0.0 and report.passed
 
 
 def test_affine_part_cancels_for_fields_with_a_mean():
@@ -324,7 +327,8 @@ def test_squares_past_double_range_raise():
     far, diag = Modulus(1e200, 1.0), CurveClass(1, 1)
     with warnings.catch_warnings():  # the solve overflows first, silently
         warnings.simplefilter("error")
-        for field in (constant(far, 1.0), catalog_field(far, "coscos", 16)):
+        for field in (BeltramiField(far, 16, samples=np.ones((16, 16))),
+                      catalog_field(far, "coscos", 16)):
             with pytest.raises(OverflowError, match="double range"):
                 identity_eq11_check(far, diag, field, 16)
             with pytest.raises(OverflowError, match="double range"):
@@ -361,11 +365,25 @@ def test_pair_sum_to_levi_ratio_is_constant():
 
 
 def test_eq15_constant_fields_vanish():
+    # dz kills the (0, 0) mode, so the left side is exactly 0; the right
+    # side reads the rounding of mu - mean mu
     for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
         for m in (1.0, 0.5j, 0.3 - 0.2j):
-            report = identity_eq15_evaluate(tau, curve, constant(tau, m), 8)
+            field = BeltramiField(tau, 8, samples=np.full((8, 8), m))
+            report = identity_eq15_evaluate(tau, curve, field, 8)
             assert report.passed
-            assert abs(report.lhs) <= 1e-12 and report.rhs == 0.0
+            assert report.lhs == 0.0
+
+
+def test_eq15_ignores_a_constant_added_to_the_field():
+    # the solve reads mu - mean mu, and the right side mean |mu - mean mu|^2
+    wave = catalog_field(I, "cos2pis", 8).samples
+    for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
+        bare = identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave), 8)
+        for m in (1.0, 0.5j, 0.3 - 0.2j):
+            moved = identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + m), 8)
+            assert (moved.lhs, moved.rhs) == (bare.lhs, bare.rhs)
+            assert moved.passed and moved.lhs > 0.0
 
 
 def test_eq15_cosine_reports_both_sides():

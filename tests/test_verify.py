@@ -263,8 +263,8 @@ def _field_changed(attr, change):
     return wrong
 
 
-# (check, module.attribute to patch, original -> wrong replacement): one
-# small error in what each asserted check compares.
+# (check, module.attribute or module.Class.method to patch, original -> wrong
+# replacement): one small error in what each asserted check compares.
 WRONG_ANSWERS = [
     ("ext_reciprocal", "verify.cylinder_modulus", _scaled(1 + 1e-4)),
     ("energy_equals_ext", "verify.energy", _scaled(1 + 1e-4)),
@@ -277,6 +277,9 @@ WRONG_ANSWERS = [
      _field_changed("gradient", lambda g: g * (1 + 1e-4))),
     ("eq15_constant", "variation.solve_variation_field",
      _field_changed("gradient", lambda g: g + 1e-4)),
+    # the right side subtracts the field's mean: without it, a field with a
+    # mean reads |mu|^2 where |mu - mean mu|^2 belongs
+    ("eq15_constant", "beltrami.BeltramiField.mean", lambda f: lambda self: 0j),
     ("eq15_catalog", "variation.solve_variation_field",
      _field_changed("gradient", lambda g: g + 1e-4)),
     ("pair_sum_scaling_positivity", "verify.pair_sum_levi",
@@ -320,12 +323,14 @@ def _rebind(monkeypatch, module_name, attr, wrong):
 @pytest.mark.parametrize("check,target,wrong", WRONG_ANSWERS,
                          ids=[f"{c}-{t}" for c, t, _ in WRONG_ANSWERS])
 def test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong):
-    module_name, attr = target.split(".")
+    module_name, *owners, attr = target.split(".")
     if target in EVERY_BINDING:
         _rebind(monkeypatch, module_name, attr, wrong)
     else:
-        module = importlib.import_module(f"extorus.{module_name}")
-        monkeypatch.setattr(module, attr, wrong(getattr(module, attr)))
+        owner = importlib.import_module(f"extorus.{module_name}")
+        for name in owners:
+            owner = getattr(owner, name)
+        monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
     result = run_suite(seed=42)
     assert not {r.name: r for r in result.reports}[check].passed
     assert not result.all_passed
@@ -384,7 +389,6 @@ def test_each_exact_check_fails_on_a_1e_11_error(monkeypatch, check, target, wro
 @pytest.mark.parametrize("module_name,attr", [
     ("variation", "first_variation"),
     ("harmonic", "hopf"),
-    ("beltrami", "pair_hopf"),
     ("variation", "second_variation_constant"),
     ("moduli", "levi_form"),
 ])
@@ -424,7 +428,7 @@ def test_oracles_are_independent(monkeypatch):
                     and not attr.startswith("_") and attr not in reach):
                 _rebind(monkeypatch, module_name, attr, _raises)
     with pytest.raises(AssertionError, match="reached"):  # the replacements took
-        importlib.import_module("extorus.variation").first_variation(I, HORIZ, None)
+        importlib.import_module("extorus.variation").first_variation(I, HORIZ, 1.0)
     assert [oracle(*args) for oracle, args in ORACLE_CALLS] == expected
 
 

@@ -19,7 +19,6 @@ from .moduli import (
     parse_curve,
 )
 from .harmonic import (
-    HarmonicMapTorus,
     build_harmonic_map,
     energy,
     hopf,

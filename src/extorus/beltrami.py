@@ -72,8 +72,8 @@ def dz_multiplier(tau: Modulus, n: int) -> np.ndarray:
     The value is ``pi (k - conj(tau) j) / Im tau``, built in one buffer.
     ``n`` is a power of two >= 4, so row and column ``n // 2`` are Nyquist.
     """
-    j = _frequencies(n)[:, None]
-    k = _frequencies(n)[None, :]
+    f = _frequencies(n)
+    j, k = f[:, None], f[None, :]
     mult = np.subtract(k, tau.value.conjugate() * j)
     np.multiply(np.pi, mult, out=mult)
     # the bits of dividing by Im tau: numpy divides by (im, 0) as (re + im * 0) * (1 / im)

@@ -72,7 +72,9 @@ _SWEEP_CHUNK = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument error exits 2.  argparse reports a missing required flag
+    """An argument error exits 2.  A flag is known only by its full name
+    (build it with ``allow_abbrev=False``): ``eq15 ... --mu cos2pis`` is an
+    error, not ``--mu-fn``.  argparse reports a missing required flag
     before an unrecognized one, so the error names the unrecognized flags
     instead: ``vary1 ... --mu-fn coscos`` is told about ``--mu-fn``, not
     about the ``--mu`` it lacks."""
@@ -84,8 +86,8 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> None:
-        unknown = [arg for arg in self._given if arg.startswith("--") and not any(
-            known.startswith(arg.partition("=")[0]) for known in self._option_string_actions)]
+        unknown = [arg for arg in self._given if arg.startswith("--")
+                   and arg.partition("=")[0] not in self._option_string_actions]
         if unknown and "required" in message:
             message = f"unrecognized arguments: {' '.join(unknown)}"
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -286,7 +288,7 @@ def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
     vf = solve_variation_field(a.tau, a.curve, field, a.grid)
     return _point(
         a,
-        n=vf.n,
+        n=a.grid,
         periodic_sup=float(np.abs(vf.periodic).max()),
         gradient_sup=float(np.abs(vf.gradient).max()),
         residual=vf.residual,
@@ -420,10 +422,10 @@ def _verify(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="extorus", description=__doc__)
+    parser = _Parser(prog="extorus", description=__doc__, allow_abbrev=False)
     subs = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
-        sub = subs.add_parser(name, help=cmd.help)
+        sub = subs.add_parser(name, help=cmd.help, allow_abbrev=False)
         sub.set_defaults(run=cmd.run)
         for add in cmd.flags:
             add(sub)

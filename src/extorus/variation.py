@@ -1,11 +1,12 @@
 """First and second variation of extremal length along Beltrami paths.
 
 Deforming the torus by a Beltrami field ``mu`` drags the harmonic map
-``w = Re(a z)`` of a curve class along with it.  The derivative field
-``wdot`` is periodic: differentiating the period conditions gives an
-affine part ``Re(b z + c zbar)`` with ``c = a mean(mu)`` and
-``b = -conj(c)``, and that part is identically zero.  So ``wdot`` is
-the periodic solution ``P`` of the torus Poisson problem
+``w = Re(a z)`` of a curve class, ``a = build_harmonic_map(tau, curve)``,
+along with it.  The derivative field ``wdot`` is periodic:
+differentiating the period conditions gives an affine part
+``Re(b z + c zbar)`` with ``c = a mean(mu)`` and ``b = -conj(c)``, and
+that part is identically zero.  So ``wdot`` is the periodic solution
+``P`` of the torus Poisson problem
 
     P_{z zbar} = d/dz ( mu_tilde w_z ) + d/dzbar ( conj(mu_tilde) w_zbar )
 
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 from ._lazy import np
 from .beltrami import BeltramiField, _ifft2_in_place, dz_multiplier, grid_dz
-from .harmonic import HarmonicMapTorus, build_harmonic_map, hopf
+from .harmonic import build_harmonic_map, hopf
 from .moduli import CurveClass, Modulus
 
 __all__ = [
@@ -150,11 +151,9 @@ class VariationField:
     ``mu_samples`` is the driving field materialized on the same grid,
     ``gradient`` is ``d wdot / dz`` there, and ``residual`` is the sup norm
     of the defect of the discrete Poisson equation against a source of sup
-    norm ``source_sup``.
+    norm ``source_sup``; ``n`` is each array's side.
     """
 
-    base: HarmonicMapTorus
-    n: int
     periodic: np.ndarray
     mu_samples: np.ndarray
     gradient: np.ndarray
@@ -169,7 +168,7 @@ def first_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
     ``4 Im tau``.  A grid field moves the length through its mean alone,
     because the Hopf differential of the linear map is constant.
     """
-    phi = hopf(build_harmonic_map(tau, curve))
+    phi = hopf(tau, curve)
     return -2.0 * (4.0 * tau.im * complex(m) * phi).real
 
 
@@ -190,7 +189,6 @@ def solve_variation_field(
     if n < field.n:
         raise ValueError("solver grid must be at least the field resolution")
     with np.errstate(all="ignore"):
-        hmap = build_harmonic_map(tau, curve)
         mu = field.grid_samples(n)
         m0 = complex(mu.mean())
 
@@ -209,7 +207,7 @@ def solve_variation_field(
         np.multiply(dz, work, out=work)
         symbol = work.real.copy()
 
-        w_z = hmap.coeff / 2.0
+        w_z = build_harmonic_map(tau, curve) / 2.0
         np.subtract(mu, m0, out=work)
         np.fft.fft2(work, out=work)
         np.multiply(dz, work, out=work)
@@ -240,7 +238,7 @@ def solve_variation_field(
         residual = float(np.abs(defect, out=defect).max())
         del defect
         gradient = grid_dz(periodic, tau)
-        return VariationField(hmap, n, periodic, mu, gradient, residual, source_sup)
+        return VariationField(periodic, mu, gradient, residual, source_sup)
 
 
 def identity_eq11_check(
@@ -255,20 +253,20 @@ def identity_eq11_check(
     and a ``|w_z|^2`` that underflows ``FloatingPointError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
-    w_z = vf.base.coeff / 2.0
+    w_z = build_harmonic_map(tau, curve) / 2.0
     measure = 4.0 * tau.im
     lhs = measure * float(np.mean(np.square(np.abs(vf.gradient))))
     rhs = measure * float(np.mean(2.0 * np.real(vf.mu_samples * w_z * vf.gradient)))
-    scale = measure * field.l2_mean_square() * _w_z_abs_square(vf.base)
+    scale = measure * field.l2_mean_square() * _w_z_abs_square(w_z)
     if not math.isfinite(scale):
         raise OverflowError("|mu|^2 |w_z|^2 leaves double range")
     return IdentityReport(f"eq11[grid{field.n},n={n}]", lhs, rhs, 1e-10, scale)
 
 
-def _w_z_abs_square(hmap: HarmonicMapTorus) -> float:
+def _w_z_abs_square(w_z: complex) -> float:
     """``|w_z|^2``.  Both sides of an identity scale with it, so an underflow
     would make them read 0; it raises ``FloatingPointError``."""
-    square = abs(hmap.coeff / 2.0) * abs(hmap.coeff / 2.0)
+    square = abs(w_z) * abs(w_z)
     if square < sys.float_info.min:
         raise FloatingPointError("|w_z|^2 underflowed")
     return square
@@ -287,7 +285,7 @@ def second_variation_constant(tau: Modulus, curve: CurveClass, m: complex) -> fl
     formed first: ``|m|^2 |w_z|^2`` can go subnormal, and lose digits,
     where the result is normal.  Past double range it raises ``OverflowError``.
     """
-    w_z_abs = abs(build_harmonic_map(tau, curve).coeff / 2.0)
+    w_z_abs = abs(build_harmonic_map(tau, curve) / 2.0)
     second = 4.0 * tau.im * (w_z_abs * w_z_abs) * (4.0 * (abs(m) * abs(m)))
     if not math.isfinite(second):
         raise OverflowError("the second variation overflowed")
@@ -339,7 +337,7 @@ def identity_eq15_evaluate(
     """
     vf = solve_variation_field(tau, curve, field, n)
     first = float(np.mean(np.square(np.abs(vf.gradient))))
-    w_z_square = _w_z_abs_square(vf.base)
+    w_z_square = _w_z_abs_square(build_harmonic_map(tau, curve) / 2.0)
     mu = vf.mu_samples
     del vf
     rhs = 4.0 * w_z_square * float(np.mean(np.square(np.abs(mu - field.mean()))))

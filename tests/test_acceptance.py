@@ -19,7 +19,7 @@ from extorus.beltrami import (
     lattice_grid,
     FIELD_CATALOG,
 )
-from extorus.harmonic import build_harmonic_map, energy
+from extorus.harmonic import energy
 from extorus.moduli import (
     CurveClass,
     Modulus,
@@ -88,7 +88,7 @@ def test_ac02_energy_realizes_extremal_length():
         worst = 0.0
         for tau, curve in zip(sample_moduli(rng, 1000), sample_curves(rng, 1000)):
             ext = extremal_length(tau, curve)
-            e = energy(build_harmonic_map(tau, curve))
+            e = energy(tau, curve)
             worst = max(worst, abs(e - ext) / ext)
         assert worst <= 1e-13, worst
 

@@ -555,6 +555,19 @@ def test_unrecognized_flag_is_named_before_a_missing_one(capsys, argv, flag):
     assert f"unrecognized arguments: {flag}" in err and "required" not in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("eq15", "--tau", "0+1i", "--curve", "1,0", "--mu", "cos2pis", "--grid", "16"), "--mu"),
+    (("eq15", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"), "--mu"),
+    (("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max", "5"), "--max"),
+    (("verify", "--se", "3"), "--se"),
+], ids=["eq15-mu-field", "eq15-mu-constant", "distance-max", "verify-se"])
+def test_abbreviated_flags_exit_2(capsys, argv, flag):
+    # a flag is known only by its full name: no prefix stands for --mu-fn, --max-pq or --seed
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
+
+
 def test_complex_values_round_trip_through_output(capsys):
     data = run_json(capsys, "ext", "--tau", "0.333333333333333314+1.25i", "--curve", "1,0")
     z = parse_complex(data["tau"])

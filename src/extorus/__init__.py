@@ -32,7 +32,6 @@ from .beltrami import (
     teich_geodesic_constant,
 )
 from .variation import (
-    IdentityReport,
     VariationField,
     first_variation,
     identity_eq11_check,
@@ -41,6 +40,6 @@ from .variation import (
     second_variation_constant,
     solve_variation_field,
 )
-from .verify import SuiteResult, run_suite, teich_bound_check
+from .verify import IdentityReport, SuiteResult, run_suite
 
 __version__ = "0.1.0"

@@ -49,7 +49,7 @@ from .variation import (
     second_variation_constant,
     solve_variation_field,
 )
-from .verify import _require_seed, format_table, run_suite, teich_bound_check
+from .verify import _require_seed, format_table, report, run_suite, stretch_rows
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
 #: square of ``--grid``; at its limit a run takes at most about 3.5 s and
@@ -77,7 +77,8 @@ class _Parser(argparse.ArgumentParser):
     error, not ``--mu-fn``.  argparse reports a missing required flag
     before an unrecognized one, so the error names the unrecognized flags
     instead: ``vary1 ... --mu-fn coscos`` is told about ``--mu-fn``, not
-    about the ``--mu`` it lacks."""
+    about the ``--mu`` it lacks.  A value starting with ``-`` reads as a flag:
+    ``--curve -7,3`` is told to write ``--curve=-7,3``."""
 
     _given: tuple[str, ...] = ()  # the arguments of the last parse
 
@@ -90,6 +91,12 @@ class _Parser(argparse.ArgumentParser):
                    and arg.partition("=")[0] not in self._option_string_actions]
         if unknown and "required" in message:
             message = f"unrecognized arguments: {' '.join(unknown)}"
+        if message.endswith(": expected one argument"):
+            flag = message.removeprefix("argument ").partition(":")[0]
+            value = next((after for arg, after in zip(self._given, self._given[1:]) if arg == flag
+                          and after.startswith("-") and not after.startswith("--")), None)
+            if value is not None:
+                message += f" (a value starting with '-' is written {flag}={value})"
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(2)
 
@@ -234,15 +241,16 @@ def _command(name: str, help_text: str, flags: tuple):
     return register
 
 
-def _report_row(report, **values) -> tuple[str, int]:
-    """``_one_row`` of the report's JSON keys holding its own floats (``to_json``
-    writes a non-finite one as a string), ``ratio`` where ``rhs`` is nonzero,
-    then ``values``; exit code 1 where the report does not pass."""
-    data = {**report.to_json(), "lhs": report.lhs, "rhs": report.rhs,
-            "abs_err": report.abs_err, "rel_err": report.rel_err}
-    if report.rhs != 0.0:
-        data["ratio"] = report.lhs / report.rhs
-    return _one_row({**data, **values}, 0 if report.passed else 1)
+def _report_row(check: str, rows: list, **values) -> tuple[str, int]:
+    """``_one_row`` of the suite's ``report(check, rows)``: its JSON keys holding its
+    floats (``to_json`` writes a non-finite one as a string), ``ratio`` where
+    ``rhs`` is nonzero, then ``values``; exit code 1 where it does not pass."""
+    checked = report(check, rows)
+    data = {**checked.to_json(), "lhs": checked.lhs, "rhs": checked.rhs,
+            "abs_err": checked.abs_err, "rel_err": checked.rel_err}
+    if checked.rhs != 0.0:
+        data["ratio"] = checked.lhs / checked.rhs
+    return _one_row({**data, **values}, 0 if checked.passed else 1)
 
 
 def _point(a: argparse.Namespace, **values) -> tuple[str, int]:
@@ -299,13 +307,13 @@ def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
 @_command("eq11", "integration-by-parts check on the solved derivative", _FIELD)
 def _eq11(a: argparse.Namespace) -> tuple[str, int]:
     field = catalog_field(a.tau, a.mu_fn, a.grid)
-    return _report_row(identity_eq11_check(a.tau, a.curve, field, a.grid))
+    return _report_row("eq11_catalog", [identity_eq11_check(a.tau, a.curve, field, a.grid)])
 
 
 @_command("eq15", "paired-direction gradient identity on the solved derivative", _FIELD)
 def _eq15(a: argparse.Namespace) -> tuple[str, int]:
     field = catalog_field(a.tau, a.mu_fn, a.grid)
-    return _report_row(identity_eq15_evaluate(a.tau, a.curve, field, a.grid))
+    return _report_row("eq15_catalog", [identity_eq15_evaluate(a.tau, a.curve, field, a.grid)])
 
 
 @_command("distance", "stretch-factor distance between two moduli", (
@@ -333,8 +341,8 @@ def _distance(a: argparse.Namespace) -> tuple[str, int]:
     _arg("--mu", type=_unimodular, required=True, help="direction with |mu| = 1"),
 ))
 def _bound(a: argparse.Namespace) -> tuple[str, int]:
-    report = teich_bound_check(a.tau, a.curve, a.mu)
-    return _report_row(report, ext=extremal_length(a.tau, a.curve))
+    rows = stretch_rows(a.tau, a.curve, [a.mu])
+    return _report_row("teich_lower_bound", rows, ext=extremal_length(a.tau, a.curve))
 
 
 def _sweep_blocks(n_re: int, n_im: int) -> Iterator[tuple[int, int, int, int]]:

@@ -14,7 +14,7 @@ computed as a maximum of extremal-length ratios).
 Everything here computes on Python floats and never loads numpy.
 Where a square leaves double range, ``extremal_length``, ``levi_form``
 and ``harmonic.energy`` return ``inf`` or ``nan``, which every caller in
-the package checks: the CLI, the sweep, ``verify.teich_bound_check`` and
+the package checks: the CLI, the sweep, ``verify.stretch_rows`` and
 Kerckhoff raise, a ``verify`` row fails, and the oracles pass it on to
 ``verify``.  ``cylinder_modulus``, whose reciprocal would be a finite
 wrong answer, raises ``OverflowError``.

@@ -23,9 +23,9 @@ From these pieces:
 * the paired sum of second variations along ``m`` and ``i m``, the
   quantity whose positivity expresses plurisubharmonicity of extremal
   length over the moduli space;
-* grid checks of two integral identities the solver's output must
-  satisfy for every field: an integration-by-parts identity, and a
-  paired-direction identity whose right side depends on the field alone.
+* the measured row ``(lhs, rhs, scale)``, for ``verify`` to judge, of two
+  identities the solve satisfies for every field: integration by parts,
+  and a paired-direction identity whose right side is the field's alone.
 
 Measure convention: ``<< f >> = 4 Im tau * (grid mean of f)``, the
 normalization under which the energy of the harmonic map equals the
@@ -44,7 +44,6 @@ from .harmonic import build_harmonic_map, hopf
 from .moduli import CurveClass, Modulus
 
 __all__ = [
-    "IdentityReport",
     "VariationField",
     "first_variation",
     "solve_variation_field",
@@ -75,71 +74,6 @@ def solver_residual_bound(tau: Modulus, n: int, periodic_sup: float) -> float:
     k = math.pi * m / tau.im
     largest = k * k * ((1.0 + abs(tau.re)) * (1.0 + abs(tau.re)) + tau.im * tau.im)
     return 8.0 * np.finfo(float).eps * largest * periodic_sup
-
-
-@dataclass(frozen=True)
-class IdentityReport:
-    """One numerical check: ``lhs`` against ``rhs``, with the errors and the
-    verdict derived by ``compare``; a report that does not pass is a failure.
-
-    ``scale`` floors the relative error where the true value is an accidental
-    near-zero of a quantity whose natural size is ``scale``.
-    """
-
-    name: str
-    lhs: float
-    rhs: float
-    tolerance: float
-    scale: float = 0.0
-
-    @property
-    def abs_err(self) -> float:
-        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[0]
-
-    @property
-    def rel_err(self) -> float:
-        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[1]
-
-    @property
-    def passed(self) -> bool:
-        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[2]
-
-    def to_json(self) -> dict:
-        """Plain-JSON form; a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``.
-
-        The ``"asserted"`` key is always true; readers of the format count
-        failures by it.
-        """
-        abs_err, rel_err, passed = compare(self.lhs, self.rhs, self.tolerance, self.scale)
-        return {
-            "name": self.name,
-            "lhs": json_float(self.lhs),
-            "rhs": json_float(self.rhs),
-            "abs_err": json_float(abs_err),
-            "rel_err": json_float(rel_err),
-            "tolerance": json_float(self.tolerance),
-            "pass": passed,
-            "asserted": True,
-        }
-
-
-def json_float(x: float) -> float | str:
-    """``x`` itself if finite, else its ``str``, which ``float()`` reads back.
-
-    Standard JSON has no token for infinity or NaN.
-    """
-    return x if math.isfinite(x) else str(x)
-
-
-def compare(lhs: float, rhs: float, tolerance: float, scale: float = 0.0
-            ) -> tuple[float, float, bool]:
-    """``abs_err``, ``rel_err`` and the verdict ``abs_err <= tolerance or
-    rel_err <= tolerance``.  Where no size is positive both sides are 0, and
-    the relative error is the absolute one; a NaN side fails."""
-    abs_err = abs(lhs - rhs)
-    denom = max(abs(lhs), abs(rhs), scale)
-    rel_err = abs_err / denom if denom > 0 else abs_err
-    return abs_err, rel_err, abs_err <= tolerance or rel_err <= tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,13 +177,14 @@ def solve_variation_field(
 
 def identity_eq11_check(
     tau: Modulus, curve: CurveClass, field: BeltramiField, n: int
-) -> IdentityReport:
+) -> tuple[float, float, float]:
     """Integration-by-parts identity for the variation gradient.
 
     With the mass-``4 Im tau`` measure, ``<< |wdot_z|^2 >>`` must equal
     ``<< Re(2 mu w_z wdot_z) >>``; this holds for every deformation
     field, so the residual is a direct accuracy check on the solver.
-    A scale ``|mu|^2 |w_z|^2`` outside double range raises ``OverflowError``,
+    Returns ``(lhs, rhs, scale)``, ``scale = << |mu|^2 >> |w_z|^2`` the
+    sides' natural size.  A scale outside double range raises ``OverflowError``,
     and a ``|w_z|^2`` that underflows ``FloatingPointError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
@@ -260,7 +195,7 @@ def identity_eq11_check(
     scale = measure * field.l2_mean_square() * _w_z_abs_square(w_z)
     if not math.isfinite(scale):
         raise OverflowError("|mu|^2 |w_z|^2 leaves double range")
-    return IdentityReport(f"eq11[grid{field.n},n={n}]", lhs, rhs, 1e-10, scale)
+    return lhs, rhs, scale
 
 
 def _w_z_abs_square(w_z: complex) -> float:
@@ -320,7 +255,7 @@ def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
 
 def identity_eq15_evaluate(
     tau: Modulus, curve: CurveClass, field: BeltramiField, n: int
-) -> IdentityReport:
+) -> tuple[float, float, float]:
     """Paired-direction gradient identity, for every field.
 
     Both sides are plain grid means: the left side is
@@ -331,7 +266,8 @@ def identity_eq15_evaluate(
     one off the Nyquist row and column, so the cross terms of ``mu`` and
     ``i mu`` cancel.  A constant added to ``mu`` moves neither side.  The
     first solve is reduced to its two means before the second one runs, so
-    only one solve's grids are live at a time.  A right side outside double
+    only one solve's grids are live at a time.  Returns ``(lhs, rhs, 0.0)``:
+    the right side is the natural size.  A right side outside double
     range raises ``OverflowError``, and a ``|w_z|^2`` that underflows
     ``FloatingPointError``.
     """
@@ -346,4 +282,4 @@ def identity_eq15_evaluate(
         raise OverflowError("4 |w_z|^2 mean |mu - mean mu|^2 leaves double range")
     vf = solve_variation_field(tau, curve, field.scaled(1j), n)
     lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
-    return IdentityReport(f"eq15[grid{field.n},n={n}]", lhs, rhs, 1e-12)
+    return lhs, rhs, 0.0

@@ -5,10 +5,11 @@ which knows nothing about the formula: it reads extremal length at
 finite points of the explicit paths, where it is an exact function of
 the step.  The spectral solver is checked through integral identities
 its output must satisfy.  ``run_suite`` executes a fixed sequence of
-checks on one seeded random stream and reports one line per check.  A
-check that samples draws all its rows before it computes any, and
-builds a report only for the row it reports.  Each check writes its
-tolerance once, at the check; the tolerance is reported in its row.
+checks on one seeded random stream and reports one line per check.  Each
+check returns the ``(lhs, rhs, scale)`` rows it measured, and one that
+samples draws all its rows before it computes any.  Only this module
+judges: ``report`` gives the verdict at the check's tolerance, written
+once in ``_SUITE``, for the suite and the ``eq11``/``eq15``/``bound`` commands.
 
 Relative errors are floored at the natural scale of the quantity being
 compared (for a first variation along ``m`` that scale is ``|m| Ext``):
@@ -41,8 +42,6 @@ from .moduli import (
 )
 from .oracles import _path_levi_form, _path_second_variation, _stretch_even_part, _stretch_odd_part
 from .variation import (
-    IdentityReport,
-    compare,
     first_variation,
     identity_eq11_check,
     identity_eq15_evaluate,
@@ -51,6 +50,7 @@ from .variation import (
 )
 
 __all__ = [
+    "IdentityReport",
     "SuiteResult",
     "sample_moduli",
     "sample_curves",
@@ -58,8 +58,74 @@ __all__ = [
     "sample_mapping_class",
     "run_suite",
     "format_table",
-    "teich_bound_check",
+    "report",
+    "stretch_rows",
 ]
+
+
+@dataclass(frozen=True)
+class IdentityReport:
+    """One numerical check: ``lhs`` against ``rhs``, with the errors and the
+    verdict derived by ``compare``; a report that does not pass is a failure.
+
+    ``scale`` floors the relative error where the true value is an accidental
+    near-zero of a quantity whose natural size is ``scale``.
+    """
+
+    name: str
+    lhs: float
+    rhs: float
+    tolerance: float
+    scale: float = 0.0
+
+    @property
+    def abs_err(self) -> float:
+        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[0]
+
+    @property
+    def rel_err(self) -> float:
+        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[1]
+
+    @property
+    def passed(self) -> bool:
+        return compare(self.lhs, self.rhs, self.tolerance, self.scale)[2]
+
+    def to_json(self) -> dict:
+        """Plain-JSON form; a non-finite float becomes ``"inf"``, ``"-inf"`` or ``"nan"``.
+
+        The ``"asserted"`` key is always true; readers of the format count
+        failures by it.
+        """
+        abs_err, rel_err, passed = compare(self.lhs, self.rhs, self.tolerance, self.scale)
+        return {
+            "name": self.name,
+            "lhs": json_float(self.lhs),
+            "rhs": json_float(self.rhs),
+            "abs_err": json_float(abs_err),
+            "rel_err": json_float(rel_err),
+            "tolerance": json_float(self.tolerance),
+            "pass": passed,
+            "asserted": True,
+        }
+
+
+def json_float(x: float) -> float | str:
+    """``x`` itself if finite, else its ``str``, which ``float()`` reads back.
+
+    Standard JSON has no token for infinity or NaN.
+    """
+    return x if math.isfinite(x) else str(x)
+
+
+def compare(lhs: float, rhs: float, tolerance: float, scale: float = 0.0
+            ) -> tuple[float, float, bool]:
+    """``abs_err``, ``rel_err`` and the verdict ``abs_err <= tolerance or
+    rel_err <= tolerance``.  Where no size is positive both sides are 0, and
+    the relative error is the absolute one; a NaN side fails."""
+    abs_err = abs(lhs - rhs)
+    denom = max(abs(lhs), abs(rhs), scale)
+    rel_err = abs_err / denom if denom > 0 else abs_err
+    return abs_err, rel_err, abs_err <= tolerance or rel_err <= tolerance
 
 
 @dataclass(frozen=True)
@@ -165,17 +231,17 @@ _ANCHOR = Modulus(0.0, 1.0)
 _HORIZ = CurveClass(1, 0)
 
 
-def _reciprocity(rng: random.Random) -> IdentityReport:
-    return _rows([(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)
-                  for tau, curve in _draws(rng, 1000)], 1e-14)
+def _reciprocity(rng: random.Random) -> list[tuple[float, float, float]]:
+    return [(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)
+            for tau, curve in _draws(rng, 1000)]
 
 
-def _harmonic_energy(rng: random.Random) -> IdentityReport:
-    return _rows([(energy(tau, curve), extremal_length(tau, curve), 0.0)
-                  for tau, curve in _draws(rng, 1000)], 1e-13)
+def _harmonic_energy(rng: random.Random) -> list[tuple[float, float, float]]:
+    return [(energy(tau, curve), extremal_length(tau, curve), 0.0)
+            for tau, curve in _draws(rng, 1000)]
 
 
-def _hopf_axis(rng: random.Random) -> IdentityReport:
+def _hopf_axis(rng: random.Random) -> list[tuple[float, float, float]]:
     """The Hopf differential times the squared holonomy is real and non-positive,
     and its norm ``4 Im tau |hopf|`` is the extremal length (Hubbard–Masur)."""
     rows = []
@@ -185,20 +251,20 @@ def _hopf_axis(rng: random.Random) -> IdentityReport:
         v = phi * (w * w)
         rows.append((max(abs(v.imag), max(0.0, v.real)), 0.0, max(1.0, abs(v))))
         rows.append((4.0 * tau.im * abs(phi), extremal_length(tau, curve), 0.0))
-    return _rows(rows, 1e-13)
+    return rows
 
 
-def _remarking(rng: random.Random) -> IdentityReport:
+def _remarking(rng: random.Random) -> list[tuple[float, float, float]]:
     draws = _draws(rng, 100)
     marks = [sample_mapping_class(rng) for _ in draws]
     rows = []
     for (tau, curve), mc in zip(draws, marks):
         new_tau, new_curve = apply_mapping_class(tau, curve, mc)
         rows.append((extremal_length(new_tau, new_curve), extremal_length(tau, curve), 0.0))
-    return _rows(rows, 1e-12)
+    return rows
 
 
-def _first_vs_fd(rng: random.Random) -> IdentityReport:
+def _first_vs_fd(rng: random.Random) -> list[tuple[float, float, float]]:
     """The first variation along ``m`` is the stretch line's odd part, and
     ``hypot`` of those along ``m`` and ``i m`` is ``2 |m| Ext``."""
     rows = []
@@ -208,20 +274,20 @@ def _first_vs_fd(rng: random.Random) -> IdentityReport:
         size = abs(m) * extremal_length(tau, curve)
         rows.append((closed, _stretch_odd_part(tau, curve, m), size))
         rows.append((math.hypot(closed, turned), 2.0 * size, 0.0))
-    return _rows(rows, 1e-13)
+    return rows
 
 
-def _second_vs_fd(rng: random.Random) -> IdentityReport:
+def _second_vs_fd(rng: random.Random) -> list[tuple[float, float, float]]:
     rows = []
     for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
         closed = second_variation_constant(tau, curve, m)
         oracle = _path_second_variation(tau, curve, m)
         rows.append((closed, oracle, abs(m) * abs(m) * extremal_length(tau, curve)))
     rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
-    return _rows(rows, 1e-13)
+    return rows
 
 
-def _eq11_fields(rng: random.Random) -> IdentityReport:
+def _eq11_fields(rng: random.Random) -> list[tuple[float, float, float]]:
     """Both tori share each catalog grid, whose samples depend on the name and
     ``n`` alone: a field is sampled once, at 128, and its 64 and 32 grids are
     every second and fourth point, bit for bit.  One field's grids are live at
@@ -234,26 +300,25 @@ def _eq11_fields(rng: random.Random) -> IdentityReport:
             grid = finest[::128 // n, ::128 // n]
             by_grid.append([identity_eq11_check(tau, curve, BeltramiField(tau, n, samples=grid), n)
                             for tau, curve in bases])
-    return _rows([(r.lhs, r.rhs, r.scale) for per_torus in zip(*by_grid) for r in per_torus], 1e-12)
+    return [row for per_torus in zip(*by_grid) for row in per_torus]
 
 
-def _pairing_on_constants(rng: random.Random) -> IdentityReport:
+def _pairing_on_constants(rng: random.Random) -> list[tuple[float, float, float]]:
     """The paired identity on fields with a mean: the wave ``cos 2 pi s``
     plus each constant, on two tori, at ``n = 8``.  Its right side holds
     only if it subtracts the field's mean."""
     wave = catalog_field(_ANCHOR, "cos2pis", 8).samples
-    reports = [identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + m), 8)
-               for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
-               for m in (1.0, 0.5j, 0.3 - 0.2j)]
-    return _rows([(r.lhs, r.rhs, r.scale) for r in reports], 1e-12)
+    return [identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + m), 8)
+            for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
+            for m in (1.0, 0.5j, 0.3 - 0.2j)]
 
 
-def _pairing_on_grid_field(rng: random.Random) -> IdentityReport:
+def _pairing_on_grid_field(rng: random.Random) -> list[tuple[float, float, float]]:
     field = catalog_field(_ANCHOR, "cos2pis", 64)
-    return identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64)
+    return [identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64)]
 
 
-def _pair_sum_scaling(rng: random.Random) -> IdentityReport:
+def _pair_sum_scaling(rng: random.Random) -> list[tuple[float, float, float]]:
     """The paired sum along ``m`` is ``8 |m|^2 Ext``.
 
     Positivity needs no row of its own: ``pair_sum_levi`` raises
@@ -263,52 +328,52 @@ def _pair_sum_scaling(rng: random.Random) -> IdentityReport:
     for (tau, curve), m in zip(_draws(rng, 1000), sample_directions(rng, 1000)):
         exact = 8.0 * (abs(m) * abs(m)) * extremal_length(tau, curve)
         rows.append((pair_sum_levi(tau, curve, m), exact, 0.0))
-    return _rows(rows, 1e-12)
+    return rows
 
 
-def _levi_vs_fd(rng: random.Random) -> IdentityReport:
+def _levi_vs_fd(rng: random.Random) -> list[tuple[float, float, float]]:
     rows = []
     for curve in (_HORIZ, CurveClass(0, 1), CurveClass(1, 1)):
         for re in np.linspace(-1.0, 1.0, 10):
             for im in np.linspace(0.3, 3.0, 10):
                 tau = Modulus(float(re), float(im))
                 rows.append((levi_form(tau, curve), _path_levi_form(tau, curve), 0.0))
-    return _rows(rows, 1e-13)
+    return rows
 
 
-def _pair_sum_over_levi(rng: random.Random) -> IdentityReport:
+def _pair_sum_over_levi(rng: random.Random) -> list[tuple[float, float, float]]:
     """The paired sum along 1 is ``4 levi_form`` times the squared chart
     speed ``4 (Im tau)^2`` of the unit stretch."""
-    return _rows([(pair_sum_levi(tau, curve, 1.0)
-                   / (4.0 * tau.im * tau.im * levi_form(tau, curve)), 4.0, 0.0)
-                  for tau, curve in _draws(rng, 100)], 1e-12)
+    return [(pair_sum_levi(tau, curve, 1.0) / (4.0 * tau.im * tau.im * levi_form(tau, curve)),
+             4.0, 0.0) for tau, curve in _draws(rng, 100)]
 
 
-def teich_bound_check(tau: Modulus, curve: CurveClass, m: complex) -> IdentityReport:
-    """The even part of extremal length along the unit stretch line in the
-    unimodular direction ``m``, which is exactly ``Ext`` (the oracle
-    ``_stretch_even_part``), against ``Ext``.  A side outside double range
-    raises ``OverflowError``."""
-    even, ext0 = _stretch_even_part(tau, curve, m), extremal_length(tau, curve)
-    if not (math.isfinite(even) and math.isfinite(ext0)):
+def stretch_rows(tau: Modulus, curve: CurveClass, units: list[complex]
+                 ) -> list[tuple[float, float, float]]:
+    """One row per unimodular direction ``m`` of ``units``: the even part of
+    extremal length along the unit stretch line in the direction ``m``, which
+    is exactly ``Ext`` (the oracle ``_stretch_even_part``), against ``Ext``,
+    read once.  A side outside double range raises ``OverflowError``."""
+    ext0 = extremal_length(tau, curve)
+    rows = [(_stretch_even_part(tau, curve, m), ext0, 0.0) for m in units]
+    if not (math.isfinite(ext0) and all(math.isfinite(even) for even, _, _ in rows)):
         raise OverflowError("extremal length along the stretch line leaves double range")
-    return IdentityReport("teich_bound", even, ext0, 1e-13)
+    return rows
 
 
-def _stretch_floor(rng: random.Random) -> IdentityReport:
-    """``teich_bound_check`` along each unit stretch line, and the line runs
-    at unit Teichmüller speed, hyperbolic speed 2."""
+def _stretch_floor(rng: random.Random) -> list[tuple[float, float, float]]:
+    """``stretch_rows`` along each unit stretch line, and the line runs at unit
+    Teichmüller speed, hyperbolic speed 2."""
     units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
     rows = []
     for tau, curve in _draws(rng, 50):
-        for u in units:
-            bound = teich_bound_check(tau, curve, u)
-            rows.append((bound.lhs, bound.rhs, bound.scale))
+        for row, u in zip(stretch_rows(tau, curve, units), units):
+            rows.append(row)
             rows.append((hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0))
-    return _rows(rows, bound.tolerance)
+    return rows
 
 
-def _kerckhoff_vs_hyperbolic(rng: random.Random) -> IdentityReport:
+def _kerckhoff_vs_hyperbolic(rng: random.Random) -> list[tuple[float, float, float]]:
     """On vertical segments the stretch-factor distance is half the hyperbolic
     distance; at ``i, 2i`` the maximizing curve must be ``0,1``, which the
     last two rows compare."""
@@ -323,26 +388,32 @@ def _kerckhoff_vs_hyperbolic(rng: random.Random) -> IdentityReport:
         t1, t2 = Modulus(k / 8.0, y1), Modulus(k / 8.0, y1 * math.exp(delta))
         rows.append((kerckhoff_distance(t1, t2, 50).value, 0.5 * hyperbolic_distance(t1, t2), 0.0))
     p, q = anchor_kd.maximizer.p, anchor_kd.maximizer.q
-    return _rows(rows + [(float(p), 0.0, 0.0), (float(q), 1.0, 0.0)], 1e-12)
+    return rows + [(float(p), 0.0, 0.0), (float(q), 1.0, 0.0)]
 
 
-#: The checks in run order, each with the name it reports under.
+#: The checks in run order: the name each reports under, its tolerance, its rows.
 _SUITE = (
-    ("ext_reciprocal", _reciprocity),
-    ("energy_equals_ext", _harmonic_energy),
-    ("hopf_direction", _hopf_axis),
-    ("marking_invariance", _remarking),
-    ("first_variation_fd", _first_vs_fd),
-    ("second_variation_fd", _second_vs_fd),
-    ("eq11_catalog", _eq11_fields),
-    ("eq15_constant", _pairing_on_constants),
-    ("eq15_catalog", _pairing_on_grid_field),
-    ("pair_sum_scaling_positivity", _pair_sum_scaling),
-    ("levi_fd", _levi_vs_fd),
-    ("pair_sum_levi_ratio", _pair_sum_over_levi),
-    ("teich_lower_bound", _stretch_floor),
-    ("kerckhoff_vs_half_hyperbolic", _kerckhoff_vs_hyperbolic),
+    ("ext_reciprocal", 1e-14, _reciprocity),
+    ("energy_equals_ext", 1e-13, _harmonic_energy),
+    ("hopf_direction", 1e-13, _hopf_axis),
+    ("marking_invariance", 1e-12, _remarking),
+    ("first_variation_fd", 1e-13, _first_vs_fd),
+    ("second_variation_fd", 1e-13, _second_vs_fd),
+    ("eq11_catalog", 1e-12, _eq11_fields),
+    ("eq15_constant", 1e-12, _pairing_on_constants),
+    ("eq15_catalog", 1e-12, _pairing_on_grid_field),
+    ("pair_sum_scaling_positivity", 1e-12, _pair_sum_scaling),
+    ("levi_fd", 1e-13, _levi_vs_fd),
+    ("pair_sum_levi_ratio", 1e-12, _pair_sum_over_levi),
+    ("teich_lower_bound", 1e-13, _stretch_floor),
+    ("kerckhoff_vs_half_hyperbolic", 1e-12, _kerckhoff_vs_hyperbolic),
 )
+
+
+def report(name: str, rows: list[tuple[float, float, float]]) -> IdentityReport:
+    """Check ``name``'s report on ``rows``: ``_rows`` at its ``_SUITE`` tolerance."""
+    tolerance = {check: tol for check, tol, _ in _SUITE}[name]
+    return replace(_rows(rows, tolerance), name=name)
 
 
 def _require_seed(seed: int) -> None:
@@ -361,7 +432,7 @@ def run_suite(seed: int = 42) -> SuiteResult:
     _require_seed(seed)
     rng = random.Random(seed)
     start = time.perf_counter()
-    reports = tuple(replace(check(rng), name=name) for name, check in _SUITE)
+    reports = tuple(report(name, check(rng)) for name, _, check in _SUITE)
     return SuiteResult(reports, seed, time.perf_counter() - start)
 
 

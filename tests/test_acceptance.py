@@ -40,11 +40,12 @@ from extorus.variation import (
 )
 from extorus.oracles import _path_levi_form, _path_second_variation, _stretch_odd_part
 from extorus.verify import (
+    compare,
     run_suite,
     sample_curves,
     sample_directions,
     sample_moduli,
-    teich_bound_check,
+    stretch_rows,
 )
 
 I = Modulus(0.0, 1.0)
@@ -156,8 +157,9 @@ def test_ac05_spectral_solver_and_gradient_identity():
                         n,
                         vf.residual,
                     )
-                    report = identity_eq11_check(tau, curve, field, n)
-                    assert report.passed and report.rel_err <= 1e-10, (name, n, report)
+                    lhs, rhs, scale = identity_eq11_check(tau, curve, field, n)
+                    _, rel_err, passed = compare(lhs, rhs, 1e-10, scale)
+                    assert passed and rel_err <= 1e-10, (name, n, lhs, rhs, scale)
         # mu = i cos(2 pi s) at tau = i: wdot is the sine profile of height
         # 1/pi (its sign follows the period convention Re(coeff) = q,
         # Re(coeff tau) = -p, under which the map coefficient at (i,(1,0))
@@ -220,13 +222,13 @@ def test_ac07_paired_gradient_identity_evaluator():
         for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
             for m in (1.0, 0.5j, 0.3 - 0.2j):
                 field = BeltramiField(tau, 8, samples=np.full((8, 8), m))
-                report = identity_eq15_evaluate(tau, curve, field, 8)
-                assert report.passed
-                assert report.lhs == 0.0
-        report = identity_eq15_evaluate(I, HORIZ, catalog_field(I, "cos2pis", 64), 64)
-        assert report.passed
-        assert report.lhs == pytest.approx(0.5, abs=1e-15)
-        assert report.rhs == pytest.approx(0.5, abs=1e-15)
+                lhs, rhs, scale = identity_eq15_evaluate(tau, curve, field, 8)
+                assert compare(lhs, rhs, 1e-12, scale)[2]
+                assert lhs == 0.0
+        lhs, rhs, scale = identity_eq15_evaluate(I, HORIZ, catalog_field(I, "cos2pis", 64), 64)
+        assert compare(lhs, rhs, 1e-12, scale)[2]
+        assert lhs == pytest.approx(0.5, abs=1e-15)
+        assert rhs == pytest.approx(0.5, abs=1e-15)
 
 
 def test_ac08_convexity_floor_along_stretch_lines():
@@ -258,11 +260,11 @@ def test_ac08_convexity_floor_along_stretch_lines():
                 )
                 second_diff = (plus - 2.0 * ext0 + minus) / h**2
                 assert second_diff >= -4.0 * ext0 - 1e-6, (tau, curve, m)
-                report = teich_bound_check(tau, curve, m)
-                assert report.passed
+                [(even, ext, scale)] = stretch_rows(tau, curve, [m])
+                assert compare(even, ext, 1e-13, scale)[2]
         for m in (1.0, 1j):
-            report = teich_bound_check(I, HORIZ, m)
-            assert report.lhs == pytest.approx(1.0, abs=1e-15)
+            [(even, _, _)] = stretch_rows(I, HORIZ, [m])
+            assert even == pytest.approx(1.0, abs=1e-15)
 
 
 def test_ac09_kerckhoff_distance_matches_half_hyperbolic():

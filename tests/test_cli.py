@@ -13,8 +13,8 @@ import pytest
 from extorus import cli, verify
 from extorus.cli import main
 from extorus.moduli import Modulus, extremal_length, levi_form, parse_complex, parse_curve
-from extorus.variation import IdentityReport, solver_residual_bound
-from extorus.verify import SuiteResult
+from extorus.variation import solver_residual_bound
+from extorus.verify import IdentityReport, SuiteResult
 
 
 def run(capsys, *argv):
@@ -517,8 +517,7 @@ def test_full_stdout_exits_3_from_the_entry_point():
 
 def test_infinite_ratio_exits_1(capsys, monkeypatch):
     # every float of a one-row payload must be finite, the ratio of its sides too
-    monkeypatch.setattr(cli, "teich_bound_check",
-                        lambda *args: IdentityReport("teich_bound", 1e300, 1e-300, 1e-6))
+    monkeypatch.setattr(cli, "stretch_rows", lambda *args: [(1e300, 1e-300, 0.0)])
     code, out, err = run(capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i")
     assert (code, out) == (1, "")
     assert "double range" in err
@@ -596,6 +595,33 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ext"] == 1.0
+
+
+@pytest.mark.parametrize("argv,form", [
+    (("ext", "--tau", "0+1i", "--curve", "-7,3"), "--curve=-7,3"),
+    (("ext", "--tau", "-1+1i", "--curve", "1,0"), "--tau=-1+1i"),
+    (("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu", "-0.5+0i"), "--mu=-0.5+0i"),
+], ids=["curve", "tau", "mu"])
+def test_a_negative_value_names_the_equals_form(capsys, argv, form):
+    # argparse reads a value starting with '-' as a flag; the error says how to write it
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected one argument" in err
+    assert f"(a value starting with '-' is written {form})" in err
+
+
+def test_replay_commands_report_their_checks_name_and_tolerance(capsys):
+    # eq11, eq15 and bound judge their input as verify's checks 7, 9 and 13 do
+    suite = run_json(capsys, "verify", "--format", "json", "--seed", "0")
+    rows = {r["name"]: r for r in suite["reports"]}
+    for check, argv in [
+        ("eq11_catalog", ("eq11", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "32")),
+        ("eq15_catalog", ("eq15", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "64")),
+        ("teich_lower_bound",
+         ("bound", "--tau", "0.3+1.1i", "--curve", "2,1", "--mu", "0.6+0.8i")),
+    ]:
+        data = run_json(capsys, *argv)
+        assert (data["name"], data["tolerance"]) == (check, rows[check]["tolerance"]), argv
 
 
 #: Runs ``main`` on its arguments in a fresh interpreter; prints the exit

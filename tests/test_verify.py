@@ -16,7 +16,6 @@ import pytest
 
 import extorus
 from extorus.moduli import CurveClass, MappingClass, Modulus, extremal_length
-from extorus.variation import IdentityReport
 from extorus.oracles import (
     _path_levi_form,
     _path_second_variation,
@@ -24,6 +23,7 @@ from extorus.oracles import (
     _stretch_odd_part,
 )
 from extorus.verify import (
+    IdentityReport,
     SuiteResult,
     _rows,
     format_table,
@@ -177,6 +177,20 @@ def test_rows_builds_the_report_worst_of_picks():
     # a NaN on either side fails
     assert math.isnan(_rows(cases[3], tol).lhs)
     assert not IdentityReport("", 1.0, math.nan, tol).passed
+
+
+def test_stretch_floor_reads_ext_once_per_draw(monkeypatch):
+    # one Ext per draw serves all 16 directions of check 13
+    verify = importlib.import_module("extorus.verify")
+    calls = []
+
+    def counted(tau, curve):
+        calls.append((tau, curve))
+        return extremal_length(tau, curve)
+
+    monkeypatch.setattr(verify, "extremal_length", counted)
+    verify._stretch_floor(random.Random(0))
+    assert len(calls) == 50
 
 
 def test_suite_passes_with_defaults():

@@ -2,11 +2,12 @@
 
 One subcommand per operation family, each with one output format on
 stdout: the one-row commands write JSON, ``sweep`` CSV, and ``verify`` a
-table (JSON with ``--format json``).  Complex values take the same
-``a+bi`` form the parsers accept, so every emitted value round-trips.
-Exit codes: 0 success, 1 computation failure or a report that does not
-pass (``eq11``, ``eq15``, ``bound``, ``verify``), 2 argument error,
-3 stdout I/O error.
+table (JSON with ``--format json``).  ``verify --only NAME`` with the input
+flags of that check runs it on that one input: every report's ``replay``
+is such a command.  Complex values take the same ``a+bi`` form the parsers
+accept, so every emitted value round-trips.  Exit codes: 0 success, 1
+computation failure or a ``verify`` report that does not pass, 2 argument
+error, 3 stdout I/O error.
 """
 
 from __future__ import annotations
@@ -18,14 +19,17 @@ import os
 import sys
 from array import array
 from dataclasses import dataclass
+from functools import partial
+from inspect import signature
 from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator
 
 from ._lazy import np
-from .beltrami import FIELD_CATALOG, _require_grid_size, _require_unimodular, catalog_field
+from .beltrami import FIELD_CATALOG, _require_grid_size, catalog_field
 from .moduli import (
     MIN_IMAG,
     CurveClass,
+    MappingClass,
     Modulus,
     _ext_formula,
     _levi_formula,
@@ -43,18 +47,16 @@ from .moduli import (
 from .variation import (
     _require_nonzero,
     first_variation,
-    identity_eq11_check,
-    identity_eq15_evaluate,
     pair_sum_levi,
     second_variation_constant,
     solve_variation_field,
 )
-from .verify import _require_seed, format_table, report, run_suite, stretch_rows
+from .verify import _SUITE, _require_seed, format_table, run_checks, run_suite
 
 #: Largest ``--grid`` and ``--max-pq``.  Time and memory grow with the
 #: square of ``--grid``; at its limit a run takes at most about 3.5 s and
-#: 0.33 GB (``eq15``, two solves, one live at a time) on a 2-core x86-64
-#: host.  ``distance`` costs the same at every ``--max-pq``.
+#: 0.33 GB (``verify --only eq15_catalog``, two solves, one live at a time)
+#: on a 2-core x86-64 host.  ``distance`` costs the same at every ``--max-pq``.
 MAX_GRID = 2048
 MAX_PQ = 2000
 
@@ -73,7 +75,7 @@ _SWEEP_CHUNK = 1 << 12
 
 class _Parser(argparse.ArgumentParser):
     """An argument error exits 2.  A flag is known only by its full name
-    (build it with ``allow_abbrev=False``): ``eq15 ... --mu cos2pis`` is an
+    (build it with ``allow_abbrev=False``): ``verify ... --mu-f cos2pis`` is an
     error, not ``--mu-fn``.  argparse reports a missing required flag
     before an unrecognized one, so the error names the unrecognized flags
     instead: ``vary1 ... --mu-fn coscos`` is told about ``--mu-fn``, not
@@ -132,8 +134,14 @@ _complex = _arg_type(parse_complex)
 _grid = _number(int, _require_grid_size, MAX_GRID)
 _max_pq = _number(int, _require_max_index, MAX_PQ)
 _nonzero = _number(parse_complex, _require_nonzero)
-_unimodular = _number(parse_complex, _require_unimodular)
 _seed = _number(int, _require_seed)
+
+
+def _parse_mapping_class(text: str) -> MappingClass:
+    parts = text.split(",")
+    if len(parts) != 4:
+        raise ValueError(f"expected a change of marking in a,b,c,d form, got {text!r}")
+    return MappingClass(*map(int, parts))
 
 
 def _range_count(spec: tuple[float, float, float]) -> float:
@@ -178,19 +186,24 @@ def _range_values(spec: tuple[float, float, float]) -> array:
     return values
 
 
-def _arg(*names: str, **kwargs) -> Callable[[argparse.ArgumentParser], None]:
-    return lambda sub: sub.add_argument(*names, **kwargs)
+def _arg(*names: str, **kwargs) -> Callable[..., None]:
+    """A flag, added to a parser with ``kwargs`` and any keywords given there."""
+    return lambda sub, **more: sub.add_argument(*names, **{**kwargs, **more})
 
 
-_CURVE = _arg("--curve", type=_curve, required=True, help="curve class, p,q integers")
-_POINT = (_arg("--tau", type=_tau, required=True, help="modulus, a+bi with b > 0"), _CURVE)
-_FIELD = (
-    *_POINT,
-    _arg("--mu-fn", choices=sorted(FIELD_CATALOG), required=True,
-         help="named deformation field from the catalog"),
-    _arg("--grid", type=_grid, default=64,
-         help=f"samples per side, power of two in [4, {MAX_GRID}] (default 64)"),
-)
+#: The flags that give a point or a check's input, by the parameter each sets:
+#: optional on ``verify --only``, required where a command needs them.
+_INPUTS = {
+    "tau": _arg("--tau", type=_tau, help="modulus, a+bi with b > 0"),
+    "curve": _arg("--curve", type=_curve, help="curve class, p,q integers"),
+    "mu": _arg("--mu", type=_nonzero, help="nonzero constant field, a+bi form"),
+    "mu_fn": _arg("--mu-fn", choices=sorted(FIELD_CATALOG), help="catalog field name"),
+    "grid": _arg("--grid", type=_grid, help=f"samples per side, power of two in [4, {MAX_GRID}]"),
+    "tau2": _arg("--tau2", type=_tau, help="second modulus, a+bi"),
+    "mc": _arg("--mc", type=_arg_type(_parse_mapping_class), help="change of marking a,b,c,d"),
+}
+_CURVE = partial(_INPUTS["curve"], required=True)
+_POINT = (partial(_INPUTS["tau"], required=True), _CURVE)
 _MU = _arg("--mu", type=_complex, required=True, help="constant field, a+bi form")
 
 
@@ -204,19 +217,19 @@ def _emit(text: str | Iterable[str]) -> None:
     sys.stdout.flush()
 
 
-def _one_row(payload: dict, code: int = 0) -> tuple[str, int]:
-    """``payload`` as JSON text, and exit code ``code``.  Every float in it
-    must be finite: one outside double range raises ``OverflowError``."""
+def _one_row(payload: dict) -> tuple[str, int]:
+    """``payload`` as JSON text, and exit code 0.  Every float in it must be
+    finite: one outside double range raises ``OverflowError``."""
     if any(isinstance(v, float) and not math.isfinite(v) for v in payload.values()):
         raise OverflowError("a result is outside double range")
-    return json.dumps(payload, indent=2, allow_nan=False), code
+    return json.dumps(payload, indent=2, allow_nan=False), 0
 
 
 @dataclass(frozen=True)
 class Command:
     """A subcommand: its help, its flags, and ``run``, which returns the
     text the subcommand writes (one string, or its pieces in order) and the
-    exit code once that text is written.
+    exit code once that text is written; an argument error goes to ``args.error``.
     """
 
     help: str
@@ -239,18 +252,6 @@ def _command(name: str, help_text: str, flags: tuple):
         return run
 
     return register
-
-
-def _report_row(check: str, rows: list, **values) -> tuple[str, int]:
-    """``_one_row`` of the suite's ``report(check, rows)``: its JSON keys holding its
-    floats (``to_json`` writes a non-finite one as a string), ``ratio`` where
-    ``rhs`` is nonzero, then ``values``; exit code 1 where it does not pass."""
-    checked = report(check, rows)
-    data = {**checked.to_json(), "lhs": checked.lhs, "rhs": checked.rhs,
-            "abs_err": checked.abs_err, "rel_err": checked.rel_err}
-    if checked.rhs != 0.0:
-        data["ratio"] = checked.lhs / checked.rhs
-    return _one_row({**data, **values}, 0 if checked.passed else 1)
 
 
 def _point(a: argparse.Namespace, **values) -> tuple[str, int]:
@@ -284,13 +285,17 @@ def _vary2(a: argparse.Namespace) -> tuple[str, int]:
 
 
 @_command("pair-sum", "second variations along mu and i*mu, summed", (
-    *_POINT, _arg("--mu", type=_nonzero, required=True, help="nonzero constant field, a+bi form"),
+    *_POINT, partial(_INPUTS["mu"], required=True),
 ))
 def _pair_sum(a: argparse.Namespace) -> tuple[str, int]:
     return _point(a, mu=format_complex(a.mu), pair_sum=pair_sum_levi(a.tau, a.curve, a.mu))
 
 
-@_command("solve-field", "derivative of the harmonic map along a field", _FIELD)
+@_command("solve-field", "derivative of the harmonic map along a field", (
+    *_POINT, partial(_INPUTS["mu_fn"], required=True),
+    partial(_INPUTS["grid"], default=64, help=f"samples per side, power of two in [4, {MAX_GRID}] "
+            "(default 64)"),
+))
 def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
     field = catalog_field(a.tau, a.mu_fn, a.grid)
     vf = solve_variation_field(a.tau, a.curve, field, a.grid)
@@ -304,21 +309,9 @@ def _solve_field(a: argparse.Namespace) -> tuple[str, int]:
     )
 
 
-@_command("eq11", "integration-by-parts check on the solved derivative", _FIELD)
-def _eq11(a: argparse.Namespace) -> tuple[str, int]:
-    field = catalog_field(a.tau, a.mu_fn, a.grid)
-    return _report_row("eq11_catalog", [identity_eq11_check(a.tau, a.curve, field, a.grid)])
-
-
-@_command("eq15", "paired-direction gradient identity on the solved derivative", _FIELD)
-def _eq15(a: argparse.Namespace) -> tuple[str, int]:
-    field = catalog_field(a.tau, a.mu_fn, a.grid)
-    return _report_row("eq15_catalog", [identity_eq15_evaluate(a.tau, a.curve, field, a.grid)])
-
-
 @_command("distance", "stretch-factor distance between two moduli", (
-    _arg("--tau", type=_tau, required=True, help="first modulus, a+bi"),
-    _arg("--tau2", type=_tau, required=True, help="second modulus, a+bi"),
+    partial(_INPUTS["tau"], required=True, help="first modulus, a+bi"),
+    partial(_INPUTS["tau2"], required=True),
     _arg("--max-pq", type=_max_pq, default=50,
          help=f"curve search bound |p|,|q| <= N, N in [1, {MAX_PQ}] (default 50)"),
 ))
@@ -334,15 +327,6 @@ def _distance(a: argparse.Namespace) -> tuple[str, int]:
         "hyperbolic": hyp,
         "half_hyperbolic": 0.5 * hyp,
     })
-
-
-@_command("bound", "even part of extremal length along a unit stretch line vs Ext", (
-    *_POINT,
-    _arg("--mu", type=_unimodular, required=True, help="direction with |mu| = 1"),
-))
-def _bound(a: argparse.Namespace) -> tuple[str, int]:
-    rows = stretch_rows(a.tau, a.curve, [a.mu])
-    return _report_row("teich_lower_bound", rows, ext=extremal_length(a.tau, a.curve))
 
 
 def _sweep_blocks(n_re: int, n_im: int) -> Iterator[tuple[int, int, int, int]]:
@@ -411,20 +395,36 @@ def _sweep_csv(res: array, ims: array, ext: array, levi: array) -> Iterator[str]
 def _sweep(args: argparse.Namespace) -> tuple[Iterable[str], int]:
     points = _range_count(args.re) * _range_count(args.im)
     if points > MAX_SWEEP_POINTS:
-        print(f"extorus sweep: error: --re and --im give {points} points; "
-              f"a sweep writes at most {MAX_SWEEP_POINTS}", file=sys.stderr)
-        raise SystemExit(2)
+        args.error(f"--re and --im give {points} points; a sweep writes at most {MAX_SWEEP_POINTS}")
     res = _range_values(args.re)
     ims = _range_values(args.im)
     return _sweep_csv(res, ims, *_sweep_grids(args.curve, res, ims)), 0
 
 
-@_command("verify", "run the full cross-check suite", (
-    _arg("--seed", type=_seed, default=42, help="sampling seed, integer >= 0 (default 42)"),
+def _flags(names: Iterable[str]) -> str:
+    return " ".join(f"--{n.replace('_', '-')}" for n in names)
+
+
+@_command("verify", "run the full cross-check suite, or one check on one input", (
+    _arg("--seed", type=_seed, help="sampling seed, integer >= 0 (default 42)"),
     _arg("--format", choices=("json",), help="write JSON instead of the table"),
+    _arg("--only", choices=list(_SUITE), help="run this check on the input the flags below give"),
+    *_INPUTS.values(),
 ))
 def _verify(args: argparse.Namespace) -> tuple[str, int]:
-    result = run_suite(args.seed)
+    takes = list(signature(_SUITE[args.only][2]).parameters) if args.only else []
+    given = [name for name in _INPUTS if getattr(args, name) is not None]
+    extra = [name for name in given if name not in takes]
+    extra += ["seed"] if args.only and args.seed is not None else []
+    missing = [name for name in takes if name not in given]
+    if extra or missing:
+        rule = f"--only {args.only} takes {_flags(takes)}" if takes else "input flags need --only"
+        bad = f"unrecognized arguments: {_flags(extra)}" if extra else f"missing {_flags(missing)}"
+        args.error(f"{bad} ({rule})")
+    if args.only:
+        result = run_checks([(args.only, [tuple(getattr(args, name) for name in takes)])])
+    else:
+        result = run_suite(42 if args.seed is None else args.seed)
     text = result.to_json_text() if args.format == "json" else format_table(result)
     return text, 0 if result.all_passed else 1
 
@@ -434,7 +434,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         sub = subs.add_parser(name, help=cmd.help, allow_abbrev=False)
-        sub.set_defaults(run=cmd.run)
+        sub.set_defaults(run=cmd.run, error=sub.error)
         for add in cmd.flags:
             add(sub)
     return parser

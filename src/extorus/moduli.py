@@ -14,7 +14,7 @@ computed as a maximum of extremal-length ratios).
 Everything here computes on Python floats and never loads numpy.
 Where a square leaves double range, ``extremal_length``, ``levi_form``
 and ``harmonic.energy`` return ``inf`` or ``nan``, which every caller in
-the package checks: the CLI, the sweep, ``verify.stretch_rows`` and
+the package checks: the CLI, the sweep, the stretch-line check and
 Kerckhoff raise, a ``verify`` row fails, and the oracles pass it on to
 ``verify``.  ``cylinder_modulus``, whose reciprocal would be a finite
 wrong answer, raises ``OverflowError``.
@@ -117,6 +117,9 @@ class MappingClass:
     def __post_init__(self) -> None:
         if self.a * self.d - self.b * self.c != 1:
             raise ValueError("mapping class matrix must have determinant 1")
+
+    def __str__(self) -> str:
+        return f"{self.a},{self.b},{self.c},{self.d}"
 
 
 def extremal_length(tau: Modulus, curve: CurveClass) -> float:

@@ -184,8 +184,8 @@ def identity_eq11_check(
     ``<< Re(2 mu w_z wdot_z) >>``; this holds for every deformation
     field, so the residual is a direct accuracy check on the solver.
     Returns ``(lhs, rhs, scale)``, ``scale = << |mu|^2 >> |w_z|^2`` the
-    sides' natural size.  A scale outside double range raises ``OverflowError``,
-    and a ``|w_z|^2`` that underflows ``FloatingPointError``.
+    sides' natural size.  A side or scale outside double range raises
+    ``OverflowError``, and a ``|w_z|^2`` that underflows ``FloatingPointError``.
     """
     vf = solve_variation_field(tau, curve, field, n)
     w_z = build_harmonic_map(tau, curve) / 2.0
@@ -193,8 +193,8 @@ def identity_eq11_check(
     lhs = measure * float(np.mean(np.square(np.abs(vf.gradient))))
     rhs = measure * float(np.mean(2.0 * np.real(vf.mu_samples * w_z * vf.gradient)))
     scale = measure * field.l2_mean_square() * _w_z_abs_square(w_z)
-    if not math.isfinite(scale):
-        raise OverflowError("|mu|^2 |w_z|^2 leaves double range")
+    if not all(map(math.isfinite, (lhs, rhs, scale))):
+        raise OverflowError("a side of the identity or |mu|^2 |w_z|^2 leaves double range")
     return lhs, rhs, scale
 
 
@@ -266,8 +266,9 @@ def identity_eq15_evaluate(
     one off the Nyquist row and column, so the cross terms of ``mu`` and
     ``i mu`` cancel.  A constant added to ``mu`` moves neither side.  The
     first solve is reduced to its two means before the second one runs, so
-    only one solve's grids are live at a time.  Returns ``(lhs, rhs, 0.0)``:
-    the right side is the natural size.  A right side outside double
+    only one solve's grids are live at a time.  Returns ``(lhs, rhs, scale)``,
+    ``scale = 4 |w_z|^2 mean |mu|^2`` the natural size, which a field with a
+    mean keeps where both sides vanish.  A side or scale outside double
     range raises ``OverflowError``, and a ``|w_z|^2`` that underflows
     ``FloatingPointError``.
     """
@@ -276,10 +277,12 @@ def identity_eq15_evaluate(
     w_z_square = _w_z_abs_square(build_harmonic_map(tau, curve) / 2.0)
     mu = vf.mu_samples
     del vf
-    rhs = 4.0 * w_z_square * float(np.mean(np.square(np.abs(mu - field.mean()))))
+    with np.errstate(over="ignore"):  # a square past double range is checked below
+        rhs = 4.0 * w_z_square * float(np.mean(np.square(np.abs(mu - field.mean()))))
+        scale = 4.0 * w_z_square * field.l2_mean_square()
     del mu
-    if not math.isfinite(rhs):
-        raise OverflowError("4 |w_z|^2 mean |mu - mean mu|^2 leaves double range")
     vf = solve_variation_field(tau, curve, field.scaled(1j), n)
     lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
-    return lhs, rhs, 0.0
+    if not all(map(math.isfinite, (lhs, rhs, scale))):
+        raise OverflowError("a side of the identity or 4 |w_z|^2 mean |mu|^2 leaves double range")
+    return lhs, rhs, scale

@@ -4,18 +4,12 @@ Each derivative formula is compared against an oracle of ``oracles``,
 which knows nothing about the formula: it reads extremal length at
 finite points of the explicit paths, where it is an exact function of
 the step.  The spectral solver is checked through integral identities
-its output must satisfy.  ``run_suite`` executes a fixed sequence of
-checks on one seeded random stream and reports one line per check.  Each
-check returns the ``(lhs, rhs, scale)`` rows it measured, and one that
-samples draws all its rows before it computes any.  Only this module
-judges: ``report`` gives the verdict at the check's tolerance, written
-once in ``_SUITE``, for the suite and the ``eq11``/``eq15``/``bound`` commands.
-
-Relative errors are floored at the natural scale of the quantity being
-compared (for a first variation along ``m`` that scale is ``|m| Ext``):
-a direction can be accidentally orthogonal to the gradient, making the
-raw relative error of a near-zero value meaningless, while the scaled
-error is seed-stable.
+its output must satisfy.  A check of ``_SUITE`` is a tolerance, a sampler
+that draws all its inputs at once, and a row function that returns the
+``(lhs, rhs, scale)`` rows of one input, whose parameters are named after
+the ``extorus verify --only`` flags.  ``run_checks`` alone judges, and names
+the input of the row it reports; ``run_suite`` draws every check's inputs
+from one seeded stream.
 """
 
 from __future__ import annotations
@@ -24,7 +18,10 @@ import json
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache, partial
+from inspect import signature
+from typing import Iterable
 
 from ._lazy import np
 from .beltrami import FIELD_CATALOG, BeltramiField, catalog_field, teich_geodesic_constant
@@ -36,6 +33,7 @@ from .moduli import (
     apply_mapping_class,
     cylinder_modulus,
     extremal_length,
+    format_complex,
     hyperbolic_distance,
     kerckhoff_distance,
     levi_form,
@@ -56,10 +54,9 @@ __all__ = [
     "sample_curves",
     "sample_directions",
     "sample_mapping_class",
+    "run_checks",
     "run_suite",
     "format_table",
-    "report",
-    "stretch_rows",
 ]
 
 
@@ -69,7 +66,9 @@ class IdentityReport:
     verdict derived by ``compare``; a report that does not pass is a failure.
 
     ``scale`` floors the relative error where the true value is an accidental
-    near-zero of a quantity whose natural size is ``scale``.
+    near-zero of a quantity whose natural size is ``scale`` (``|m| Ext`` for a
+    first variation along ``m``, whose direction can be nearly orthogonal to
+    the gradient).  ``replay`` is the command that recomputes the row.
     """
 
     name: str
@@ -77,6 +76,7 @@ class IdentityReport:
     rhs: float
     tolerance: float
     scale: float = 0.0
+    replay: str = ""
 
     @property
     def abs_err(self) -> float:
@@ -96,16 +96,16 @@ class IdentityReport:
         The ``"asserted"`` key is always true; readers of the format count
         failures by it.
         """
-        abs_err, rel_err, passed = compare(self.lhs, self.rhs, self.tolerance, self.scale)
         return {
             "name": self.name,
             "lhs": json_float(self.lhs),
             "rhs": json_float(self.rhs),
-            "abs_err": json_float(abs_err),
-            "rel_err": json_float(rel_err),
+            "abs_err": json_float(self.abs_err),
+            "rel_err": json_float(self.rel_err),
             "tolerance": json_float(self.tolerance),
-            "pass": passed,
+            "pass": self.passed,
             "asserted": True,
+            "replay": self.replay,
         }
 
 
@@ -119,19 +119,19 @@ def json_float(x: float) -> float | str:
 
 def compare(lhs: float, rhs: float, tolerance: float, scale: float = 0.0
             ) -> tuple[float, float, bool]:
-    """``abs_err``, ``rel_err`` and the verdict ``abs_err <= tolerance or
-    rel_err <= tolerance``.  Where no size is positive both sides are 0, and
-    the relative error is the absolute one; a NaN side fails."""
+    """``abs_err``, ``rel_err`` and the verdict ``rel_err <= tolerance``, so
+    small sides pass only if their ratio does.  Where no size is positive
+    both sides are 0, and so is the relative error; a NaN side fails."""
     abs_err = abs(lhs - rhs)
     denom = max(abs(lhs), abs(rhs), scale)
     rel_err = abs_err / denom if denom > 0 else abs_err
-    return abs_err, rel_err, abs_err <= tolerance or rel_err <= tolerance
+    return abs_err, rel_err, rel_err <= tolerance
 
 
 @dataclass(frozen=True)
 class SuiteResult:
     reports: tuple[IdentityReport, ...]
-    seed: int
+    seed: int | None
     elapsed_seconds: float
 
     @property
@@ -208,217 +208,226 @@ def sample_mapping_class(rng: random.Random) -> MappingClass:
     return MappingClass(a, b, c, d)
 
 
-def _draws(rng: random.Random, count: int) -> list[tuple[Modulus, CurveClass]]:
-    """``count`` pairs ``tau, curve``: all the moduli are drawn first, then all the curves."""
+def _draws(rng: random.Random, count: int) -> list[tuple]:
+    """``count`` inputs ``tau, curve``: all the moduli are drawn first, then all the curves."""
     return list(zip(sample_moduli(rng, count), sample_curves(rng, count)))
 
 
-def _rows(rows: list[tuple[float, float, float]], tolerance: float) -> IdentityReport:
-    """The report of the first failing ``(lhs, rhs, scale)`` comparison, else
-    of the one with the largest relative error (the first, on a tie)."""
-    worst, worst_rel = None, -1.0
-    for lhs, rhs, scale in rows:
-        _, rel_err, passed = compare(lhs, rhs, tolerance, scale)
-        if not passed:
-            return IdentityReport("", lhs, rhs, tolerance, scale)
-        if rel_err > worst_rel:
-            worst, worst_rel = (lhs, rhs, scale), rel_err
-    lhs, rhs, scale = worst
-    return IdentityReport("", lhs, rhs, tolerance, scale)
+def _directed(rng: random.Random, count: int) -> list[tuple]:
+    """``count`` inputs ``tau, curve, mu``: ``_draws``, then the directions."""
+    return [(*draw, m) for draw, m in zip(_draws(rng, count), sample_directions(rng, count))]
 
 
 _ANCHOR = Modulus(0.0, 1.0)
 _HORIZ = CurveClass(1, 0)
+Rows = list[tuple[float, float, float]]
 
 
-def _reciprocity(rng: random.Random) -> list[tuple[float, float, float]]:
-    return [(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)
-            for tau, curve in _draws(rng, 1000)]
+def _reciprocity(tau: Modulus, curve: CurveClass) -> Rows:
+    return [(extremal_length(tau, curve) * cylinder_modulus(tau, curve), 1.0, 0.0)]
 
 
-def _harmonic_energy(rng: random.Random) -> list[tuple[float, float, float]]:
-    return [(energy(tau, curve), extremal_length(tau, curve), 0.0)
-            for tau, curve in _draws(rng, 1000)]
+def _harmonic_energy(tau: Modulus, curve: CurveClass) -> Rows:
+    return [(energy(tau, curve), extremal_length(tau, curve), 0.0)]
 
 
-def _hopf_axis(rng: random.Random) -> list[tuple[float, float, float]]:
+def _hopf_axis(tau: Modulus, curve: CurveClass) -> Rows:
     """The Hopf differential times the squared holonomy is real and non-positive,
     and its norm ``4 Im tau |hopf|`` is the extremal length (Hubbard–Masur)."""
-    rows = []
-    for tau, curve in _draws(rng, 1000):
-        w = curve.holonomy(tau)
-        phi = hopf(tau, curve)
-        v = phi * (w * w)
-        rows.append((max(abs(v.imag), max(0.0, v.real)), 0.0, max(1.0, abs(v))))
-        rows.append((4.0 * tau.im * abs(phi), extremal_length(tau, curve), 0.0))
-    return rows
+    w = curve.holonomy(tau)
+    phi = hopf(tau, curve)
+    v = phi * (w * w)
+    return [(max(abs(v.imag), max(0.0, v.real)), 0.0, max(1.0, abs(v))),
+            (4.0 * tau.im * abs(phi), extremal_length(tau, curve), 0.0)]
 
 
-def _remarking(rng: random.Random) -> list[tuple[float, float, float]]:
-    draws = _draws(rng, 100)
-    marks = [sample_mapping_class(rng) for _ in draws]
-    rows = []
-    for (tau, curve), mc in zip(draws, marks):
-        new_tau, new_curve = apply_mapping_class(tau, curve, mc)
-        rows.append((extremal_length(new_tau, new_curve), extremal_length(tau, curve), 0.0))
-    return rows
+def _marked(rng: random.Random) -> list[tuple]:
+    """100 inputs ``tau, curve``, then a change of marking ``mc`` for each."""
+    return [(*draw, sample_mapping_class(rng)) for draw in _draws(rng, 100)]
 
 
-def _first_vs_fd(rng: random.Random) -> list[tuple[float, float, float]]:
-    """The first variation along ``m`` is the stretch line's odd part, and
-    ``hypot`` of those along ``m`` and ``i m`` is ``2 |m| Ext``."""
-    rows = []
-    for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
-        closed = first_variation(tau, curve, m)
-        turned = first_variation(tau, curve, 1j * m)
-        size = abs(m) * extremal_length(tau, curve)
-        rows.append((closed, _stretch_odd_part(tau, curve, m), size))
-        rows.append((math.hypot(closed, turned), 2.0 * size, 0.0))
-    return rows
+def _remarking(tau: Modulus, curve: CurveClass, mc: MappingClass) -> Rows:
+    new_tau, new_curve = apply_mapping_class(tau, curve, mc)
+    return [(extremal_length(new_tau, new_curve), extremal_length(tau, curve), 0.0)]
 
 
-def _second_vs_fd(rng: random.Random) -> list[tuple[float, float, float]]:
-    rows = []
-    for (tau, curve), m in zip(_draws(rng, 200), sample_directions(rng, 200)):
-        closed = second_variation_constant(tau, curve, m)
-        oracle = _path_second_variation(tau, curve, m)
-        rows.append((closed, oracle, abs(m) * abs(m) * extremal_length(tau, curve)))
-    rows += [(second_variation_constant(_ANCHOR, _HORIZ, m), 4.0, 0.0) for m in (1.0, 1j)]
-    return rows
+def _first_vs_fd(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:
+    """The first variation along ``mu`` is the stretch line's odd part, and
+    ``hypot`` of those along ``mu`` and ``i mu`` is ``2 |mu| Ext``."""
+    closed = first_variation(tau, curve, mu)
+    turned = first_variation(tau, curve, 1j * mu)
+    size = abs(mu) * extremal_length(tau, curve)
+    return [(closed, _stretch_odd_part(tau, curve, mu), size),
+            (math.hypot(closed, turned), 2.0 * size, 0.0)]
 
 
-def _eq11_fields(rng: random.Random) -> list[tuple[float, float, float]]:
-    """Both tori share each catalog grid, whose samples depend on the name and
-    ``n`` alone: a field is sampled once, at 128, and its 64 and 32 grids are
-    every second and fourth point, bit for bit.  One field's grids are live at
-    a time, and the rows keep torus-major order."""
-    bases = [(_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1))]
-    by_grid = []
-    for nm in sorted(FIELD_CATALOG):
-        finest = catalog_field(_ANCHOR, nm, 128).samples
-        for n in (32, 64, 128):
-            grid = finest[::128 // n, ::128 // n]
-            by_grid.append([identity_eq11_check(tau, curve, BeltramiField(tau, n, samples=grid), n)
-                            for tau, curve in bases])
-    return [row for per_torus in zip(*by_grid) for row in per_torus]
+def _anchored(rng: random.Random) -> list[tuple]:
+    """200 directed draws, then the anchors ``1`` and ``i`` at ``i, (1, 0)``,
+    where the second variation and its oracle are both exactly 4."""
+    return _directed(rng, 200) + [(_ANCHOR, _HORIZ, 1 + 0j), (_ANCHOR, _HORIZ, 1j)]
 
 
-def _pairing_on_constants(rng: random.Random) -> list[tuple[float, float, float]]:
-    """The paired identity on fields with a mean: the wave ``cos 2 pi s``
-    plus each constant, on two tori, at ``n = 8``.  Its right side holds
-    only if it subtracts the field's mean."""
-    wave = catalog_field(_ANCHOR, "cos2pis", 8).samples
-    return [identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + m), 8)
-            for tau, curve in [(_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]
-            for m in (1.0, 0.5j, 0.3 - 0.2j)]
+def _second_vs_fd(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:
+    closed = second_variation_constant(tau, curve, mu)
+    oracle = _path_second_variation(tau, curve, mu)
+    return [(closed, oracle, abs(mu) * abs(mu) * extremal_length(tau, curve))]
 
 
-def _pairing_on_grid_field(rng: random.Random) -> list[tuple[float, float, float]]:
-    field = catalog_field(_ANCHOR, "cos2pis", 64)
-    return [identity_eq15_evaluate(_ANCHOR, _HORIZ, field, 64)]
+@lru_cache(maxsize=1)
+def _finest(mu_fn: str):
+    return catalog_field(_ANCHOR, mu_fn, 128).samples
 
 
-def _pair_sum_scaling(rng: random.Random) -> list[tuple[float, float, float]]:
-    """The paired sum along ``m`` is ``8 |m|^2 Ext``.
-
-    Positivity needs no row of its own: ``pair_sum_levi`` raises
-    ``ArithmeticError`` unless the sum is positive.
-    """
-    rows = []
-    for (tau, curve), m in zip(_draws(rng, 1000), sample_directions(rng, 1000)):
-        exact = 8.0 * (abs(m) * abs(m)) * extremal_length(tau, curve)
-        rows.append((pair_sum_levi(tau, curve, m), exact, 0.0))
-    return rows
+def _field(tau: Modulus, mu_fn: str, grid: int) -> BeltramiField:
+    """Catalog field ``mu_fn`` on ``tau``'s ``grid``.  Samples depend on the name
+    and ``n`` alone, and a grid of at most 128 is every ``128 / grid``-th point
+    of the 128 one, bit for bit: the last field's 128 grid is kept to serve it."""
+    if grid > 128:
+        return catalog_field(tau, mu_fn, grid)
+    return BeltramiField(tau, grid, samples=_finest(mu_fn)[:: 128 // grid, :: 128 // grid])
 
 
-def _levi_vs_fd(rng: random.Random) -> list[tuple[float, float, float]]:
-    rows = []
-    for curve in (_HORIZ, CurveClass(0, 1), CurveClass(1, 1)):
-        for re in np.linspace(-1.0, 1.0, 10):
-            for im in np.linspace(0.3, 3.0, 10):
-                tau = Modulus(float(re), float(im))
-                rows.append((levi_form(tau, curve), _path_levi_form(tau, curve), 0.0))
-    return rows
+#: Check 7's inputs: every catalog field at 32, 64 and 128 on two tori, field by field.
+_CATALOG = [(tau, curve, mu_fn, grid)
+            for mu_fn in sorted(FIELD_CATALOG) for grid in (32, 64, 128)
+            for tau, curve in ((_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1)))]
 
 
-def _pair_sum_over_levi(rng: random.Random) -> list[tuple[float, float, float]]:
+def _eq11_field(tau: Modulus, curve: CurveClass, mu_fn: str, grid: int) -> Rows:
+    return [identity_eq11_check(tau, curve, _field(tau, mu_fn, grid), grid)]
+
+
+#: Check 8's inputs: three constants on each of two tori, each added to the wave
+#: ``cos 2 pi s`` at ``n = 8``.  The right side holds only if it subtracts the mean.
+_CONSTANTS = [(tau, curve, m)
+              for tau, curve in ((_ANCHOR, _HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1)))
+              for m in (1 + 0j, 0.5j, 0.3 - 0.2j)]
+
+
+def _pairing_on_constant(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:
+    wave = catalog_field(tau, "cos2pis", 8).samples
+    return [identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + mu), 8)]
+
+
+def _pairing_on_grid_field(tau: Modulus, curve: CurveClass, mu_fn: str, grid: int) -> Rows:
+    return [identity_eq15_evaluate(tau, curve, _field(tau, mu_fn, grid), grid)]
+
+
+def _pair_sum_scaling(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:
+    """The paired sum along ``mu`` is ``8 |mu|^2 Ext``.  Positivity needs no row:
+    ``pair_sum_levi`` raises ``ArithmeticError`` unless the sum is positive."""
+    exact = 8.0 * (abs(mu) * abs(mu)) * extremal_length(tau, curve)
+    return [(pair_sum_levi(tau, curve, mu), exact, 0.0)]
+
+
+def _levi_grid(rng: random.Random) -> list[tuple]:
+    """A 10 x 10 grid of moduli for each of three classes; draws nothing."""
+    return [(Modulus(float(re), float(im)), curve)
+            for curve in (_HORIZ, CurveClass(0, 1), CurveClass(1, 1))
+            for re in np.linspace(-1.0, 1.0, 10) for im in np.linspace(0.3, 3.0, 10)]
+
+
+def _levi_vs_fd(tau: Modulus, curve: CurveClass) -> Rows:
+    return [(levi_form(tau, curve), _path_levi_form(tau, curve), 0.0)]
+
+
+def _pair_sum_over_levi(tau: Modulus, curve: CurveClass) -> Rows:
     """The paired sum along 1 is ``4 levi_form`` times the squared chart
     speed ``4 (Im tau)^2`` of the unit stretch."""
     return [(pair_sum_levi(tau, curve, 1.0) / (4.0 * tau.im * tau.im * levi_form(tau, curve)),
-             4.0, 0.0) for tau, curve in _draws(rng, 100)]
+             4.0, 0.0)]
 
 
-def stretch_rows(tau: Modulus, curve: CurveClass, units: list[complex]
-                 ) -> list[tuple[float, float, float]]:
-    """One row per unimodular direction ``m`` of ``units``: the even part of
-    extremal length along the unit stretch line in the direction ``m``, which
-    is exactly ``Ext`` (the oracle ``_stretch_even_part``), against ``Ext``,
-    read once.  A side outside double range raises ``OverflowError``."""
+_UNITS = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
+
+
+def _stretch_floor(tau: Modulus, curve: CurveClass) -> Rows:
+    """Along the unit stretch line in 16 directions, the even part of extremal length
+    is exactly ``Ext``, read once, and the point at arc length 0.5 lies at hyperbolic
+    distance 1.  A side outside double range raises ``OverflowError``."""
     ext0 = extremal_length(tau, curve)
-    rows = [(_stretch_even_part(tau, curve, m), ext0, 0.0) for m in units]
-    if not (math.isfinite(ext0) and all(math.isfinite(even) for even, _, _ in rows)):
-        raise OverflowError("extremal length along the stretch line leaves double range")
-    return rows
-
-
-def _stretch_floor(rng: random.Random) -> list[tuple[float, float, float]]:
-    """``stretch_rows`` along each unit stretch line, and the line runs at unit
-    Teichmüller speed, hyperbolic speed 2."""
-    units = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for k in range(16)]
     rows = []
-    for tau, curve in _draws(rng, 50):
-        for row, u in zip(stretch_rows(tau, curve, units), units):
-            rows.append(row)
-            rows.append((hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0))
+    for u in _UNITS:
+        rows.append((_stretch_even_part(tau, curve, u), ext0, 0.0))
+        if not (math.isfinite(ext0) and math.isfinite(rows[-1][0])):
+            raise OverflowError("extremal length along the stretch line leaves double range")
+        rows.append((hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0))
     return rows
 
 
-def _kerckhoff_vs_hyperbolic(rng: random.Random) -> list[tuple[float, float, float]]:
-    """On vertical segments the stretch-factor distance is half the hyperbolic
-    distance; at ``i, 2i`` the maximizing curve must be ``0,1``, which the
-    last two rows compare."""
-    anchor_kd = kerckhoff_distance(_ANCHOR, Modulus(0.0, 2.0), 50)
-    rows = [(anchor_kd.value, 0.5 * hyperbolic_distance(_ANCHOR, Modulus(0.0, 2.0)), 0.0)]
+def _segments(rng: random.Random) -> list[tuple]:
+    """``i, 2i``, then 50 vertical segments at a random eighth."""
     eighths = [_below(rng, 17) - 8 for _ in range(50)]
     segments = [(_uniform(rng, math.log(0.3), math.log(3.0)), _uniform(rng, 0.01, 2.0), rng.random())
                 for _ in range(50)]
+    inputs = [(_ANCHOR, Modulus(0.0, 2.0))]
     for k, (log_y1, length, coin) in zip(eighths, segments):
         y1 = math.exp(log_y1)
         delta = length * (1.0 if coin < 0.5 else -1.0)
-        t1, t2 = Modulus(k / 8.0, y1), Modulus(k / 8.0, y1 * math.exp(delta))
-        rows.append((kerckhoff_distance(t1, t2, 50).value, 0.5 * hyperbolic_distance(t1, t2), 0.0))
-    p, q = anchor_kd.maximizer.p, anchor_kd.maximizer.q
-    return rows + [(float(p), 0.0, 0.0), (float(q), 1.0, 0.0)]
+        inputs.append((Modulus(k / 8.0, y1), Modulus(k / 8.0, y1 * math.exp(delta))))
+    return inputs
 
 
-#: The checks in run order: the name each reports under, its tolerance, its rows.
-_SUITE = (
-    ("ext_reciprocal", 1e-14, _reciprocity),
-    ("energy_equals_ext", 1e-13, _harmonic_energy),
-    ("hopf_direction", 1e-13, _hopf_axis),
-    ("marking_invariance", 1e-12, _remarking),
-    ("first_variation_fd", 1e-13, _first_vs_fd),
-    ("second_variation_fd", 1e-13, _second_vs_fd),
-    ("eq11_catalog", 1e-12, _eq11_fields),
-    ("eq15_constant", 1e-12, _pairing_on_constants),
-    ("eq15_catalog", 1e-12, _pairing_on_grid_field),
-    ("pair_sum_scaling_positivity", 1e-12, _pair_sum_scaling),
-    ("levi_fd", 1e-13, _levi_vs_fd),
-    ("pair_sum_levi_ratio", 1e-12, _pair_sum_over_levi),
-    ("teich_lower_bound", 1e-13, _stretch_floor),
-    ("kerckhoff_vs_half_hyperbolic", 1e-12, _kerckhoff_vs_hyperbolic),
-)
+def _kerckhoff_vs_hyperbolic(tau: Modulus, tau2: Modulus) -> Rows:
+    """On vertical segments the stretch-factor distance is half the hyperbolic
+    distance, and it is half the log of its maximizer's extremal-length ratio."""
+    kd = kerckhoff_distance(tau, tau2, 50)
+    ratio = extremal_length(tau2, kd.maximizer) / extremal_length(tau, kd.maximizer)
+    return [(kd.value, 0.5 * hyperbolic_distance(tau, tau2), 0.0),
+            (kd.value, 0.5 * math.log(ratio), 0.0)]
 
 
-def report(name: str, rows: list[tuple[float, float, float]]) -> IdentityReport:
-    """Check ``name``'s report on ``rows``: ``_rows`` at its ``_SUITE`` tolerance."""
-    tolerance = {check: tol for check, tol, _ in _SUITE}[name]
-    return replace(_rows(rows, tolerance), name=name)
+#: The checks in run order, by the name each reports under: its tolerance,
+#: the sampler of its inputs and its row function.
+_SUITE = {
+    "ext_reciprocal": (1e-14, partial(_draws, count=1000), _reciprocity),
+    "energy_equals_ext": (1e-13, partial(_draws, count=1000), _harmonic_energy),
+    "hopf_direction": (1e-13, partial(_draws, count=1000), _hopf_axis),
+    "marking_invariance": (1e-12, _marked, _remarking),
+    "first_variation_fd": (1e-13, partial(_directed, count=200), _first_vs_fd),
+    "second_variation_fd": (1e-13, _anchored, _second_vs_fd),
+    "eq11_catalog": (1e-12, lambda rng: _CATALOG, _eq11_field),
+    "eq15_constant": (1e-12, lambda rng: _CONSTANTS, _pairing_on_constant),
+    "eq15_catalog": (1e-12, lambda rng: [(_ANCHOR, _HORIZ, "cos2pis", 64)], _pairing_on_grid_field),
+    "pair_sum_scaling_positivity": (1e-12, partial(_directed, count=1000), _pair_sum_scaling),
+    "levi_fd": (1e-13, _levi_grid, _levi_vs_fd),
+    "pair_sum_levi_ratio": (1e-12, partial(_draws, count=100), _pair_sum_over_levi),
+    "teich_lower_bound": (1e-13, partial(_draws, count=50), _stretch_floor),
+    "kerckhoff_vs_half_hyperbolic": (1e-12, _segments, _kerckhoff_vs_hyperbolic),
+}
 
 
 def _require_seed(seed: int) -> None:
     if not isinstance(seed, int) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def run_checks(checks: Iterable[tuple[str, Iterable[tuple]]],
+               seed: int | None = None) -> SuiteResult:
+    """One report per ``(name, inputs)`` of ``checks``, in order: check ``name``'s
+    first failing row over ``inputs``, else the one with the largest relative
+    error (the first, on a tie), at the check's tolerance, with the command
+    that replays the input that gave it.  ``seed`` is what drew the inputs."""
+    start = time.perf_counter()
+    reports = []
+    for name, inputs in checks:
+        tolerance, _, row = _SUITE[name]
+        worst, worst_rel, passed = None, -1.0, True
+        for given in inputs:
+            for lhs, rhs, scale in row(*given):
+                _, rel_err, passed = compare(lhs, rhs, tolerance, scale)
+                if not passed or rel_err > worst_rel:
+                    worst, worst_rel = (lhs, rhs, scale, given), rel_err
+                if not passed:
+                    break
+            if not passed:
+                break
+        lhs, rhs, scale, given = worst
+        flags = [f"--{key.replace('_', '-')}={format_complex(v) if isinstance(v, complex) else v}"
+                 for key, v in zip(signature(row).parameters, given)]
+        replay = " ".join(["extorus verify --only", name, *flags])
+        reports.append(IdentityReport(name, lhs, rhs, tolerance, scale, replay))
+    return SuiteResult(tuple(reports), seed, time.perf_counter() - start)
 
 
 def run_suite(seed: int = 42) -> SuiteResult:
@@ -431,13 +440,12 @@ def run_suite(seed: int = 42) -> SuiteResult:
     """
     _require_seed(seed)
     rng = random.Random(seed)
-    start = time.perf_counter()
-    reports = tuple(report(name, check(rng)) for name, _, check in _SUITE)
-    return SuiteResult(reports, seed, time.perf_counter() - start)
+    return run_checks(((name, sample(rng)) for name, (_, sample, _) in _SUITE.items()), seed)
 
 
 def format_table(result: SuiteResult) -> str:
-    """Human-readable table, one line per check."""
+    """Human-readable table, one line per check, and under a failing one the
+    command that replays it."""
     lines = [
         f"{'check':32s} {'lhs':>14s} {'rhs':>14s} {'abs_err':>10s} {'rel_err':>10s} {'tol':>8s} status",
     ]
@@ -446,8 +454,9 @@ def format_table(result: SuiteResult) -> str:
             f"{r.name:32s} {r.lhs:14.6g} {r.rhs:14.6g} {r.abs_err:10.2e} "
             f"{r.rel_err:10.2e} {r.tolerance:8.0e} {'PASS' if r.passed else 'FAIL'}"
         )
+        if not r.passed:
+            lines.append(f"  replay: {r.replay}")
     verdict = "all checks passed" if result.all_passed else "FAILURES PRESENT"
-    lines.append(
-        f"seed {result.seed}, {result.elapsed_seconds:.2f} s, {verdict}"
-    )
+    seed = "" if result.seed is None else f"seed {result.seed}, "
+    lines.append(f"{seed}{result.elapsed_seconds:.2f} s, {verdict}")
     return "\n".join(lines)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -84,10 +85,16 @@ def test_solve_field_command(capsys):
     assert data["periodic_sup"] == pytest.approx(1.0 / math.pi, abs=1e-10)
 
 
+def only(capsys, *argv):
+    """The one report of ``verify --only ... --format json``, which must exit 0."""
+    [report] = run_json(capsys, "verify", "--only", *argv, "--format", "json")["reports"]
+    return report
+
+
 def test_eq11_command(capsys):
-    data = run_json(
+    data = only(
         capsys,
-        "eq11",
+        "eq11_catalog",
         "--tau", "0+1i",
         "--curve", "1,0",
         "--mu-fn", "icos2pis",
@@ -95,23 +102,25 @@ def test_eq11_command(capsys):
     )
     assert data["pass"] is True
     assert data["lhs"] == pytest.approx(2.0, abs=1e-12)
-    assert data["ratio"] == pytest.approx(1.0, abs=1e-12)
+    assert data["lhs"] / data["rhs"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_failing_report_exits_1_after_printing_it(capsys):
     # near the imaginary floor eq15 misses its fixed tolerance: the report is
     # still written, and the exit code says it failed
-    code, out, err = run(capsys, "eq15", "--tau", "0+1e-11i", "--curve", "0,1",
-                         "--mu-fn", "coscos", "--grid", "16")
+    code, out, err = run(capsys, "verify", "--only", "eq15_catalog", "--tau", "0+1e-11i",
+                         "--curve", "0,1", "--mu-fn", "coscos", "--grid", "16", "--format", "json")
     assert (code, err) == (1, "")
     data = json.loads(out)
-    assert data["pass"] is False and data["rel_err"] > data["tolerance"]
+    assert data["all_passed"] is False
+    [report] = data["reports"]
+    assert report["pass"] is False and report["rel_err"] > report["tolerance"]
 
 
 def test_eq15_command(capsys):
-    data = run_json(
+    data = only(
         capsys,
-        "eq15",
+        "eq15_catalog",
         "--tau", "0+1i",
         "--curve", "1,0",
         "--mu-fn", "cos2pis",
@@ -131,12 +140,11 @@ def test_distance_command(capsys):
 
 
 def test_bound_command(capsys):
-    data = run_json(
-        capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"
-    )
+    # Ext = 1 at (i, (1,0)), and each point at arc length 0.5 lies at distance 1
+    data = only(capsys, "teich_lower_bound", "--tau", "0+1i", "--curve", "1,0")
     assert data["pass"] is True and data["tolerance"] == 1e-13
     assert data["lhs"] == pytest.approx(1.0, abs=1e-15)
-    assert data["rhs"] == data["ext"] == 1.0
+    assert data["rhs"] == 1.0
 
 
 def test_sweep_csv(capsys):
@@ -290,9 +298,13 @@ def test_verify_fails_with_degenerate_tolerance(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify")
     assert code == 1
     assert "FAILURES PRESENT" in out
+    # the table names the input that failed under its row
+    assert "\n  replay: extorus verify --only first_variation_fd --tau=" in out
 
 
-REPORT_KEYS = ["name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "pass", "asserted"]
+REPORT_KEYS = ["name", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "pass", "asserted",
+               "replay"]
+VERIFY_KEYS = ["seed", "elapsed_seconds", "all_passed", "reports"]
 TAU_CURVE = ("--tau", "0.5+1.25i", "--curve", "1,1")
 
 # Key order is what keeps the output bytes stable: pin it for every subcommand.
@@ -306,13 +318,15 @@ KEY_ORDER = [
         ("solve-field", *TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "16"),
         ["tau", "curve", "n", "periodic_sup", "gradient_sup", "residual", "source_sup"],
     ),
-    (("eq11", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "16"), REPORT_KEYS + ["ratio"]),
-    (("eq15", *TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "16"), REPORT_KEYS + ["ratio"]),
+    (("verify", "--only", "eq11_catalog", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "16",
+      "--format", "json"), VERIFY_KEYS),
+    (("verify", "--only", "eq15_catalog", *TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "16",
+      "--format", "json"), VERIFY_KEYS),
     (
         ("distance", "--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5"),
         ["tau", "tau2", "max_pq", "kerckhoff", "maximizer", "hyperbolic", "half_hyperbolic"],
     ),
-    (("bound", *TAU_CURVE, "--mu", "0.6+0.8i"), REPORT_KEYS + ["ratio", "ext"]),
+    (("verify", "--only", "teich_lower_bound", *TAU_CURVE, "--format", "json"), VERIFY_KEYS),
 ]
 
 
@@ -333,8 +347,11 @@ def test_sweep_key_order(capsys):
 
 def test_verify_key_order(capsys):
     data = run_json(capsys, "verify", "--format", "json")
-    assert list(data) == ["seed", "elapsed_seconds", "all_passed", "reports"]
+    assert list(data) == VERIFY_KEYS
     assert all(list(report) == REPORT_KEYS for report in data["reports"])
+    data = run_json(capsys, "verify", "--only", "levi_fd", *TAU_CURVE, "--format", "json")
+    assert list(data) == VERIFY_KEYS and data["seed"] is None
+    assert [list(report) for report in data["reports"]] == [REPORT_KEYS]
 
 
 def test_argument_errors_exit_2(capsys):
@@ -350,18 +367,23 @@ def test_argument_errors_exit_2(capsys):
         ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "3"),
         ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "48"),
         ("solve-field", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "4096"),
-        ("eq11", "--tau", "0+1i", "--curve", "1,0", "--mu-fn", "cos2pis", "--grid", "x"),
+        ("verify", "--only", "eq11_catalog", "--tau", "0+1i", "--curve", "1,0",
+         "--mu-fn", "cos2pis", "--grid", "x"),
         ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "0"),
         ("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max-pq", "2001"),
         # the step is fixed, so no flag sets it
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i", "--step", "1e-3"),
+        ("verify", "--only", "teich_lower_bound", "--tau", "0+1i", "--curve", "1,0",
+         "--step", "1e-3"),
         ("verify", "--format", "csv"),
         ("sweep", "--curve", "1,0", "--re=nan:1:1", "--im", "1:1:1"),
         ("sweep", "--curve", "1,0", "--re", "0:inf:1", "--im", "1:1:1"),
         ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "1:2:nan"),
         ("sweep", "--curve", "1,0", "--re", "0:1:1", "--im", "0:1:1"),
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "0.5+0i"),
-        ("bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "2+0i"),
+        # the 16 directions are the check's own
+        ("verify", "--only", "teich_lower_bound", "--tau", "0+1i", "--curve", "1,0",
+         "--mu", "0.5+0i"),
+        ("verify", "--only", "teich_lower_bound", "--tau", "0+1i", "--curve", "1,0",
+         "--mu", "2+0i"),
         ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "0+0i"),
     ]
     for argv in cases:
@@ -369,7 +391,7 @@ def test_argument_errors_exit_2(capsys):
         assert code == 2, argv
         assert err.strip(), argv
     # the library's own checks name the rule
-    assert "unimodular" in run(capsys, *cases[-3])[2]
+    assert "unrecognized arguments: --mu" in run(capsys, *cases[-3])[2]
     assert "nonzero" in run(capsys, *cases[-1])[2]
 
 
@@ -412,18 +434,26 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     ("levi", "--tau", "0+1e200i", "--curve", "0,1"),
     # an extremal length or a |w_z|^2 that is inf, where a report or a
     # positivity check would read it
-    ("bound", "--tau", "0+1.3403e154i", "--curve", "0,1", "--mu", "1+0i"),
-    ("bound", "--tau", "1e154+1i", "--curve", "0,1", "--mu", "1+0i"),
+    ("verify", "--only", "teich_lower_bound", "--tau", "0+1.3403e154i", "--curve", "0,1"),
+    ("verify", "--only", "teich_lower_bound", "--tau", "1e154+1i", "--curve", "0,1"),
     ("pair-sum", "--tau", "1e200+1i", "--curve", "1,1", "--mu", "1e-200+0i"),
     # a report whose sides are NaN, and a solve that overflows, exit 1
     # with no numpy warning
-    ("eq11", "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
-    ("eq15", "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
-    ("eq11", "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
-    ("eq15", "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
+    ("verify", "--only", "eq11_catalog",
+     "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
+    ("verify", "--only", "eq15_catalog",
+     "--tau", "0+1e155i", "--curve", "1,1", "--mu-fn", "cos2pit", "--grid", "16"),
+    ("verify", "--only", "eq11_catalog",
+     "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
+    ("verify", "--only", "eq15_catalog",
+     "--tau", "1e200+1i", "--curve", "1,1", "--mu-fn", "coscos", "--grid", "16"),
     # a |w_z|^2 that underflows would make both sides 0 and pass vacuously
-    ("eq11", "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
-    ("eq15", "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
+    ("verify", "--only", "eq11_catalog",
+     "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
+    ("verify", "--only", "eq15_catalog",
+     "--tau", "0+1e200i", "--curve", "1,0", "--mu-fn", "coscos", "--grid", "16"),
+    # a field whose mean |mu|^2, the scale, is past double range
+    ("verify", "--only", "eq15_constant", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e300+0i"),
 ])
 def test_overflow_exits_1_with_one_line(capsys, argv):
     with warnings.catch_warnings():
@@ -448,28 +478,33 @@ def test_verify_json_is_strict_when_a_check_fails(capsys, monkeypatch):
     assert data["reports"][0]["abs_err"] == "inf"
 
 
-#: Arguments each subcommand runs on.
+#: Arguments each subcommand runs on, and the ``verify --only`` replays that
+#: took the place of the ``eq11``, ``eq15`` and ``bound`` subcommands.
 VALID_ARGV = {
-    "ext": TAU_CURVE,
-    "levi": TAU_CURVE,
-    "vary1": (*TAU_CURVE, "--mu", "0.3-0.2i"),
-    "vary2": (*TAU_CURVE, "--mu", "0.3-0.2i"),
-    "pair-sum": (*TAU_CURVE, "--mu", "0.3-0.2i"),
-    "solve-field": (*TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "8"),
-    "eq11": (*TAU_CURVE, "--mu-fn", "coscos", "--grid", "8"),
-    "eq15": (*TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "8"),
-    "distance": ("--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5"),
-    "bound": (*TAU_CURVE, "--mu", "0.6+0.8i"),
-    "sweep": ("--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1"),
-    "verify": ("--seed", "3", "--format", "json"),
+    "ext": ("ext", *TAU_CURVE),
+    "levi": ("levi", *TAU_CURVE),
+    "vary1": ("vary1", *TAU_CURVE, "--mu", "0.3-0.2i"),
+    "vary2": ("vary2", *TAU_CURVE, "--mu", "0.3-0.2i"),
+    "pair-sum": ("pair-sum", *TAU_CURVE, "--mu", "0.3-0.2i"),
+    "solve-field": ("solve-field", *TAU_CURVE, "--mu-fn", "exp2pist", "--grid", "8"),
+    "eq11": ("verify", "--only", "eq11_catalog", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "8"),
+    "eq15": ("verify", "--only", "eq15_catalog", *TAU_CURVE, "--mu-fn", "cos2pis", "--grid", "8"),
+    "distance": ("distance", "--tau", "0+1i", "--tau2", "0.5+2i", "--max-pq", "5"),
+    "bound": ("verify", "--only", "teich_lower_bound", *TAU_CURVE),
+    "sweep": ("sweep", "--curve", "2,1", "--re", "0:0.5:0.5", "--im", "1:2:1"),
+    "verify": ("verify", "--seed", "3", "--format", "json"),
 }
 
 
-@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_command_has_valid_arguments():
+    assert set(cli.COMMANDS) < set(VALID_ARGV)
+
+
+@pytest.mark.parametrize("name", list(VALID_ARGV))
 def test_out_is_refused(tmp_path, capsys, name):
     # every command writes to stdout; a file is a shell redirection
     target = tmp_path / "out"
-    code, out, err = run(capsys, name, *VALID_ARGV[name], "--out", str(target))
+    code, out, err = run(capsys, *VALID_ARGV[name], "--out", str(target))
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --out" in err
     assert not target.exists()
@@ -495,7 +530,7 @@ class _FailingStdout:
 @pytest.mark.parametrize("name", ["ext", "sweep"])  # one text, and one in pieces
 def test_stdout_error_exits_3_with_one_line(capsys, monkeypatch, name, method):
     monkeypatch.setattr(sys, "stdout", _FailingStdout(method))
-    code = main([name, *VALID_ARGV[name]])
+    code = main(list(VALID_ARGV[name]))
     err = capsys.readouterr().err
     assert code == 3
     assert len(err.splitlines()) == 1 and "No space left on device" in err
@@ -516,11 +551,20 @@ def test_full_stdout_exits_3_from_the_entry_point():
 
 
 def test_infinite_ratio_exits_1(capsys, monkeypatch):
-    # every float of a one-row payload must be finite, the ratio of its sides too
-    monkeypatch.setattr(cli, "stretch_rows", lambda *args: [(1e300, 1e-300, 0.0)])
-    code, out, err = run(capsys, "bound", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i")
-    assert (code, out) == (1, "")
-    assert "double range" in err
+    # sides whose ratio is past double range make a failing report, written
+    # in standard JSON, and exit 1
+    tolerance, sample, _ = verify._SUITE["teich_lower_bound"]
+    monkeypatch.setitem(verify._SUITE, "teich_lower_bound",
+                        (tolerance, sample, lambda tau, curve: [(1e300, 1e-300, 0.0)]))
+    code, out, err = run(capsys, "verify", "--only", "teich_lower_bound", "--tau", "0+1i",
+                         "--curve", "1,0", "--format", "json")
+    assert (code, err) == (1, "")
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    [report] = json.loads(out, parse_constant=reject)["reports"]
+    assert (report["lhs"], report["rhs"], report["pass"]) == (1e300, 1e-300, False)
 
 
 @pytest.mark.parametrize("argv", [
@@ -533,8 +577,8 @@ def test_infinite_ratio_exits_1(capsys, monkeypatch):
     ("vary1", "--tau", "0.3+1.2i", "--curve", "2,1", "--mu-fn", "cos2pis", "--grid", "64"),
     # on a constant field d/dz vanishes: the grid commands' outputs would all be 0
     ("solve-field", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
-    ("eq11", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
-    ("eq15", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
+    ("verify", "--only", "eq11_catalog", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
+    ("verify", "--only", "eq15_catalog", *TAU_CURVE, "--mu", "1+0i", "--grid", "8"),
 ], ids=["ext-csv", "ext-json", "sweep-json", "sweep-csv", "vary1-mu-fn", "solve-field-mu",
         "eq11-mu", "eq15-mu"])
 def test_removed_options_exit_2(capsys, argv):
@@ -555,13 +599,16 @@ def test_unrecognized_flag_is_named_before_a_missing_one(capsys, argv, flag):
 
 
 @pytest.mark.parametrize("argv,flag", [
-    (("eq15", "--tau", "0+1i", "--curve", "1,0", "--mu", "cos2pis", "--grid", "16"), "--mu"),
-    (("eq15", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"), "--mu"),
+    (("verify", "--only", "eq15_catalog", "--tau", "0+1i", "--curve", "1,0",
+      "--mu-f", "cos2pis", "--grid", "16"), "--mu-f"),
+    (("verify", "--only", "eq15_catalog", "--tau", "0+1i", "--curve", "1,0", "--mu", "1+0i"),
+     "--mu"),
     (("distance", "--tau", "0+1i", "--tau2", "0+2i", "--max", "5"), "--max"),
     (("verify", "--se", "3"), "--se"),
 ], ids=["eq15-mu-field", "eq15-mu-constant", "distance-max", "verify-se"])
 def test_abbreviated_flags_exit_2(capsys, argv, flag):
-    # a flag is known only by its full name: no prefix stands for --mu-fn, --max-pq or --seed
+    # a flag is known only by its full name: no prefix stands for --mu-fn, --max-pq or
+    # --seed, and --mu is not a flag of eq15_catalog
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert f"unrecognized arguments: {flag}" in err
@@ -611,17 +658,41 @@ def test_a_negative_value_names_the_equals_form(capsys, argv, form):
 
 
 def test_replay_commands_report_their_checks_name_and_tolerance(capsys):
-    # eq11, eq15 and bound judge their input as verify's checks 7, 9 and 13 do
+    # verify --only judges its input as verify's own checks do
     suite = run_json(capsys, "verify", "--format", "json", "--seed", "0")
     rows = {r["name"]: r for r in suite["reports"]}
     for check, argv in [
-        ("eq11_catalog", ("eq11", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "32")),
-        ("eq15_catalog", ("eq15", *TAU_CURVE, "--mu-fn", "coscos", "--grid", "64")),
-        ("teich_lower_bound",
-         ("bound", "--tau", "0.3+1.1i", "--curve", "2,1", "--mu", "0.6+0.8i")),
+        ("eq11_catalog", (*TAU_CURVE, "--mu-fn", "coscos", "--grid", "32")),
+        ("eq15_catalog", (*TAU_CURVE, "--mu-fn", "coscos", "--grid", "64")),
+        ("teich_lower_bound", ("--tau", "0.3+1.1i", "--curve", "2,1")),
     ]:
-        data = run_json(capsys, *argv)
+        data = only(capsys, check, *argv)
         assert (data["name"], data["tolerance"]) == (check, rows[check]["tolerance"]), argv
+
+
+def test_each_report_replays_to_itself(capsys):
+    # the replay of every report of a seed recomputes that report
+    suite = run_json(capsys, "verify", "--format", "json", "--seed", "0")
+    for report in suite["reports"]:
+        argv = shlex.split(report["replay"])
+        assert argv[:4] == ["extorus", "verify", "--only", report["name"]]
+        assert only(capsys, *argv[3:]) == report
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--tau=0+1i",), "unrecognized arguments: --tau (input flags need --only)"),
+    (("--only", "eq11_catalog", "--tau=0+1i", "--curve=1,0", "--mu-fn=coscos"), "missing --grid"),
+    (("--only", "ext_reciprocal", "--tau=0+1i", "--curve=1,0", "--mu=1+0i"),
+     "unrecognized arguments: --mu (--only ext_reciprocal takes --tau --curve)"),
+    (("--only", "marking_invariance", "--tau=0+1i", "--curve=1,0", "--mc=1,1,1,1"),
+     "argument --mc: mapping class matrix must have determinant 1"),
+    (("--only", "levi_fd", "--tau=0+1i", "--curve=1,0", "--seed", "3"),
+     "unrecognized arguments: --seed"),
+], ids=["input-without-only", "missing-grid", "extra-mu", "determinant", "seed"])
+def test_only_argument_errors_name_the_flag(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and message in err
 
 
 #: Runs ``main`` on its arguments in a fresh interpreter; prints the exit
@@ -652,11 +723,12 @@ def _fresh(code: str, *argv: str) -> str:
     (("vary1", *_SCALAR, "--mu", "0.3-0.2i"), False),
     (("vary2", *_SCALAR, "--mu", "0.3-0.2i"), False),
     (("pair-sum", *_SCALAR, "--mu", "0.3-0.2i"), False),
-    (("bound", *_SCALAR, "--mu", "0.6+0.8i"), False),
+    (("verify", "--only", "teich_lower_bound", *_SCALAR), False),
     (("distance", "--tau", "0+1i", "--tau2", "0.3+2i", "--max-pq", "1000"), False),
     (("sweep", "--curve", "1,1", "--re", "0:1:0.5", "--im", "1:2:0.5"), False),
     (("solve-field", *_SCALAR, "--mu-fn", "coscos", "--grid", "8"), True),
-], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+], ids=["ext-False", "levi-False", "vary1-False", "vary2-False", "pair-sum-False", "bound-False",
+        "distance-False", "sweep-False", "solve-field-True"])
 def test_only_array_commands_load_numpy(argv, loads_numpy):
     assert _fresh(_PROBE, *argv) == f"0 {loads_numpy}"
 

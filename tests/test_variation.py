@@ -26,15 +26,14 @@ from extorus.variation import (
     solve_variation_field,
     solver_residual_bound,
 )
-from extorus.oracles import _path_second_variation, _stretch_odd_part
+from extorus.oracles import _path_second_variation, _stretch_even_part, _stretch_odd_part
 from extorus.verify import (
     IdentityReport,
     compare,
-    report,
+    run_checks,
     sample_curves,
     sample_directions,
     sample_moduli,
-    stretch_rows,
 )
 
 I = Modulus(0.0, 1.0)
@@ -76,6 +75,7 @@ def test_identity_report_json():
         "tolerance",
         "pass",
         "asserted",
+        "replay",
     }
 
 
@@ -256,9 +256,10 @@ def test_eq11_imaginary_cosine_value():
     lhs, rhs, _ = row
     assert lhs == pytest.approx(2.0, abs=1e-12)
     assert rhs == pytest.approx(2.0, abs=1e-12)
-    # the row is judged as the suite's check 7 judges it
-    checked = report("eq11_catalog", [row])
+    # the input is judged as the suite's check 7 judges it
+    [checked] = run_checks([("eq11_catalog", [(I, HORIZ, "icos2pis", 64)])]).reports
     assert (checked.name, checked.tolerance, checked.passed) == ("eq11_catalog", 1e-12, True)
+    assert (checked.lhs, checked.rhs) == row[:2]
 
 
 def test_second_variation_values():
@@ -347,7 +348,7 @@ def test_squares_past_double_range_raise():
     # Ext itself is inf at the first; at the second Ext = 1e308 and 2 Ext is inf
     for tau in (Modulus(0.0, 1.3403e154), Modulus(1e154, 1.0)):
         with pytest.raises(OverflowError, match="double range"):
-            stretch_rows(tau, CurveClass(0, 1), [1.0])
+            run_checks([("teich_lower_bound", [(tau, CurveClass(0, 1))])])
 
 
 def test_pair_sum_matches_paired_finite_differences():
@@ -405,13 +406,14 @@ def test_eq15_cosine_reports_both_sides():
 
 
 def test_teich_bound_anchor_values():
+    # Ext = 1 at (i, (1,0)), and the even part of the stretch profile is Ext
     for m in (1.0, 1j):
-        checked = report("teich_lower_bound", stretch_rows(I, HORIZ, [m]))
-        assert checked.name == "teich_lower_bound"
-        assert checked.passed and checked.tolerance == 1e-13
-        # Ext = 1 at (i, (1,0)), and the even part of the stretch profile is Ext
-        assert checked.rhs == 1.0
-        assert checked.abs_err <= 1e-15
+        assert abs(_stretch_even_part(I, HORIZ, m) - 1.0) <= 1e-15
+    [checked] = run_checks([("teich_lower_bound", [(I, HORIZ)])]).reports
+    assert checked.name == "teich_lower_bound"
+    assert checked.passed and checked.tolerance == 1e-13
+    assert checked.rhs == 1.0
+    assert checked.abs_err <= 1e-15
 
 
 def test_teich_bound_holds_at_random_points():
@@ -419,10 +421,10 @@ def test_teich_bound_holds_at_random_points():
     for tau, curve in zip(sample_moduli(rng, 25), sample_curves(rng, 25)):
         for k in range(8):
             m = complex(math.cos(math.pi * k / 4), math.sin(math.pi * k / 4))
-            [(even, ext, scale)] = stretch_rows(tau, curve, [m])
-            assert compare(even, ext, 1e-13, scale)[2], (tau, curve, m, even, ext)
+            even, ext = _stretch_even_part(tau, curve, m), extremal_length(tau, curve)
+            assert compare(even, ext, 1e-13)[2], (tau, curve, m, even, ext)
 
 
 def test_teich_bound_preconditions():
     with pytest.raises(ValueError, match="unimodular"):
-        stretch_rows(I, HORIZ, [0.5])
+        _stretch_even_part(I, HORIZ, 0.5)

@@ -9,13 +9,22 @@ import math
 import os
 import pathlib
 import random
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import extorus
-from extorus.moduli import CurveClass, MappingClass, Modulus, extremal_length
+from extorus.cli import main
+from extorus.moduli import (
+    CurveClass,
+    MappingClass,
+    Modulus,
+    extremal_length,
+    parse_complex,
+    parse_curve,
+)
 from extorus.oracles import (
     _path_levi_form,
     _path_second_variation,
@@ -25,8 +34,8 @@ from extorus.oracles import (
 from extorus.verify import (
     IdentityReport,
     SuiteResult,
-    _rows,
     format_table,
+    run_checks,
     run_suite,
     sample_curves,
     sample_directions,
@@ -151,7 +160,10 @@ def test_suite_does_not_load_numpy_random():
     assert out.strip() == "[]"
 
 
-def test_rows_builds_the_report_worst_of_picks():
+def test_rows_builds_the_report_worst_of_picks(monkeypatch):
+    # a check whose input k gives row k of the case: the report names the
+    # input of the row it picks
+    verify = importlib.import_module("extorus.verify")
     tol = 1e-9
     tie = [(1.0, 1.0 + 2.0**-40, 0.0), (2.0, 2.0 + 2.0**-39, 0.0)]  # equal rel_err
     floored = (1e-8, 0.0, 1e6)  # passes only through its scale
@@ -165,8 +177,16 @@ def test_rows_builds_the_report_worst_of_picks():
         [worst, nan_row, fail_a],
         [(0.0, 0.0, 0.0)],
     ]
+
+    def _rows(rows, tol):
+        monkeypatch.setitem(verify._SUITE, "demo", (tol, None, lambda k: [rows[k]]))
+        [report] = run_checks([("demo", [(k,) for k in range(len(rows))])]).reports
+        return report
+
     for rows in cases:
-        reports = [IdentityReport("", lhs, rhs, tol, scale) for lhs, rhs, scale in rows]
+        reports = [IdentityReport("demo", lhs, rhs, tol, scale,
+                                  f"extorus verify --only demo --k={k}")
+                   for k, (lhs, rhs, scale) in enumerate(rows)]
         failing = [r for r in reports if not r.passed]
         expected = failing[0] if failing else max(reports, key=lambda r: r.rel_err)
         assert repr(_rows(rows, tol)) == repr(expected), rows
@@ -179,6 +199,15 @@ def test_rows_builds_the_report_worst_of_picks():
     assert not IdentityReport("", 1.0, math.nan, tol).passed
 
 
+def test_small_sides_pass_only_if_their_ratio_does(capsys):
+    # 2.8e-24 against 1.5e-33: abs_err is far below the tolerance, the ratio 1.8e9
+    code = main(["verify", "--only", "eq11_catalog", "--tau=0+1e-11i", "--curve=0,1",
+                 "--mu-fn=coscos", "--grid=16", "--format", "json"])
+    [report] = json.loads(capsys.readouterr().out)["reports"]
+    assert code == 1 and report["pass"] is False
+    assert report["abs_err"] < report["tolerance"] < report["rel_err"]
+
+
 def test_stretch_floor_reads_ext_once_per_draw(monkeypatch):
     # one Ext per draw serves all 16 directions of check 13
     verify = importlib.import_module("extorus.verify")
@@ -189,7 +218,8 @@ def test_stretch_floor_reads_ext_once_per_draw(monkeypatch):
         return extremal_length(tau, curve)
 
     monkeypatch.setattr(verify, "extremal_length", counted)
-    verify._stretch_floor(random.Random(0))
+    _, sample, _ = verify._SUITE["teich_lower_bound"]
+    run_checks([("teich_lower_bound", sample(random.Random(0)))])
     assert len(calls) == 50
 
 
@@ -242,7 +272,9 @@ def test_suite_json_schema():
             "tolerance",
             "pass",
             "asserted",
+            "replay",
         }
+        assert entry["replay"].startswith(f"extorus verify --only {entry['name']} --tau=")
 
 
 def _reject_constant(token):
@@ -336,7 +368,7 @@ def _rebind(monkeypatch, module_name, attr, wrong):
 
 @pytest.mark.parametrize("check,target,wrong", WRONG_ANSWERS,
                          ids=[f"{c}-{t}" for c, t, _ in WRONG_ANSWERS])
-def test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong):
+def test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, capsys, check, target, wrong):
     module_name, *owners, attr = target.split(".")
     if target in EVERY_BINDING:
         _rebind(monkeypatch, module_name, attr, wrong)
@@ -345,26 +377,30 @@ def test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target,
         for name in owners:
             owner = getattr(owner, name)
         monkeypatch.setattr(owner, attr, wrong(getattr(owner, attr)))
-    result = run_suite(seed=42)
-    assert not {r.name: r for r in result.reports}[check].passed
-    assert not result.all_passed
+    assert main(["verify", "--format", "json", "--seed", "42"]) == 1
+    result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert result["all_passed"] is False
+    failed = {r["name"]: r for r in result["reports"]}[check]
+    assert failed["pass"] is False
+    # one command, run under the same wrong answer, fails with the same sides
+    argv = shlex.split(failed["replay"])
+    assert argv[:2] == ["extorus", "verify"]
+    assert main([*argv[1:], "--format", "json"]) == 1
+    [again] = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["reports"]
+    assert (again["lhs"], again["rhs"], again["pass"]) == (failed["lhs"], failed["rhs"], False)
 
 
 def test_a_wrong_stretch_line_reaches_the_oracle(monkeypatch):
     # the first failing row of teich_lower_bound is an even part (rhs Ext), not a distance
     _rebind(monkeypatch, "beltrami", "teich_geodesic_constant",
             lambda f: lambda tau, m, t: f(tau, m, t * (1 + 1e-4)))
-    verify = importlib.import_module("extorus.verify")
-    original, draws = verify._draws, []  # the last call of _draws is teich_lower_bound's
-
-    def recorded(rng, count):
-        draws.append(original(rng, count))
-        return draws[-1]
-
-    monkeypatch.setattr(verify, "_draws", recorded)
     report = {r.name: r for r in run_suite(seed=42).reports}["teich_lower_bound"]
     assert (report.lhs, report.rhs) == pytest.approx((32.548909, 32.546430), abs=1e-6)
-    assert report.rhs in {extremal_length(tau, curve) for tau, curve in draws[-1]}
+    # the replay names the draw whose Ext is the right side
+    flags = dict(arg.removeprefix("--").split("=", 1) for arg in shlex.split(report.replay)[4:])
+    assert set(flags) == {"tau", "curve"}
+    tau = Modulus.from_complex(parse_complex(flags["tau"]))
+    assert report.rhs == extremal_length(tau, parse_curve(flags["curve"]))
 
 
 def test_asserted_checks_all_have_a_wrong_answer():
@@ -396,8 +432,8 @@ OFF_BY_1E_11 = [
 
 @pytest.mark.parametrize("check,target,wrong", OFF_BY_1E_11,
                          ids=[f"{c}-{t}" for c, t, _ in OFF_BY_1E_11])
-def test_each_exact_check_fails_on_a_1e_11_error(monkeypatch, check, target, wrong):
-    test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, check, target, wrong)
+def test_each_exact_check_fails_on_a_1e_11_error(monkeypatch, capsys, check, target, wrong):
+    test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, capsys, check, target, wrong)
 
 
 @pytest.mark.parametrize("module_name,attr", [

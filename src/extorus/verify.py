@@ -220,7 +220,7 @@ def _directed(rng: random.Random, count: int) -> list[tuple]:
 
 _ANCHOR = Modulus(0.0, 1.0)
 _HORIZ = CurveClass(1, 0)
-Rows = list[tuple[float, float, float]]
+Rows = Iterable[tuple[float, float, float]]
 
 
 def _reciprocity(tau: Modulus, curve: CurveClass) -> Rows:
@@ -273,23 +273,32 @@ def _second_vs_fd(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:
     return [(closed, oracle, abs(mu) * abs(mu) * extremal_length(tau, curve))]
 
 
+#: The largest grid the suite samples a catalog field on (checks 7 and 9).
+_SUITE_GRID = 64
+
+
 @lru_cache(maxsize=1)
 def _finest(mu_fn: str):
-    return catalog_field(_ANCHOR, mu_fn, 128).samples
+    return catalog_field(_ANCHOR, mu_fn, _SUITE_GRID).samples
 
 
 def _field(tau: Modulus, mu_fn: str, grid: int) -> BeltramiField:
     """Catalog field ``mu_fn`` on ``tau``'s ``grid``.  Samples depend on the name
-    and ``n`` alone, and a grid of at most 128 is every ``128 / grid``-th point
-    of the 128 one, bit for bit: the last field's 128 grid is kept to serve it."""
-    if grid > 128:
+    and ``n`` alone, and a grid of at most ``_SUITE_GRID`` is every
+    ``_SUITE_GRID / grid``-th point of that one, bit for bit: the last field's
+    ``_SUITE_GRID`` grid is kept to serve it.  A larger grid, as a replay may
+    ask for, is sampled anew, to the same bits."""
+    if grid > _SUITE_GRID:
         return catalog_field(tau, mu_fn, grid)
-    return BeltramiField(tau, grid, samples=_finest(mu_fn)[:: 128 // grid, :: 128 // grid])
+    step = _SUITE_GRID // grid
+    return BeltramiField(tau, grid, samples=_finest(mu_fn)[::step, ::step])
 
 
-#: Check 7's inputs: every catalog field at 32, 64 and 128 on two tori, field by field.
+#: Check 7's inputs: every catalog field at 32 and 64 on two tori, field by field.
+#: It ran n = 128 too, 20 solves and about 40 % of the suite, which under no
+#: solver mutation the tests apply failed a field and torus that 32 and 64 passed.
 _CATALOG = [(tau, curve, mu_fn, grid)
-            for mu_fn in sorted(FIELD_CATALOG) for grid in (32, 64, 128)
+            for mu_fn in sorted(FIELD_CATALOG) for grid in (32, _SUITE_GRID)
             for tau, curve in ((_ANCHOR, _HORIZ), (Modulus(0.5, 1.25), CurveClass(1, 1)))]
 
 
@@ -344,15 +353,12 @@ _UNITS = [complex(math.cos(math.pi * k / 8.0), math.sin(math.pi * k / 8.0)) for 
 def _stretch_floor(tau: Modulus, curve: CurveClass) -> Rows:
     """Along the unit stretch line in 16 directions, the even part of extremal length
     is exactly ``Ext``, read once, and the point at arc length 0.5 lies at hyperbolic
-    distance 1.  A side outside double range raises ``OverflowError``."""
+    distance 1.  The rows are yielded one at a time, so ``run_checks`` stops an
+    ``Ext`` outside double range before the line is walked."""
     ext0 = extremal_length(tau, curve)
-    rows = []
     for u in _UNITS:
-        rows.append((_stretch_even_part(tau, curve, u), ext0, 0.0))
-        if not (math.isfinite(ext0) and math.isfinite(rows[-1][0])):
-            raise OverflowError("extremal length along the stretch line leaves double range")
-        rows.append((hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0))
-    return rows
+        yield _stretch_even_part(tau, curve, u), ext0, 0.0
+        yield hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0
 
 
 def _segments(rng: random.Random) -> list[tuple]:
@@ -388,7 +394,8 @@ _SUITE = {
     "second_variation_fd": (1e-13, _anchored, _second_vs_fd),
     "eq11_catalog": (1e-12, lambda rng: _CATALOG, _eq11_field),
     "eq15_constant": (1e-12, lambda rng: _CONSTANTS, _pairing_on_constant),
-    "eq15_catalog": (1e-12, lambda rng: [(_ANCHOR, _HORIZ, "cos2pis", 64)], _pairing_on_grid_field),
+    "eq15_catalog": (1e-12, lambda rng: [(_ANCHOR, _HORIZ, "cos2pis", _SUITE_GRID)],
+                     _pairing_on_grid_field),
     "pair_sum_scaling_positivity": (1e-12, partial(_directed, count=1000), _pair_sum_scaling),
     "levi_fd": (1e-13, _levi_grid, _levi_vs_fd),
     "pair_sum_levi_ratio": (1e-12, partial(_draws, count=100), _pair_sum_over_levi),
@@ -407,7 +414,9 @@ def run_checks(checks: Iterable[tuple[str, Iterable[tuple]]],
     """One report per ``(name, inputs)`` of ``checks``, in order: check ``name``'s
     first failing row over ``inputs``, else the one with the largest relative
     error (the first, on a tie), at the check's tolerance, with the command
-    that replays the input that gave it.  ``seed`` is what drew the inputs."""
+    that replays the input that gave it.  ``seed`` is what drew the inputs.
+    A row with a side that is not finite raises ``OverflowError``: its input
+    is outside double range, and no report is made of it."""
     start = time.perf_counter()
     reports = []
     for name, inputs in checks:
@@ -416,6 +425,9 @@ def run_checks(checks: Iterable[tuple[str, Iterable[tuple]]],
         for given in inputs:
             for lhs, rhs, scale in row(*given):
                 _, rel_err, passed = compare(lhs, rhs, tolerance, scale)
+                # a side that is not finite always fails, so only a failure is looked at
+                if not passed and not (math.isfinite(lhs) and math.isfinite(rhs)):
+                    raise OverflowError(f"a side of {name} is outside double range")
                 if not passed or rel_err > worst_rel:
                     worst, worst_rel = (lhs, rhs, scale, given), rel_err
                 if not passed:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from inspect import signature
 
 import pytest
 
@@ -103,6 +104,14 @@ def test_eq11_command(capsys):
     assert data["pass"] is True
     assert data["lhs"] == pytest.approx(2.0, abs=1e-12)
     assert data["lhs"] / data["rhs"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_a_grid_above_the_suites_replays_bit_for_bit(capsys):
+    # check 7's largest grid was 128 before it was 64: its seed-42 report from
+    # then replays, sampled anew rather than cut from the suite's grid, to the same bits
+    data = only(capsys, "eq11_catalog", "--tau=0+1i", "--curve=1,0", "--mu-fn=icos2pis",
+                "--grid=128")
+    assert (data["lhs"], data["rhs"], data["pass"]) == (2.000000000000001, 2.0, True)
 
 
 def test_failing_report_exits_1_after_printing_it(capsys):
@@ -461,6 +470,23 @@ def test_overflow_exits_1_with_one_line(capsys, argv):
         code, out, err = run(capsys, *argv)
     assert code == 1
     assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "double range" in err
+
+
+#: The checks whose one input is a point ``--tau --curve``.
+POINT_CHECKS = [name for name, (_, _, row) in verify._SUITE.items()
+                if list(signature(row).parameters) == ["tau", "curve"]]
+
+
+@pytest.mark.parametrize("check", POINT_CHECKS)
+def test_a_point_check_outside_double_range_exits_1_with_one_line(capsys, check):
+    # (1e200)^2 overflows: each check says so as ext and levi do, and writes no report
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "verify", "--only", check, "--tau=0+1e200i", "--curve=0,1",
+                             "--format", "json")
+    assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert "double range" in err
 

@@ -13,6 +13,7 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import extorus
@@ -173,8 +174,7 @@ def test_rows_builds_the_report_worst_of_picks(monkeypatch):
     cases = [
         [*tie, floored],
         [*tie, worst, floored],
-        [floored, fail_a, worst, fail_b, nan_row],
-        [worst, nan_row, fail_a],
+        [floored, fail_a, worst, fail_b, nan_row],  # the NaN row is never reached
         [(0.0, 0.0, 0.0)],
     ]
 
@@ -194,8 +194,12 @@ def test_rows_builds_the_report_worst_of_picks(monkeypatch):
     assert _rows(cases[0] + [(1e-8, 0.0, 0.0)], tol).lhs == 1e-8  # no floor, no pass
     assert _rows(cases[1], tol).lhs == 3.0
     assert _rows(cases[2], tol).lhs == 1.0 and not _rows(cases[2], tol).passed
-    # a NaN on either side fails
-    assert math.isnan(_rows(cases[3], tol).lhs)
+    # a row reached with a side that is not finite is outside double range:
+    # it raises, and no report is made
+    for bad in (nan_row, (1.0, -math.inf, 0.0)):
+        with pytest.raises(OverflowError, match="double range"):
+            _rows([worst, bad, fail_a], tol)
+    # a report with a NaN side fails
     assert not IdentityReport("", 1.0, math.nan, tol).passed
 
 
@@ -350,8 +354,9 @@ WRONG_ANSWERS = [
 
 
 #: Targets replaced under every name a module binds them to: ``verify`` and
-#: the oracles both walk the stretch line.
-EVERY_BINDING = {"verify.teich_geodesic_constant"}
+#: the oracles both walk the stretch line, and the solve and ``grid_dz`` both
+#: build the ``d/dz`` symbol.
+EVERY_BINDING = {"verify.teich_geodesic_constant", "beltrami.dz_multiplier"}
 
 
 def _rebind(monkeypatch, module_name, attr, wrong):
@@ -445,6 +450,77 @@ def test_each_exact_check_fails_on_a_1e_11_error(monkeypatch, capsys, check, tar
 def test_a_1e_12_error_turns_the_suite_red(monkeypatch, module_name, attr):
     _rebind(monkeypatch, module_name, attr, _scaled(1 + 1e-12))
     assert not run_suite(seed=42).all_passed
+
+
+def _conjugated(f):
+    return lambda *args: np.conj(f(*args))
+
+
+def _scaled_in_place(factor):
+    """Scale the array an in-place transform writes, where its callers read it."""
+    return lambda f: lambda a: np.multiply(f(a), factor, out=a)
+
+
+def _solve_changed(attr, change):
+    return "variation.solve_variation_field", _field_changed(attr, change)
+
+
+#: Errors of 1e-10, or a conjugation, in each step of the solve, every one
+#: rebound under each name a module binds it to.
+SOLVER_MUTATIONS = {
+    "grid_dz-scaled": ("beltrami.grid_dz", _scaled(1 + 1e-10)),
+    "grid_dz-conjugated": ("beltrami.grid_dz", _conjugated),
+    "gradient-scaled": _solve_changed("gradient", lambda g: g * (1 + 1e-10)),
+    "gradient-conjugated": _solve_changed("gradient", np.conj),
+    "mu_samples-scaled": _solve_changed("mu_samples", lambda mu: mu * (1 + 1e-10)),
+    "ifft2-scaled": ("beltrami._ifft2_in_place", _scaled_in_place(1 + 1e-10)),
+    "dz_multiplier-scaled": ("beltrami.dz_multiplier", _scaled(1 + 1e-10)),
+    "dz_multiplier-conjugated": ("beltrami.dz_multiplier", _conjugated),
+    "periodic-scaled": _solve_changed("periodic", lambda p: p * (1 + 1e-10)),
+}
+
+
+def _catalog_inputs():
+    """Check 7's inputs, and the n = 128 ones it made before: each field and torus once."""
+    _, sample, _ = importlib.import_module("extorus.verify")._SUITE["eq11_catalog"]
+    inputs = sample(random.Random(0))
+    return inputs, [(*point, 128) for point in dict.fromkeys(given[:3] for given in inputs)]
+
+
+def test_dropped_n128_catalog_inputs_pass():
+    inputs, dropped = _catalog_inputs()
+    assert (len(inputs), len(dropped)) == (40, 20)
+    assert {grid for *_, grid in inputs} == {32, 64}
+    [report] = run_checks([("eq11_catalog", dropped)]).reports
+    assert report.passed and report.tolerance == 1e-12
+
+
+@pytest.mark.parametrize("target,wrong", SOLVER_MUTATIONS.values(), ids=list(SOLVER_MUTATIONS))
+def test_n128_catches_no_solver_mutation_that_32_and_64_miss(monkeypatch, target, wrong):
+    # check 7 ran every field at n = 128 too: under each mutation it gives the
+    # same verdict without those solves, and no field and torus fails at 128 alone
+    _rebind(monkeypatch, *target.split("."), wrong)
+    inputs, dropped = _catalog_inputs()
+    fails = {given: not run_checks([("eq11_catalog", [given])]).reports[0].passed
+             for given in inputs + dropped}
+    assert any(fails[given] for given in inputs) == any(fails[given] for given in dropped)
+    for *point, grid in dropped:
+        assert fails[(*point, 32)] or fails[(*point, 64)] or not fails[(*point, grid)], point
+
+
+#: Solver mutations that turn no check red yet.  Each fails its test, and
+#: passes it (a strict XPASS failure) once a per-mode oracle of the solve lands.
+SOLVER_GAPS = [
+    pytest.param("eq11_catalog", *SOLVER_MUTATIONS[name], id=name,
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError,
+                                         reason="ROADMAP item 1"))
+    for name in ("dz_multiplier-scaled", "dz_multiplier-conjugated", "periodic-scaled")
+]
+
+
+@pytest.mark.parametrize("check,target,wrong", SOLVER_GAPS)
+def test_each_solver_gap_turns_verify_red(monkeypatch, capsys, check, target, wrong):
+    test_each_asserted_check_fails_on_a_wrong_answer(monkeypatch, capsys, check, target, wrong)
 
 
 #: All that ``oracles`` may import: ``math``, the torus types, and extremal

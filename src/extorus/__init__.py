@@ -27,7 +27,6 @@ from .beltrami import (
     BeltramiField,
     FIELD_CATALOG,
     catalog_field,
-    from_function,
     modulus_path_constant,
     teich_geodesic_constant,
 )

@@ -33,7 +33,6 @@ from .moduli import Modulus
 
 __all__ = [
     "BeltramiField",
-    "from_function",
     "catalog_field",
     "FIELD_CATALOG",
     "lattice_grid",
@@ -136,13 +135,6 @@ class BeltramiField:
     def mean(self) -> complex:
         return complex(self.samples.mean())
 
-    def l2_mean_square(self) -> float:
-        """Grid mean of ``|mu|^2``."""
-        return float(np.mean(np.square(np.abs(self.samples))))
-
-    def scaled(self, factor: complex) -> "BeltramiField":
-        return BeltramiField(self.tau, self.n, samples=self.samples * factor)
-
     def grid_samples(self, n: int) -> np.ndarray:
         """Materialize the field on an ``n x n`` grid, ``n >= self.n``.
 
@@ -159,14 +151,6 @@ class BeltramiField:
         out[np.ix_(idx, idx)] = spec
         _ifft2_in_place(out)
         return np.multiply(out, n**2, out=out)
-
-
-def from_function(
-    tau: Modulus, n: int, f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-) -> BeltramiField:
-    """Sample ``f(s, t)`` on the ``n x n`` lattice grid; ``f`` must broadcast."""
-    s, t = lattice_grid(n)
-    return BeltramiField(tau, n, samples=np.asarray(f(s, t), dtype=complex))
 
 
 _TWO_PI = 2.0 * math.pi
@@ -188,13 +172,15 @@ FIELD_CATALOG: dict[str, Callable[[np.ndarray, np.ndarray], np.ndarray]] = {
 
 
 def catalog_field(tau: Modulus, name: str, n: int) -> BeltramiField:
+    """The catalog field ``name`` sampled on the ``n x n`` lattice grid."""
     try:
         f = FIELD_CATALOG[name]
     except KeyError:
         raise ValueError(
             f"unknown field {name!r}; available: {', '.join(sorted(FIELD_CATALOG))}"
         ) from None
-    return from_function(tau, n, f)
+    s, t = lattice_grid(n)
+    return BeltramiField(tau, n, samples=f(s, t))
 
 
 def modulus_path_constant(tau: Modulus, m: complex, t: float) -> Modulus:

@@ -285,11 +285,15 @@ _COMPLEX_RE = re.compile(rf"^\s*([+-]?{_FLOAT})([+-]{_FLOAT})i\s*$")
 
 
 def parse_complex(text: str) -> complex:
-    """Parse the ``a+bi`` form used everywhere in this package."""
+    """Parse the ``a+bi`` form used everywhere in this package; both parts
+    must be finite, as ``format_complex`` writes them."""
     m = _COMPLEX_RE.match(text)
     if m is None:
         raise ValueError(f"expected complex number in a+bi form, got {text!r}")
-    return complex(float(m.group(1)), float(m.group(2)))
+    z = complex(float(m.group(1)), float(m.group(2)))
+    if not cmath.isfinite(z):
+        raise ValueError(f"expected finite parts in a+bi form, got {text!r}")
+    return z
 
 
 def format_complex(z: complex) -> str:

@@ -85,7 +85,7 @@ class VariationField:
     ``mu_samples`` is the driving field materialized on the same grid,
     ``gradient`` is ``d wdot / dz`` there, and ``residual`` is the sup norm
     of the defect of the discrete Poisson equation against a source of sup
-    norm ``source_sup``; ``n`` is each array's side.
+    norm ``source_sup``.  Each array is ``n x n``, the solve's grid.
     """
 
     periodic: np.ndarray
@@ -120,8 +120,6 @@ def solve_variation_field(
     """
     if field.tau != tau:
         raise ValueError("field lives on a different torus")
-    if n < field.n:
-        raise ValueError("solver grid must be at least the field resolution")
     with np.errstate(all="ignore"):
         mu = field.grid_samples(n)
         m0 = complex(mu.mean())
@@ -175,24 +173,30 @@ def solve_variation_field(
         return VariationField(periodic, mu, gradient, residual, source_sup)
 
 
+def _mean_square(a: np.ndarray) -> float:
+    """Grid mean of ``|a|^2``."""
+    return float(np.mean(np.square(np.abs(a))))
+
+
 def identity_eq11_check(
-    tau: Modulus, curve: CurveClass, field: BeltramiField, n: int
+    tau: Modulus, curve: CurveClass, field: BeltramiField
 ) -> tuple[float, float, float]:
     """Integration-by-parts identity for the variation gradient.
 
     With the mass-``4 Im tau`` measure, ``<< |wdot_z|^2 >>`` must equal
     ``<< Re(2 mu w_z wdot_z) >>``; this holds for every deformation
-    field, so the residual is a direct accuracy check on the solver.
-    Returns ``(lhs, rhs, scale)``, ``scale = << |mu|^2 >> |w_z|^2`` the
-    sides' natural size.  A side or scale outside double range raises
-    ``OverflowError``, and a ``|w_z|^2`` that underflows ``FloatingPointError``.
+    field, so the residual is a direct accuracy check on the solver, run
+    on the field's own grid.  Returns ``(lhs, rhs, scale)``,
+    ``scale = << |mu|^2 >> |w_z|^2`` the sides' natural size.  A side or
+    scale outside double range raises ``OverflowError``, and a ``|w_z|^2``
+    that underflows ``FloatingPointError``.
     """
-    vf = solve_variation_field(tau, curve, field, n)
+    vf = solve_variation_field(tau, curve, field, field.n)
     w_z = build_harmonic_map(tau, curve) / 2.0
     measure = 4.0 * tau.im
-    lhs = measure * float(np.mean(np.square(np.abs(vf.gradient))))
+    lhs = measure * _mean_square(vf.gradient)
     rhs = measure * float(np.mean(2.0 * np.real(vf.mu_samples * w_z * vf.gradient)))
-    scale = measure * field.l2_mean_square() * _w_z_abs_square(w_z)
+    scale = measure * _mean_square(field.samples) * _w_z_abs_square(w_z)
     if not all(map(math.isfinite, (lhs, rhs, scale))):
         raise OverflowError("a side of the identity or |mu|^2 |w_z|^2 leaves double range")
     return lhs, rhs, scale
@@ -254,9 +258,9 @@ def pair_sum_levi(tau: Modulus, curve: CurveClass, m: complex) -> float:
 
 
 def identity_eq15_evaluate(
-    tau: Modulus, curve: CurveClass, field: BeltramiField, n: int
+    tau: Modulus, curve: CurveClass, field: BeltramiField
 ) -> tuple[float, float, float]:
-    """Paired-direction gradient identity, for every field.
+    """Paired-direction gradient identity, for every field, on its own grid.
 
     Both sides are plain grid means: the left side is
     ``mean |wdot_z(mu)|^2 + mean |wdot_z(i mu)|^2``, the right side
@@ -272,17 +276,18 @@ def identity_eq15_evaluate(
     range raises ``OverflowError``, and a ``|w_z|^2`` that underflows
     ``FloatingPointError``.
     """
+    n = field.n
     vf = solve_variation_field(tau, curve, field, n)
-    first = float(np.mean(np.square(np.abs(vf.gradient))))
+    first = _mean_square(vf.gradient)
     w_z_square = _w_z_abs_square(build_harmonic_map(tau, curve) / 2.0)
     mu = vf.mu_samples
     del vf
     with np.errstate(over="ignore"):  # a square past double range is checked below
-        rhs = 4.0 * w_z_square * float(np.mean(np.square(np.abs(mu - field.mean()))))
-        scale = 4.0 * w_z_square * field.l2_mean_square()
+        rhs = 4.0 * w_z_square * _mean_square(mu - field.mean())
+        scale = 4.0 * w_z_square * _mean_square(field.samples)
     del mu
-    vf = solve_variation_field(tau, curve, field.scaled(1j), n)
-    lhs = first + float(np.mean(np.square(np.abs(vf.gradient))))
+    vf = solve_variation_field(tau, curve, BeltramiField(tau, n, samples=field.samples * 1j), n)
+    lhs = first + _mean_square(vf.gradient)
     if not all(map(math.isfinite, (lhs, rhs, scale))):
         raise OverflowError("a side of the identity or 4 |w_z|^2 mean |mu|^2 leaves double range")
     return lhs, rhs, scale

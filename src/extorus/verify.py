@@ -303,7 +303,7 @@ _CATALOG = [(tau, curve, mu_fn, grid)
 
 
 def _eq11_field(tau: Modulus, curve: CurveClass, mu_fn: str, grid: int) -> Rows:
-    return [identity_eq11_check(tau, curve, _field(tau, mu_fn, grid), grid)]
+    return [identity_eq11_check(tau, curve, _field(tau, mu_fn, grid))]
 
 
 #: Check 8's inputs: three constants on each of two tori, each added to the wave
@@ -315,11 +315,11 @@ _CONSTANTS = [(tau, curve, m)
 
 def _pairing_on_constant(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:
     wave = catalog_field(tau, "cos2pis", 8).samples
-    return [identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + mu), 8)]
+    return [identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + mu))]
 
 
 def _pairing_on_grid_field(tau: Modulus, curve: CurveClass, mu_fn: str, grid: int) -> Rows:
-    return [identity_eq15_evaluate(tau, curve, _field(tau, mu_fn, grid), grid)]
+    return [identity_eq15_evaluate(tau, curve, _field(tau, mu_fn, grid))]
 
 
 def _pair_sum_scaling(tau: Modulus, curve: CurveClass, mu: complex) -> Rows:

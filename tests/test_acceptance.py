@@ -161,7 +161,7 @@ def test_ac05_spectral_solver_and_gradient_identity():
                         n,
                         vf.residual,
                     )
-                    lhs, rhs, scale = identity_eq11_check(tau, curve, field, n)
+                    lhs, rhs, scale = identity_eq11_check(tau, curve, field)
                     _, rel_err, passed = compare(lhs, rhs, 1e-10, scale)
                     assert passed and rel_err <= 1e-10, (name, n, lhs, rhs, scale)
         # mu = i cos(2 pi s) at tau = i: wdot is the sine profile of height
@@ -226,10 +226,10 @@ def test_ac07_paired_gradient_identity_evaluator():
         for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
             for m in (1.0, 0.5j, 0.3 - 0.2j):
                 field = BeltramiField(tau, 8, samples=np.full((8, 8), m))
-                lhs, rhs, scale = identity_eq15_evaluate(tau, curve, field, 8)
+                lhs, rhs, scale = identity_eq15_evaluate(tau, curve, field)
                 assert compare(lhs, rhs, 1e-12, scale)[2]
                 assert lhs == 0.0
-        lhs, rhs, scale = identity_eq15_evaluate(I, HORIZ, catalog_field(I, "cos2pis", 64), 64)
+        lhs, rhs, scale = identity_eq15_evaluate(I, HORIZ, catalog_field(I, "cos2pis", 64))
         assert compare(lhs, rhs, 1e-12, scale)[2]
         assert lhs == pytest.approx(0.5, abs=1e-15)
         assert rhs == pytest.approx(0.5, abs=1e-15)

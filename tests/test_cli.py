@@ -394,14 +394,21 @@ def test_argument_errors_exit_2(capsys):
         ("verify", "--only", "teich_lower_bound", "--tau", "0+1i", "--curve", "1,0",
          "--mu", "2+0i"),
         ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "0+0i"),
+        # a part past double range parses to inf: the flag is at fault, not the computation
+        ("vary1", "--tau", "0+1i", "--curve", "1,0", "--mu=1e400+0i"),
+        ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu=1e400+0i"),
+        ("verify", "--only", "eq15_constant", "--tau", "0+1i", "--curve", "1,0",
+         "--mu=1e400+0i"),
     ]
     for argv in cases:
         code, _, err = run(capsys, *argv)
         assert code == 2, argv
         assert err.strip(), argv
     # the library's own checks name the rule
-    assert "unrecognized arguments: --mu" in run(capsys, *cases[-3])[2]
-    assert "nonzero" in run(capsys, *cases[-1])[2]
+    assert "unrecognized arguments: --mu" in run(capsys, *cases[-6])[2]
+    assert "nonzero" in run(capsys, *cases[-4])[2]
+    for argv in cases[-3:]:
+        assert "argument --mu: expected finite parts" in run(capsys, *argv)[2], argv
 
 
 def test_upper_half_plane_diagnostic(capsys):
@@ -577,20 +584,24 @@ def test_full_stdout_exits_3_from_the_entry_point():
 
 
 def test_infinite_ratio_exits_1(capsys, monkeypatch):
-    # sides whose ratio is past double range make a failing report, written
-    # in standard JSON, and exit 1
-    tolerance, sample, _ = verify._SUITE["teich_lower_bound"]
-    monkeypatch.setitem(verify._SUITE, "teich_lower_bound",
-                        (tolerance, sample, lambda tau, curve: [(1e300, 1e-300, 0.0)]))
-    code, out, err = run(capsys, "verify", "--only", "teich_lower_bound", "--tau", "0+1i",
-                         "--curve", "1,0", "--format", "json")
-    assert (code, err) == (1, "")
-
+    # sides whose ratio, or whose difference, is past double range make a
+    # failing report, written in standard JSON, and exit 1
     def reject(token):
         raise ValueError(f"non-standard JSON token {token}")
 
-    [report] = json.loads(out, parse_constant=reject)["reports"]
-    assert (report["lhs"], report["rhs"], report["pass"]) == (1e300, 1e-300, False)
+    def fixed(row):
+        return lambda tau, curve: [row]
+
+    tolerance, sample, _ = verify._SUITE["teich_lower_bound"]
+    for row, errors in [((1e300, 1e-300, 0.0), (1e300, 1.0)),
+                        ((1.5e308, -1.5e308, 0.0), ("inf", "inf"))]:
+        monkeypatch.setitem(verify._SUITE, "teich_lower_bound", (tolerance, sample, fixed(row)))
+        code, out, err = run(capsys, "verify", "--only", "teich_lower_bound", "--tau", "0+1i",
+                             "--curve", "1,0", "--format", "json")
+        assert (code, err) == (1, "")
+        [report] = json.loads(out, parse_constant=reject)["reports"]
+        assert (report["lhs"], report["rhs"], report["pass"]) == (*row[:2], False)
+        assert (report["abs_err"], report["rel_err"]) == errors
 
 
 @pytest.mark.parametrize("argv", [

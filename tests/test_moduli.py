@@ -477,7 +477,7 @@ def test_parse_complex():
     assert parse_complex("3-4i") == 3 - 4j
     assert parse_complex("-1.5+2e-3i") == complex(-1.5, 2e-3)
     assert parse_complex("  .5+.25i ") == 0.5 + 0.25j
-    for bad in ["abc", "1", "1+i", "1+2j", "i", "1 + 2i", "1+2i3"]:
+    for bad in ["abc", "1", "1+i", "1+2j", "i", "1 + 2i", "1+2i3", "1e400+0i"]:
         with pytest.raises(ValueError, match="a\\+bi"):
             parse_complex(bad)
 

@@ -110,7 +110,7 @@ def test_constant_field_variation_vanishes():
         assert np.max(np.abs(vf.periodic)) == 0.0
         assert np.max(np.abs(vf.gradient)) == 0.0
         assert vf.residual == 0.0
-        lhs, rhs, scale = identity_eq11_check(tau, curve, field, 16)
+        lhs, rhs, scale = identity_eq11_check(tau, curve, field)
         assert lhs == rhs == 0.0 and compare(lhs, rhs, 1e-10, scale)[2]
 
 
@@ -199,11 +199,11 @@ def test_solver_peak_memory_and_owned_outputs():
 def test_eq15_peak_memory_is_one_solve():
     # the first solve is reduced to two means before the second runs
     n = 256
-    field = catalog_field(SKEW, "coscos", 64)
+    field = catalog_field(SKEW, "coscos", n)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        lhs, rhs, scale = identity_eq15_evaluate(SKEW, CurveClass(1, 1), field, n)
+        lhs, rhs, scale = identity_eq15_evaluate(SKEW, CurveClass(1, 1), field)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -213,7 +213,8 @@ def test_eq15_peak_memory_is_one_solve():
 
 def test_solver_in_place_work_stays_inside():
     # at n == field.n the solve reads the field's own samples
-    field = catalog_field(SKEW, "sinsin", 32).scaled(0.3 - 0.1j)
+    samples = catalog_field(SKEW, "sinsin", 32).samples * (0.3 - 0.1j)
+    field = BeltramiField(SKEW, 32, samples=samples)
     before = field.samples.copy()
     vf = solve_variation_field(SKEW, CurveClass(2, 1), field, 32)
     assert np.array_equal(field.samples, before)
@@ -228,7 +229,7 @@ def test_solver_rejects_mismatches():
     field = catalog_field(I, "cos2pis", 32)
     with pytest.raises(ValueError, match="different torus"):
         solve_variation_field(SKEW, HORIZ, field, 32)
-    with pytest.raises(ValueError, match="at least the field resolution"):
+    with pytest.raises(ValueError, match="below the native resolution"):
         solve_variation_field(I, HORIZ, field, 16)
 
 
@@ -245,14 +246,14 @@ def test_eq11_across_catalog():
     for tau, curve in [(I, HORIZ), (SKEW, CurveClass(1, 1))]:
         for name in ("cos2pis", "icos2pis", "exp2pit", "sinsin"):
             for n in (32, 64):
-                lhs, rhs, scale = identity_eq11_check(tau, curve, catalog_field(tau, name, n), n)
+                lhs, rhs, scale = identity_eq11_check(tau, curve, catalog_field(tau, name, n))
                 _, rel_err, passed = compare(lhs, rhs, 1e-10, scale)
                 assert passed, (lhs, rhs, scale)
                 assert rel_err <= 1e-12
 
 
 def test_eq11_imaginary_cosine_value():
-    row = identity_eq11_check(I, HORIZ, catalog_field(I, "icos2pis", 64), 64)
+    row = identity_eq11_check(I, HORIZ, catalog_field(I, "icos2pis", 64))
     lhs, rhs, _ = row
     assert lhs == pytest.approx(2.0, abs=1e-12)
     assert rhs == pytest.approx(2.0, abs=1e-12)
@@ -337,9 +338,9 @@ def test_squares_past_double_range_raise():
         for field in (BeltramiField(far, 16, samples=np.ones((16, 16))),
                       catalog_field(far, "coscos", 16)):
             with pytest.raises(OverflowError, match="double range"):
-                identity_eq11_check(far, diag, field, 16)
+                identity_eq11_check(far, diag, field)
             with pytest.raises(OverflowError, match="double range"):
-                identity_eq15_evaluate(far, diag, field, 16)
+                identity_eq15_evaluate(far, diag, field)
     for m in (1e-200, 1e200):
         with pytest.raises(OverflowError, match="overflowed"):
             second_variation_constant(far, diag, m)
@@ -377,7 +378,7 @@ def test_eq15_constant_fields_vanish():
     for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
         for m in (1.0, 0.5j, 0.3 - 0.2j):
             field = BeltramiField(tau, 8, samples=np.full((8, 8), m))
-            lhs, rhs, scale = identity_eq15_evaluate(tau, curve, field, 8)
+            lhs, rhs, scale = identity_eq15_evaluate(tau, curve, field)
             assert compare(lhs, rhs, 1e-12, scale)[2]
             assert lhs == 0.0
 
@@ -386,9 +387,9 @@ def test_eq15_ignores_a_constant_added_to_the_field():
     # the solve reads mu - mean mu, and the right side mean |mu - mean mu|^2
     wave = catalog_field(I, "cos2pis", 8).samples
     for tau, curve in [(I, HORIZ), (Modulus(0.0, 2.0), CurveClass(2, 1))]:
-        bare = identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave), 8)
+        bare = identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave))
         for m in (1.0, 0.5j, 0.3 - 0.2j):
-            moved = identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + m), 8)
+            moved = identity_eq15_evaluate(tau, curve, BeltramiField(tau, 8, samples=wave + m))
             lhs, rhs, scale = moved
             assert (lhs, rhs) == bare[:2]
             assert compare(lhs, rhs, 1e-12, scale)[2] and lhs > 0.0
@@ -397,7 +398,7 @@ def test_eq15_ignores_a_constant_added_to_the_field():
 def test_eq15_cosine_reports_both_sides():
     # 4 |w_z|^2 mean |cos 2 pi s|^2 with |w_z|^2 = 1/4 at (i, (1,0))
     field = catalog_field(I, "cos2pis", 64)
-    lhs, rhs, scale = identity_eq15_evaluate(I, HORIZ, field, 64)
+    lhs, rhs, scale = identity_eq15_evaluate(I, HORIZ, field)
     _, rel_err, passed = compare(lhs, rhs, 1e-12, scale)
     assert passed
     assert lhs == pytest.approx(0.5, abs=1e-15)

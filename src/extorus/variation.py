@@ -100,10 +100,15 @@ def first_variation(tau: Modulus, curve: CurveClass, m: complex) -> float:
 
     Equals ``-2 Re <m, Hopf>``, the pairing taken with the measure of mass
     ``4 Im tau``.  A grid field moves the length through its mean alone,
-    because the Hopf differential of the linear map is constant.
+    because the Hopf differential of the linear map is constant.  A
+    nonzero ``m`` whose pairing is 0 or subnormal has underflowed, and lost
+    its digits: that raises ``FloatingPointError``, as in
+    ``second_variation_constant``.
     """
-    phi = hopf(tau, curve)
-    return -2.0 * (4.0 * tau.im * complex(m) * phi).real
+    pairing = 4.0 * tau.im * complex(m) * hopf(tau, curve)
+    if m != 0 and abs(pairing) < sys.float_info.min:
+        raise FloatingPointError("the first variation underflowed")
+    return -2.0 * pairing.real
 
 
 def solve_variation_field(

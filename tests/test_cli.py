@@ -106,12 +106,17 @@ def test_eq11_command(capsys):
     assert data["lhs"] / data["rhs"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_a_grid_above_the_suites_replays_bit_for_bit(capsys):
-    # check 7's largest grid was 128 before it was 64: its seed-42 report from
-    # then replays, sampled anew rather than cut from the suite's grid, to the same bits
-    data = only(capsys, "eq11_catalog", "--tau=0+1i", "--curve=1,0", "--mu-fn=icos2pis",
-                "--grid=128")
-    assert (data["lhs"], data["rhs"], data["pass"]) == (2.000000000000001, 2.0, True)
+@pytest.mark.parametrize("argv,lhs,rhs", [
+    (("eq11_catalog", "--mu-fn=icos2pis", "--grid=128"), 2.000000000000001, 2.0),
+    (("eq11_catalog", "--mu-fn=exp2pist", "--grid=64"), 2.0000000000000018, 2.000000000000001),
+    (("eq15_catalog", "--mu-fn=cos2pis", "--grid=64"), 0.5000000000000002, 0.49999999999999994),
+], ids=["eq11-128", "eq11-64", "eq15-64"])
+def test_a_grid_above_the_suites_replays_bit_for_bit(capsys, argv, lhs, rhs):
+    # checks 7 and 9 once sampled grids above the suite's one: their seed-42
+    # reports from then replay to the same bits
+    name, *flags = argv
+    data = only(capsys, name, "--tau=0+1i", "--curve=1,0", *flags)
+    assert (data["lhs"], data["rhs"], data["pass"]) == (lhs, rhs, True)
 
 
 def test_failing_report_exits_1_after_printing_it(capsys):
@@ -445,6 +450,10 @@ def test_computation_errors_exit_1(capsys, monkeypatch):
     # failure of positivity
     ("pair-sum", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-200+0i"),
     ("vary2", "--tau", "0+1i", "--curve", "1,0", "--mu", "1e-170+0i"),
+    # a subnormal direction, whose first variation would keep a few digits
+    ("vary1", "--tau", "0.3+1.1i", "--curve", "2,1", "--mu=1e-320+1e-321i"),
+    ("verify", "--only", "first_variation_fd", "--tau=0.3+1.1i", "--curve=2,1",
+     "--mu=1e-320+1e-321i"),
     # (1e200)^2 overflows: ext is inf and levi inf / inf = nan
     ("ext", "--tau", "0+1e200i", "--curve", "0,1"),
     ("levi", "--tau", "0+1e200i", "--curve", "0,1"),

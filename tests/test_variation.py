@@ -320,6 +320,9 @@ def test_underflow_is_not_a_second_variation(monkeypatch):
             second_variation_constant(I, HORIZ, m)
     with pytest.raises(FloatingPointError, match="underflow"):
         pair_sum_levi(I, HORIZ, 1e-200)
+    # and a first variation along a subnormal m would keep only a few digits
+    with pytest.raises(FloatingPointError, match="underflow"):
+        first_variation(I, HORIZ, 1e-320 + 1e-321j)
     assert second_variation_constant(I, HORIZ, 0.0) == 0.0
     assert pair_sum_levi(I, HORIZ, 1e-150) == pytest.approx(8e-300, rel=1e-14)
     # a sum that is really not positive is named as such

@@ -481,31 +481,43 @@ SOLVER_MUTATIONS = {
 
 
 def _catalog_inputs():
-    """Check 7's inputs, and the n = 128 ones it made before: each field and torus once."""
+    """Check 7's inputs, and the n = 64 and 128 ones it made before: each field and torus once."""
     _, sample, _ = importlib.import_module("extorus.verify")._SUITE["eq11_catalog"]
     inputs = sample(random.Random(0))
-    return inputs, [(*point, 128) for point in dict.fromkeys(given[:3] for given in inputs)]
+    points = dict.fromkeys(given[:3] for given in inputs)
+    return inputs, [(*point, grid) for point in points for grid in (64, 128)]
 
 
-def test_dropped_n128_catalog_inputs_pass():
+#: Check 9's input before it moved to the suite's one grid.
+DROPPED_EQ15 = (I, HORIZ, "cos2pis", 64)
+
+
+def test_dropped_catalog_inputs_pass():
     inputs, dropped = _catalog_inputs()
-    assert (len(inputs), len(dropped)) == (40, 20)
-    assert {grid for *_, grid in inputs} == {32, 64}
+    assert (len(inputs), len(dropped)) == (20, 40)
+    assert {grid for *_, grid in inputs} == {32}
     [report] = run_checks([("eq11_catalog", dropped)]).reports
+    assert report.passed and report.tolerance == 1e-12
+    [report] = run_checks([("eq15_catalog", [DROPPED_EQ15])]).reports
     assert report.passed and report.tolerance == 1e-12
 
 
 @pytest.mark.parametrize("target,wrong", SOLVER_MUTATIONS.values(), ids=list(SOLVER_MUTATIONS))
 def test_n128_catches_no_solver_mutation_that_32_and_64_miss(monkeypatch, target, wrong):
-    # check 7 ran every field at n = 128 too: under each mutation it gives the
-    # same verdict without those solves, and no field and torus fails at 128 alone
+    # check 7 ran every field at n = 64 and 128 too, and check 9 its one at 64:
+    # under each mutation no field and torus fails at 64 or 128 while 32 passes
+    # it, so check 7 gives the same verdict without those solves, and check 9
+    # the same verdict at 32 as at 64
     _rebind(monkeypatch, *target.split("."), wrong)
     inputs, dropped = _catalog_inputs()
     fails = {given: not run_checks([("eq11_catalog", [given])]).reports[0].passed
              for given in inputs + dropped}
     assert any(fails[given] for given in inputs) == any(fails[given] for given in dropped)
     for *point, grid in dropped:
-        assert fails[(*point, 32)] or fails[(*point, 64)] or not fails[(*point, grid)], point
+        assert fails[(*point, 32)] or not fails[(*point, grid)], (point, grid)
+    point = DROPPED_EQ15[:3]
+    assert len({run_checks([("eq15_catalog", [(*point, grid)])]).reports[0].passed
+                for grid in (32, 64)}) == 1
 
 
 #: Solver mutations that turn no check red yet.  Each fails its test, and

@@ -191,12 +191,14 @@ def modulus_path_constant(tau: Modulus, m: complex, t: float) -> Modulus:
     renormalizing the first vector to ``1`` the modulus is their ratio.
     With ``m = 0`` the path is constant at ``tau`` for every ``t``.
     """
-    if abs(t * m) >= 1.0:
+    r = abs(t * m)
+    if r >= 1.0:
         raise ValueError("path parameter must satisfy |t m| < 1")
     w = (tau.value + t * m * tau.value.conjugate()) / (1.0 + t * m)
-    if w.imag <= 0.0:
-        raise ValueError("path left the upper half-plane")
-    return Modulus.from_complex(w)
+    # Im w from the stretch's Jacobian, not from w: where |Re tau| / Im tau is
+    # large, w.imag is a difference of nearly equal products and loses digits
+    d = abs(1.0 + t * m)
+    return Modulus(w.real, tau.im * ((1.0 - r) * (1.0 + r)) / (d * d))
 
 
 def _require_unimodular(m: complex) -> None:

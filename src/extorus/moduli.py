@@ -187,9 +187,12 @@ def apply_mapping_class(
     """
     a, b, c, d = mc.a, mc.b, mc.c, mc.d
     t = tau.value
-    new_tau = (a * t + b) / (c * t + d)
+    den = c * t + d
+    new_tau = (a * t + b) / den
     new_curve = CurveClass(curve.p * a - curve.q * b, -curve.p * c + curve.q * d)
-    return Modulus.from_complex(new_tau), new_curve
+    # Im tau' = Im tau / |c tau + d|^2 exactly (the determinant is 1): the
+    # quotient's own imaginary part cancels; dividing twice squares nothing
+    return Modulus(new_tau.real, tau.im / abs(den) / abs(den)), new_curve
 
 
 def hyperbolic_distance(tau1: Modulus, tau2: Modulus) -> float:

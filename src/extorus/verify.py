@@ -335,11 +335,14 @@ def _stretch_floor(tau: Modulus, curve: CurveClass) -> Rows:
     """Along the unit stretch line in 16 directions, the even part of extremal length
     is exactly ``Ext``, read once, and the point at arc length 0.5 lies at hyperbolic
     distance 1.  The rows are yielded one at a time, so ``run_checks`` stops an
-    ``Ext`` outside double range before the line is walked."""
+    ``Ext`` outside double range before the line is walked.  The distance is read
+    at ``tau`` twisted by ``round(Re tau)``: the line and the distance commute
+    with the twist, and a large ``Re tau`` would cancel in the difference."""
     ext0 = extremal_length(tau, curve)
+    near = Modulus(tau.re - round(tau.re), tau.im)
     for u in _UNITS:
         yield _stretch_even_part(tau, curve, u), ext0, 0.0
-        yield hyperbolic_distance(tau, teich_geodesic_constant(tau, u, 0.5)), 1.0, 0.0
+        yield hyperbolic_distance(near, teich_geodesic_constant(near, u, 0.5)), 1.0, 0.0
 
 
 def _segments(rng: random.Random) -> list[tuple]:

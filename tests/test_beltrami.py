@@ -1,7 +1,10 @@
 """Deformation fields on the lattice grid, spectral derivatives, and the
 modulus paths they generate."""
 
+import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -223,6 +226,20 @@ def test_modulus_path_velocity():
         minus = modulus_path_constant(tau, m, -h).im
         fd = (plus - minus) / (2 * h)
         assert fd == pytest.approx(-2.0 * tau.im * m.real, abs=1e-8)
+
+
+def test_path_imaginary_part_is_within_8_ulp():
+    # against the exact Im tau (1 - |tm|^2) / |1 + tm|^2 of the float inputs, for
+    # |tm| <= 0.5 as on the oracles' paths: read off the quotient, it lost up to
+    # 8.4e11 ulp where |Re tau| / Im tau is large
+    rng = random.Random(1)
+    for _ in range(500):
+        tau = Modulus(rng.uniform(-1e8, 1e8), math.exp(rng.uniform(math.log(1e-4), math.log(1e4))))
+        m, t = cmath.exp(1j * rng.uniform(0.0, TWO_PI)), rng.uniform(-0.5, 0.5)
+        a, b = Fraction(t) * Fraction(m.real), Fraction(t) * Fraction(m.imag)
+        exact = Fraction(tau.im) * (1 - a * a - b * b) / ((1 + a) ** 2 + b * b)
+        got = Fraction(modulus_path_constant(tau, m, t).im)
+        assert abs(got - exact) <= 8 * Fraction(math.ulp(float(exact))), (tau, m, t)
 
 
 def test_extremal_length_along_paths():

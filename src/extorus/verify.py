@@ -337,7 +337,9 @@ def _stretch_floor(tau: Modulus, curve: CurveClass) -> Rows:
     distance 1.  The rows are yielded one at a time, so ``run_checks`` stops an
     ``Ext`` outside double range before the line is walked.  The distance is read
     at ``tau`` twisted by ``round(Re tau)``: the line and the distance commute
-    with the twist, and a large ``Re tau`` would cancel in the difference."""
+    with the twist, and a large ``Re tau`` would cancel in the difference.  The
+    distance row holds the check's 1e-13 for ``Im tau >= 1e-2``; below that the
+    float ``tau`` itself is the limit."""
     ext0 = extremal_length(tau, curve)
     near = Modulus(tau.re - round(tau.re), tau.im)
     for u in _UNITS:

@@ -487,8 +487,7 @@ def _fresh(code: str, *argv: str) -> str:
     (("distance", "--tau", "0+1i", "--tau2", "0.3+2i", "--max-pq", "1000"), False),
     (("sweep", "--curve", "1,1", "--re", "0:1:0.5", "--im", "1:2:0.5"), False),
     (("solve-field", *_SCALAR, "--mu-fn", "coscos", "--grid", "8"), True),
-], ids=["ext-False", "levi-False", "vary1-False", "vary2-False", "pair-sum-False", "bound-False",
-        "distance-False", "sweep-False", "solve-field-True"])
+], ids=lambda value: value[0] if isinstance(value, tuple) else None)
 def test_only_array_commands_load_numpy(argv, loads_numpy):
     assert _fresh(_PROBE, *argv) == f"0 {loads_numpy}"
 

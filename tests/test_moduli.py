@@ -29,7 +29,7 @@ from extorus.moduli import (
     parse_complex,
     parse_curve,
 )
-from extorus.verify import sample_curves, sample_mapping_class, sample_moduli
+from extorus.verify import sample_mapping_class
 
 I = Modulus(0.0, 1.0)
 HORIZ = CurveClass(1, 0)
@@ -98,10 +98,6 @@ def test_extremal_length_values():
 def test_cylinder_modulus_is_reciprocal():
     assert cylinder_modulus(I, HORIZ) == 1.0
     assert cylinder_modulus(Modulus(0.0, 2.0), HORIZ) == 2.0
-    rng = random.Random(3)
-    for tau, curve in zip(sample_moduli(rng, 300), sample_curves(rng, 300)):
-        prod = extremal_length(tau, curve) * cylinder_modulus(tau, curve)
-        assert abs(prod - 1.0) <= 1e-14
 
 
 def test_squares_past_double_range():
@@ -121,9 +117,6 @@ def test_levi_form_values():
     assert levi_form(I, HORIZ) == 0.5
     assert levi_form(I, CurveClass(1, 1)) == 1.0
     assert levi_form(Modulus(0.0, 2.0), HORIZ) == 0.0625
-    rng = random.Random(4)
-    for tau, curve in zip(sample_moduli(rng, 100), sample_curves(rng, 100)):
-        assert levi_form(tau, curve) > 0.0
 
 
 def test_apply_mapping_class_twist():
@@ -153,16 +146,6 @@ def test_apply_mapping_class_carries_holonomy():
     got = new_curve.holonomy(new_tau)
     # the curve is stored sign-canonically, so compare up to sign
     assert min(abs(got - expected), abs(got + expected)) <= 1e-13
-
-
-def test_marking_invariance_random_words():
-    rng = random.Random(5)
-    for tau, curve in zip(sample_moduli(rng, 200), sample_curves(rng, 200)):
-        mc = sample_mapping_class(rng)
-        new_tau, new_curve = apply_mapping_class(tau, curve, mc)
-        before = extremal_length(tau, curve)
-        after = extremal_length(new_tau, new_curve)
-        assert abs(after - before) <= 1e-11 * before
 
 
 def _ulps_off_im_of_remarking(tau, mc):
@@ -255,17 +238,6 @@ def test_kerckhoff_distance_monotone_in_search_bound():
     values = [kerckhoff_distance(t1, t2, n).value for n in (1, 2, 5, 10, 50)]
     for lo, hi in zip(values, values[1:]):
         assert hi >= lo - 1e-15
-
-
-def test_kerckhoff_matches_half_hyperbolic_on_vertical_pairs():
-    rng = np.random.default_rng(6)
-    for _ in range(25):
-        x = float(rng.integers(-8, 9)) / 8.0
-        y1 = float(np.exp(rng.uniform(np.log(0.3), np.log(3.0))))
-        y2 = y1 * float(np.exp(rng.uniform(0.05, 1.5)))
-        t1, t2 = Modulus(x, y1), Modulus(x, y2)
-        kd = kerckhoff_distance(t1, t2, 50).value
-        assert abs(kd - 0.5 * hyperbolic_distance(t1, t2)) <= 1e-9
 
 
 def test_extremal_length_bits_match_complex_holonomy():

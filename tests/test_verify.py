@@ -33,6 +33,7 @@ from extorus.oracles import (
     _stretch_odd_part,
 )
 from extorus.verify import (
+    _SUITE,
     IdentityReport,
     SuiteResult,
     format_table,
@@ -250,6 +251,44 @@ def test_suite_is_deterministic_for_a_seed():
 def test_suite_verdict_stable_across_seeds():
     for seed in (0, 7, 123):
         assert run_suite(seed=seed).all_passed
+
+
+#: Each drawing check re-run on further seeds of its own sampler.  A new
+#: seeded guarantee is one more row.
+SEEDED = [
+    ("ext_reciprocal", 3), ("ext_reciprocal", 101),
+    ("energy_equals_ext", 12), ("energy_equals_ext", 102),
+    ("hopf_direction", 13),
+    ("marking_invariance", 5),
+    ("first_variation_fd", 21), ("first_variation_fd", 103),
+    ("second_variation_fd", 23), ("second_variation_fd", 24), ("second_variation_fd", 104),
+    ("pair_sum_scaling_positivity", 25), ("pair_sum_scaling_positivity", 106),
+    ("pair_sum_levi_ratio", 26), ("pair_sum_levi_ratio", 106),
+    ("teich_lower_bound", 27), ("teich_lower_bound", 108),
+    ("kerckhoff_vs_half_hyperbolic", 6), ("kerckhoff_vs_half_hyperbolic", 109),
+]
+
+
+@pytest.mark.parametrize("check,seed", SEEDED, ids=[f"{c}-{s}" for c, s in SEEDED])
+def test_check_passes_on_a_further_seed(check, seed):
+    _, sample, _ = _SUITE[check]
+    result = run_checks([(check, sample(random.Random(seed)))])
+    assert result.all_passed, result.reports
+    assert result.elapsed_seconds < 1.0
+
+
+def test_stretch_floor_holds_down_to_im_tau_1e_2():
+    # far wider than the suite's draws: below Im tau = 1e-2 the float tau
+    # itself limits the distance row
+    rng = random.Random(28)
+    draws = []
+    while len(draws) < 600:
+        p, q = rng.randint(-1000, 1000), rng.randint(-1000, 1000)
+        if math.gcd(p, q) == 1:
+            x, y = rng.uniform(-1e4, 1e4), math.exp(rng.uniform(math.log(1e-2), math.log(1e4)))
+            draws.append((Modulus(x, y), CurveClass(p, q)))
+    [report] = run_checks([("teich_lower_bound", draws)]).reports
+    assert report.passed, report
 
 
 def test_format_table_layout():
@@ -482,7 +521,7 @@ SOLVER_MUTATIONS = {
 
 def _catalog_inputs():
     """Check 7's inputs, and the n = 64 and 128 ones it made before: each field and torus once."""
-    _, sample, _ = importlib.import_module("extorus.verify")._SUITE["eq11_catalog"]
+    _, sample, _ = _SUITE["eq11_catalog"]
     inputs = sample(random.Random(0))
     points = dict.fromkeys(given[:3] for given in inputs)
     return inputs, [(*point, grid) for point in points for grid in (64, 128)]
